@@ -20,33 +20,27 @@ from .fock import (
     identity,
     kron,
     matmul,
-    unflatten,
 )
 from .ladder import (
-    SymmetricGaugeOperators,
     build_H,
     build_L,
     build_a,
     build_alpha,
     build_b,
     build_momenta,
-    build_symmetric_gauge,
     build_xy,
 )
 from .landau_gauge import (
+    GridCommutatorReport,
     KGrid,
-    LandauGaugeOperators,
     build_landau_xy,
     convergence_study,
-    hermite_wavefunction,
-    lowest_level_commutator,
     oscillator_p_elements,
     oscillator_x_elements,
     projected_commutator_landau,
 )
 from .projection import (
     CommutatorReport,
-    full_space_boundary,
     full_space_scan,
     project,
     projected_commutator_xy,

@@ -12,7 +12,9 @@ Subcommands map one-to-one onto the engine's operations:
 Exit status is 0 exactly when every assertion inside the emitted report
 holds, 1 when a report is emitted but fails, 2 for usage errors. Output
 is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
-(table if unset). All runs are single-threaded and deterministic:
+(table if unset). Every subcommand builds a report and one renderer turns
+it into any of the three formats. Matrix products run through numpy's
+BLAS, which may use several threads; output is still deterministic:
 identical invocations produce byte-identical output.
 """
 
@@ -34,7 +36,6 @@ __all__ = ["RunConfig", "build_parser", "run", "main"]
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 ENV_OUTPUT = "NCG_DEFAULT_OUTPUT"
-DUMPABLE = ("a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector")
 
 DEFAULT_N = 4
 DEFAULT_J = 8
@@ -54,7 +55,6 @@ class RunConfig:
     k_half_width: float = landau_gauge.DEFAULT_HALF_WIDTH
     units: PhysicalUnits = PhysicalUnits()
     output: str = "table"
-    output_explicit: bool = False
     out_path: Optional[str] = None
     op_name: Optional[str] = None
     h_form: str = "ladder"
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
 
     p = sub.add_parser("dump-matrix", help="serialize one operator matrix (JSON)")
-    p.add_argument("--op", choices=DUMPABLE, required=True, help="which operator")
+    p.add_argument("--op", choices=tuple(_OPERATORS), required=True, help="which operator")
     p.add_argument("--N", type=int, default=DEFAULT_N)
     p.add_argument("--J", type=int, default=DEFAULT_J)
     p.add_argument("--keep", type=int, default=None, help="kept levels (projector only)")
@@ -145,6 +145,8 @@ def _units_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--config: cannot read {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            parser.error(f"--config: {args.config} must hold a JSON object")
         unknown = set(loaded) - set(values)
         if unknown:
             parser.error(f"--config: unknown constants {sorted(unknown)}")
@@ -170,20 +172,19 @@ def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str) -> list[int]:
     return sizes
 
 
-def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[str, bool]:
+def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -> str:
     if args.output is not None:
-        return args.output, True
+        return args.output
     env = os.environ.get(ENV_OUTPUT)
     if env:
         if env not in OUTPUT_FORMATS:
             parser.error(f"{ENV_OUTPUT}={env!r} is not one of {OUTPUT_FORMATS}")
-        return env, False
-    return "table", False
+        return env
+    return "table"
 
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    output, explicit = _resolve_output(args, parser)
-    config = RunConfig(command=args.command, output=output, output_explicit=explicit,
+    config = RunConfig(command=args.command, output=_resolve_output(args, parser),
                        out_path=args.out_path, units=_units_from_args(parser, args))
 
     if args.command in ("commutator", "sweep", "spectrum", "dump-matrix"):
@@ -223,7 +224,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.op == "projector" and config.keep is None:
             parser.error("--keep is required with --op projector")
         if config.output != "json":
-            if config.output_explicit:
+            if args.output is not None:
                 parser.error("--output: dump-matrix only emits json")
             config.output = "json"
 
@@ -233,142 +234,125 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 # -- command implementations ---------------------------------------------
 
 
-def _report_table(report: projection.CommutatorReport) -> str:
-    head = (
-        f"projected coordinate commutator  N={report.cutoffs.landau_cutoff}"
-        f" J={report.cutoffs.degeneracy_cutoff} keep={report.keep_levels}"
-    )
-    rows = [report.csv_row()]
-    body = render_table(head, projection.CommutatorReport.csv_header(), rows)
-    status = "ok" if report.ok else "FAILED"
-    return body + f"status: {status}\n"
+@dataclass(frozen=True)
+class Report:
+    """What one subcommand emits, in a form every output format can use.
+
+    ``payload`` is the JSON document; ``header`` and ``rows`` feed the CSV
+    and the table, which ``title`` heads. A report whose table is not
+    column-shaped carries its own table text in ``body``.
+    """
+
+    ok: bool
+    payload: dict
+    header: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    title: str = ""
+    body: Optional[str] = None
 
 
-def _cmd_commutator(config: RunConfig) -> tuple[int, str]:
+def render(report: Report, output: str) -> str:
+    """The report as ``output`` text; tables end with the status line."""
+    if output == "json":
+        return dumps(report.payload) + "\n"
+    if output == "csv":
+        return render_csv(report.header, report.rows)
+    body = report.body
+    if body is None:
+        body = render_table(report.title, report.header, report.rows)
+    return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
+
+
+def _cmd_commutator(config: RunConfig) -> Report:
     cutoffs = fock.Cutoffs(config.N, config.J)
     keep = config.N if config.keep is None else config.keep
     report = projection.projected_commutator_xy(cutoffs, keep, config.units)
-    if config.output == "json":
-        text = dumps(report.as_dict()) + "\n"
-    elif config.output == "csv":
-        text = render_csv(report.csv_header(), [report.csv_row()])
-    else:
-        text = _report_table(report)
-    return (0 if report.ok else 1), text
+    title = f"projected coordinate commutator  N={config.N} J={config.J} keep={keep}"
+    return Report(report.ok, report.as_dict(), report.csv_header(), [report.csv_row()], title)
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[int, str]:
-    cutoffs = fock.Cutoffs(config.N, config.J)
-    reports = projection.sweep(cutoffs, config.units)
+def _cmd_sweep(config: RunConfig) -> Report:
+    reports = projection.sweep(fock.Cutoffs(config.N, config.J), config.units)
     ok = all(r.ok for r in reports)
-    if config.output == "json":
-        payload = {"reports": [r.as_dict() for r in reports], "ok": ok}
-        text = dumps(payload) + "\n"
-    elif config.output == "csv":
-        text = render_csv(projection.CommutatorReport.csv_header(), [r.csv_row() for r in reports])
-    else:
-        head = f"projected commutator sweep  N={config.N} J={config.J}"
-        text = render_table(head, projection.CommutatorReport.csv_header(),
-                            [r.csv_row() for r in reports])
-        text += f"status: {'ok' if ok else 'FAILED'}\n"
-    return (0 if ok else 1), text
+    payload = {"reports": [r.as_dict() for r in reports], "ok": ok}
+    return Report(ok, payload, projection.CommutatorReport.csv_header(),
+                  [r.csv_row() for r in reports],
+                  f"projected commutator sweep  N={config.N} J={config.J}")
 
 
-def _cmd_spectrum(config: RunConfig) -> tuple[int, str]:
+def _cmd_spectrum(config: RunConfig) -> Report:
     report = spectrum.verify_spectrum(fock.Cutoffs(config.N, config.J), config.units)
-    if config.output == "json":
-        text = dumps(report.as_dict()) + "\n"
-    elif config.output == "csv":
-        text = render_csv(["level", "energy", "multiplicity"], report.table_rows())
-    else:
-        head = f"level spectrum  N={config.N} J={config.J}  max error {format_float(report.max_abs_error)}"
-        text = render_table(head, ["level", "energy", "multiplicity"], report.table_rows())
-        text += f"status: {'ok' if report.ok else 'FAILED'}\n"
-    return (0 if report.ok else 1), text
+    title = (f"level spectrum  N={config.N} J={config.J}"
+             f"  max error {format_float(report.max_abs_error)}")
+    return Report(report.ok, report.as_dict(), ["level", "energy", "multiplicity"],
+                  report.table_rows(), title)
 
 
-def _cmd_landau_gauge(config: RunConfig) -> tuple[int, str]:
+def _cmd_landau_gauge(config: RunConfig) -> Report:
     rows = landau_gauge.convergence_study(
         config.keep, config.grid_sizes, config.units, config.k_half_width
     )
     expected = -1j * (config.keep + 1) * magnetic_length(config.units) ** 2
     ok = bool(rows) and rows[-1].abs_error <= 0.01 * abs(expected)
-    if config.output == "json":
-        payload = {
-            "keep": config.keep,
-            "expected": [expected.real, expected.imag],
-            "rows": [row.as_dict() for row in rows],
-            "ok": ok,
-        }
-        text = dumps(payload) + "\n"
-    elif config.output == "csv":
-        text = render_csv(landau_gauge.ConvergenceRow.csv_header(), [r.csv_row() for r in rows])
-    else:
-        head = f"momentum-grid convergence  keep={config.keep}"
-        text = render_table(head, landau_gauge.ConvergenceRow.csv_header(),
-                            [r.csv_row() for r in rows])
-        text += f"status: {'ok' if ok else 'FAILED'}\n"
-    return (0 if ok else 1), text
+    payload = {
+        "keep": config.keep,
+        "expected": [expected.real, expected.imag],
+        "rows": [row.as_dict() for row in rows],
+        "ok": ok,
+    }
+    return Report(ok, payload, landau_gauge.ConvergenceRow.csv_header(),
+                  [r.csv_row() for r in rows], f"momentum-grid convergence  keep={config.keep}")
 
 
-def _cmd_crosscheck(config: RunConfig) -> tuple[int, str]:
-    keep = config.keep
+def _cmd_crosscheck(config: RunConfig) -> Report:
+    keep, M = config.keep, config.grid_sizes[0]
     cutoffs = fock.Cutoffs(keep, config.J)
     ladder_report = projection.projected_commutator_xy(cutoffs, keep, config.units)
-    grid = landau_gauge.KGrid.centered(config.grid_sizes[0], config.units, config.k_half_width)
-    grid_report = landau_gauge.projected_commutator_landau(grid, keep, config.units)
+    grid = landau_gauge.KGrid.centered(M, config.units, config.k_half_width)
     sym = ladder_report.top_coefficient
-    lan = grid_report.top_coefficient
+    lan = landau_gauge.projected_commutator_landau(grid, keep, config.units).top_coefficient
     rel = abs(lan - sym) / abs(sym)
     ok = ladder_report.ok and rel <= 0.01
     payload = {
         "keep": keep,
         "J": config.J,
-        "grid_M": config.grid_sizes[0],
+        "grid_M": M,
         "symmetric_gauge": [sym.real, sym.imag],
         "landau_gauge": [lan.real, lan.imag],
         "relative_difference": rel,
         "ok": ok,
     }
-    if config.output == "json":
-        text = dumps(payload) + "\n"
-    elif config.output == "csv":
-        header = ["keep", "J", "grid_M", "sym_re", "sym_im", "lan_re", "lan_im", "rel_diff"]
-        row = [keep, config.J, config.grid_sizes[0], sym.real, sym.imag, lan.real, lan.imag, rel]
-        text = render_csv(header, [row])
-    else:
-        lines = [f"gauge crosscheck  keep={keep}"]
-        lines.append(f"  ladder route    : {format_float(sym.real)} {format_float(sym.imag)}i")
-        lines.append(f"  momentum route  : {format_float(lan.real)} {format_float(lan.imag)}i")
-        lines.append(f"  relative diff   : {format_float(rel)}")
-        lines.append(f"status: {'ok' if ok else 'FAILED'}")
-        text = "\n".join(lines) + "\n"
-    return (0 if ok else 1), text
+    # The table is key : value lines, not columns; perfbench/checker.py parses it.
+    body = (
+        f"gauge crosscheck  keep={keep}\n"
+        f"  ladder route    : {format_float(sym.real)} {format_float(sym.imag)}i\n"
+        f"  momentum route  : {format_float(lan.real)} {format_float(lan.imag)}i\n"
+        f"  relative diff   : {format_float(rel)}\n"
+    )
+    header = ["keep", "J", "grid_M", "sym_re", "sym_im", "lan_re", "lan_im", "rel_diff"]
+    row = [keep, config.J, M, sym.real, sym.imag, lan.real, lan.imag, rel]
+    return Report(ok, payload, header, [row], body=body)
 
 
-def _cmd_dump_matrix(config: RunConfig) -> tuple[int, str]:
-    cutoffs = fock.Cutoffs(config.N, config.J)
-    name = config.op_name
-    if name == "projector":
-        op = projection.projector(cutoffs, config.keep)
-    elif name == "xy-commutator":
-        x, y = ladder.build_xy(cutoffs, config.units)
-        op = fock.commutator(x, y)
-    elif name == "H":
-        op = ladder.build_H(cutoffs, config.units, form=config.h_form)
-    elif name in ("x", "y"):
-        op = ladder.build_xy(cutoffs, config.units)[0 if name == "x" else 1]
-    elif name in ("px", "py"):
-        op = ladder.build_momenta(cutoffs, config.units)[0 if name == "px" else 1]
-    elif name == "L":
-        op = ladder.build_L(cutoffs, config.units)
-    elif name == "a":
-        op = ladder.build_a(cutoffs)
-    elif name == "b":
-        op = ladder.build_b(cutoffs)
-    else:  # alpha
-        op = ladder.build_alpha(cutoffs)
-    return 0, dumps(fock.to_json_dict(op)) + "\n"
+# Operators dump-matrix can serialize, in the order --help lists them.
+_OPERATORS = {
+    "a": lambda c, config: ladder.build_a(c),
+    "b": lambda c, config: ladder.build_b(c),
+    "alpha": lambda c, config: ladder.build_alpha(c),
+    "x": lambda c, config: ladder.build_xy(c, config.units)[0],
+    "y": lambda c, config: ladder.build_xy(c, config.units)[1],
+    "px": lambda c, config: ladder.build_momenta(c, config.units)[0],
+    "py": lambda c, config: ladder.build_momenta(c, config.units)[1],
+    "H": lambda c, config: ladder.build_H(c, config.units, form=config.h_form),
+    "L": lambda c, config: ladder.build_L(c, config.units),
+    "xy-commutator": lambda c, config: fock.commutator(*ladder.build_xy(c, config.units)),
+    "projector": lambda c, config: projection.projector(c, config.keep),
+}
+
+
+def _cmd_dump_matrix(config: RunConfig) -> Report:
+    op = _OPERATORS[config.op_name](fock.Cutoffs(config.N, config.J), config)
+    return Report(True, fock.to_json_dict(op))
 
 
 _COMMANDS = {
@@ -383,7 +367,8 @@ _COMMANDS = {
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, rendered report)."""
-    return _COMMANDS[config.command](config)
+    report = _COMMANDS[config.command](config)
+    return (0 if report.ok else 1), render(report, config.output)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

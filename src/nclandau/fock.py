@@ -24,7 +24,6 @@ __all__ = [
     "BasisIndex",
     "OperatorMatrix",
     "flatten",
-    "unflatten",
     "annihilation_matrix",
     "identity",
     "dagger",
@@ -32,7 +31,6 @@ __all__ = [
     "commutator",
     "kron",
     "to_json_dict",
-    "from_json_dict",
 ]
 
 # Dense storage keeps every operation a single BLAS call; this cap keeps the
@@ -95,14 +93,6 @@ def flatten(idx: BasisIndex, cutoffs: Cutoffs) -> int:
             f"degeneracy index j={idx.j} outside retained range 0..{cutoffs.degeneracy_cutoff}"
         )
     return idx.n * cutoffs.num_degeneracy + idx.j
-
-
-def unflatten(position: int, cutoffs: Cutoffs) -> BasisIndex:
-    """Inverse of :func:`flatten`."""
-    if not 0 <= position < cutoffs.dim:
-        raise ValueError(f"flattened position {position} outside 0..{cutoffs.dim - 1}")
-    n, j = divmod(position, cutoffs.num_degeneracy)
-    return BasisIndex(n=n, j=j)
 
 
 class OperatorMatrix:
@@ -242,12 +232,3 @@ def to_json_dict(op: OperatorMatrix) -> dict:
         "dim": op.dim,
         "entries": [[float(z.real), float(z.imag)] for z in flat],
     }
-
-
-def from_json_dict(payload: dict, basis: Optional[BasisLike] = None) -> OperatorMatrix:
-    dim = payload["dim"]
-    pairs = payload["entries"]
-    if len(pairs) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries, got {len(pairs)}")
-    data = np.array([complex(re, im) for re, im in pairs]).reshape(dim, dim)
-    return OperatorMatrix(data, basis)

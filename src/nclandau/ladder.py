@@ -32,13 +32,11 @@ to rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, commutator, dagger, identity, kron, matmul
+from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, identity, kron, matmul
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency
 
 __all__ = [
-    "SymmetricGaugeOperators",
     "build_a",
     "build_b",
     "build_alpha",
@@ -46,7 +44,6 @@ __all__ = [
     "build_momenta",
     "build_H",
     "build_L",
-    "build_symmetric_gauge",
     "interior_slice",
 ]
 
@@ -134,41 +131,6 @@ def build_H(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL, form: str = "ladde
         potential = (0.5 * units.m * half_omega**2) * (matmul(x, x) + matmul(y, y))
         return kinetic + potential - half_omega * ang
     raise ValueError(f"unknown Hamiltonian form {form!r}; expected one of {H_FORMS}")
-
-
-@dataclass(frozen=True)
-class SymmetricGaugeOperators:
-    """The full operator set on one truncated basis."""
-
-    cutoffs: Cutoffs
-    units: PhysicalUnits
-    a: OperatorMatrix
-    b: OperatorMatrix
-    alpha: OperatorMatrix
-    x: OperatorMatrix
-    y: OperatorMatrix
-    px: OperatorMatrix
-    py: OperatorMatrix
-    H: OperatorMatrix
-    L: OperatorMatrix
-
-
-def build_symmetric_gauge(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> SymmetricGaugeOperators:
-    x, y = build_xy(cutoffs, units)
-    px, py = build_momenta(cutoffs, units)
-    return SymmetricGaugeOperators(
-        cutoffs=cutoffs,
-        units=units,
-        a=build_a(cutoffs),
-        b=build_b(cutoffs),
-        alpha=build_alpha(cutoffs),
-        x=x,
-        y=y,
-        px=px,
-        py=py,
-        H=build_H(cutoffs, units, form="ladder"),
-        L=build_L(cutoffs, units),
-    )
 
 
 def interior_slice(cutoffs: Cutoffs, depth: int) -> list[int]:

@@ -45,30 +45,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MAX_DIMENSION, Cutoffs, OperatorMatrix
-from .projection import CommutatorReport
+from .fock import MAX_DIMENSION, OperatorMatrix
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length
 
 __all__ = [
-    "MAX_HERMITE_LEVEL",
     "KGrid",
-    "LandauGaugeOperators",
-    "hermite_wavefunction",
+    "GridCommutatorReport",
     "oscillator_x_elements",
     "oscillator_p_elements",
     "derivative_matrix",
     "build_landau_xy",
     "delta_test_profile",
     "delta_coefficients",
-    "lowest_level_commutator",
     "projected_commutator_landau",
     "convergence_study",
     "ConvergenceRow",
 ]
-
-# Levels above this are rejected by hermite_wavefunction; the normalized
-# recurrence itself is stable far beyond, this just bounds silly inputs.
-MAX_HERMITE_LEVEL = 1024
 
 DEFAULT_HALF_WIDTH = 8.0
 # Width of the Gaussian test profile as a fraction of the grid span; small
@@ -122,30 +114,6 @@ class KGrid:
         return cls(size=size, k_min=-k_max, dk=2.0 * k_max / (size - 1))
 
 
-def hermite_wavefunction(n: int, xi, units: PhysicalUnits = NATURAL):
-    """Normalized oscillator eigenfunction phi_n at position xi.
-
-    The oscillator has mass m and frequency omega = eB/mc; phi_n is
-    normalized to unit L² norm on the line. Evaluation runs the upward
-    recurrence on the normalized functions themselves (Gaussian factored
-    in from the start), which is stable for all supported n.
-    """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {n!r}")
-    if n > MAX_HERMITE_LEVEL:
-        raise ValueError(f"level {n} exceeds supported maximum {MAX_HERMITE_LEVEL}")
-    omega = cyclotron_frequency(units)
-    lam = units.m * omega / units.hbar  # inverse squared oscillator length
-    t = np.sqrt(lam) * np.asarray(xi, dtype=float)
-    prev = lam**0.25 * math.pi**-0.25 * np.exp(-0.5 * t * t)
-    if n == 0:
-        return prev
-    cur = math.sqrt(2.0) * t * prev
-    for k in range(1, n):
-        prev, cur = cur, math.sqrt(2.0 / (k + 1)) * t * cur - math.sqrt(k / (k + 1.0)) * prev
-    return cur
-
-
 def oscillator_x_elements(nmax: int, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
     """Matrix <n|x̃|m> of the displacement about the guiding center.
 
@@ -191,29 +159,15 @@ def derivative_matrix(grid: KGrid) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class LandauGaugeOperators:
-    """Coordinate matrices on the (level ⊗ grid) basis.
-
-    x is exactly Hermitian; y is Hermitian except on the rows and columns
-    touched by the one-sided end stencils.
-    """
-
-    levels: int  # highest level index N
-    grid: KGrid
-    units: PhysicalUnits
-    x: OperatorMatrix
-    y: OperatorMatrix
-
-
 def build_landau_xy(
     grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
-) -> LandauGaugeOperators:
-    """Assemble x and y with levels 0..``levels`` retained.
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Coordinate matrices (x, y) on the (level ⊗ grid) basis, levels 0..``levels``.
 
-    The level truncation happens by construction: the operator matrices
-    simply have no rows beyond n = levels, which is the same corner cut
-    the projection route applies explicitly.
+    x is exactly Hermitian; y is Hermitian except on the rows and columns
+    touched by the one-sided end stencils. The level truncation happens by
+    construction: the matrices simply have no rows beyond n = levels, which
+    is the same corner cut the projection route applies explicitly.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -233,13 +187,7 @@ def build_landau_xy(
         oscillator_p_elements(levels, units).entries, eye_grid
     )
     basis = (levels + 1, M)
-    return LandauGaugeOperators(
-        levels=levels,
-        grid=grid,
-        units=units,
-        x=OperatorMatrix(x, basis=basis),
-        y=OperatorMatrix(y, basis=basis),
-    )
+    return OperatorMatrix(x, basis=basis), OperatorMatrix(y, basis=basis)
 
 
 def delta_test_profile(grid: KGrid) -> np.ndarray:
@@ -267,15 +215,20 @@ def delta_coefficients(block: np.ndarray, grid: KGrid) -> np.ndarray:
     return g[inner] / f[inner]
 
 
-def lowest_level_commutator(grid: KGrid, units: PhysicalUnits = NATURAL) -> complex:
-    """Coordinate commutator coefficient with only the lowest level kept.
+@dataclass(frozen=True)
+class GridCommutatorReport:
+    """Outcome of the momentum-grid route at one kept-level count.
 
-    Returns the mean interior delta coefficient of [x, y] at n = 0;
-    approaches -i hbar c / eB as dk -> 0 with second-order error.
+    ``top_coefficient`` is the mean interior delta coefficient of [x, y] at
+    n = levels; ``max_offtop_residual`` the largest mean coefficient
+    magnitude over the lower levels (all vanish at the same O(dk²) order).
     """
-    ops = build_landau_xy(grid, 0, units)
-    comm = ops.x.entries @ ops.y.entries - ops.y.entries @ ops.x.entries
-    return complex(np.mean(delta_coefficients(comm, grid)))
+
+    grid: KGrid
+    levels: int
+    top_coefficient: complex
+    max_offtop_residual: float
+    ok: bool
 
 
 def projected_commutator_landau(
@@ -283,21 +236,16 @@ def projected_commutator_landau(
     levels: int,
     units: PhysicalUnits = NATURAL,
     rel_tol: float = 0.01,
-) -> CommutatorReport:
+) -> GridCommutatorReport:
     """Commutator report with the lowest ``levels+1`` levels retained.
 
     The intermediate sums are truncated by construction, so no explicit
-    projector appears. ``top_coefficient`` is the mean interior delta
-    coefficient at n = levels; ``max_offtop_residual`` the largest mean
-    coefficient magnitude over the lower levels (all vanish at the same
-    O(dk²) order). The report reuses the projection-route container: its
-    degeneracy slot carries the grid size as J = size - 1, since the grid
-    is the degeneracy direction here, and there are no j-boundary
-    artifacts to list. ``ok`` applies ``rel_tol`` (relative to the
-    expected magnitude) to both numbers.
+    projector appears. ``ok`` applies ``rel_tol`` (relative to the
+    expected magnitude) to both the top coefficient's error and the
+    residual.
     """
-    ops = build_landau_xy(grid, levels, units)
-    comm = ops.x.entries @ ops.y.entries - ops.y.entries @ ops.x.entries
+    x, y = build_landau_xy(grid, levels, units)
+    comm = x.entries @ y.entries - y.entries @ x.entries
     M = grid.size
     per_level = []
     for n in range(levels + 1):
@@ -307,14 +255,8 @@ def projected_commutator_landau(
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     expected = -1j * (levels + 1) * magnetic_length(units) ** 2
     ok = abs(top - expected) <= rel_tol * abs(expected) and residual <= rel_tol * abs(expected)
-    return CommutatorReport(
-        cutoffs=Cutoffs(landau_cutoff=levels, degeneracy_cutoff=M - 1),
-        keep_levels=levels,
-        top_coefficient=top,
-        max_offtop_residual=float(residual),
-        boundary_artifacts=[],
-        top_uniform=True,
-        ok=ok,
+    return GridCommutatorReport(
+        grid=grid, levels=levels, top_coefficient=top, max_offtop_residual=float(residual), ok=ok
     )
 
 

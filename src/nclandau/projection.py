@@ -31,7 +31,6 @@ __all__ = [
     "project",
     "projected_commutator_xy",
     "full_space_scan",
-    "full_space_boundary",
     "sweep",
 ]
 
@@ -211,25 +210,6 @@ def full_space_scan(
         values = diag[n * num_j : n * num_j + J]
         out.append((n, complex(values[np.argmax(np.abs(values))])))
     return out
-
-
-def full_space_boundary(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> dict:
-    """Diagonal [x, y] elements on the truncation edges of the full space.
-
-    The level edge (n = N, j < J) carries -i (N+1) ell^2, the degeneracy
-    edge (n < N, j = J) the compensating +i (J+1) ell^2, and the corner
-    -i (N - J) ell^2. Exposed for inspection; none of these are physical
-    statements about the untruncated plane.
-    """
-    x, y = build_xy(cutoffs, units)
-    diag = np.diag(commutator(x, y).entries)
-    num_j = cutoffs.num_degeneracy
-    N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
-    return {
-        "level_edge": [complex(diag[N * num_j + j]) for j in range(J)],
-        "degeneracy_edge": [complex(diag[n * num_j + J]) for n in range(N)],
-        "corner": complex(diag[N * num_j + J]),
-    }
 
 
 def sweep(

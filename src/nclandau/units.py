@@ -38,7 +38,8 @@ class PhysicalUnits:
     def __post_init__(self) -> None:
         for name in ("e", "B", "c", "hbar", "m"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"constant {name} must be a positive finite number, got {value!r}")
 
 

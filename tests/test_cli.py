@@ -158,6 +158,23 @@ def test_units_config_file(tmp_path):
     assert data["top_coefficient"][1] == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[]"])
+def test_config_file_must_hold_an_object(tmp_path, text):
+    cfg = tmp_path / "units.json"
+    cfg.write_text(text)
+    cp = run_cli("commutator", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert "--config" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_config_file_rejects_boolean_constant(tmp_path):
+    cfg = tmp_path / "units.json"
+    cfg.write_text(json.dumps({"e": True}))
+    cp = run_cli("commutator", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert "constant e" in cp.stderr
+
+
 def test_out_path_writes_file(tmp_path):
     out = tmp_path / "report.json"
     cp = run_cli("commutator", "--N", "1", "--J", "3", "--output", "json",
@@ -192,3 +209,116 @@ def test_byte_identical_reruns():
 def test_float_formatting_is_short():
     cp = run_cli("commutator", "--N", "5", "--J", "8", "--keep", "5", "--output", "json")
     assert '"top_coefficient": [0, -6]' in cp.stdout
+
+
+# Exact stdout and exit status of every subcommand in every format it
+# emits, at small sizes. Captured before the renderer was unified; any
+# change to these bytes is a change to the CLI contract.
+GOLDEN = [
+    ("commutator --N 2 --J 2 --keep 1 --output json", 0,
+     """\
+{"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -2], "max_offtop_residual": 5.29417641621855e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 3]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1]}], "ok": true}
+"""),
+    ("commutator --N 2 --J 2 --keep 1 --output csv", 0,
+     """\
+keep,re,im,residual
+1,0,-2,5.29417641621855e-16
+"""),
+    ("commutator --N 2 --J 2 --keep 1 --output table", 0,
+     """\
+projected coordinate commutator  N=2 J=2 keep=1
+keep  re  im  residual
+----  --  --  --------------------
+1     0   -2  5.29417641621855e-16
+status: ok
+"""),
+    ("sweep --N 2 --J 2 --B 2 --output json", 0,
+     """\
+{"reports": [{"N": 2, "J": 2, "keep": 0, "top_coefficient": [0, -0.5], "max_offtop_residual": 0, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1]}], "ok": true}, {"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -1], "max_offtop_residual": 1.11022302462516e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 0.5]}], "ok": true}, {"N": 2, "J": 2, "keep": 2, "top_coefficient": [0, -1.5], "max_offtop_residual": 1.36716173153238e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1.5]}], "ok": true}], "ok": true}
+"""),
+    ("sweep --N 2 --J 2 --B 2 --output csv", 0,
+     """\
+keep,re,im,residual
+0,0,-0.5,0
+1,0,-1,1.11022302462516e-16
+2,0,-1.5,1.36716173153238e-16
+"""),
+    ("sweep --N 2 --J 2 --B 2 --output table", 0,
+     """\
+projected commutator sweep  N=2 J=2
+keep  re  im    residual
+----  --  ----  --------------------
+0     0   -0.5  0
+1     0   -1    1.11022302462516e-16
+2     0   -1.5  1.36716173153238e-16
+status: ok
+"""),
+    ("spectrum --N 2 --J 1 --hbar 0.5 --output json", 0,
+     """\
+{"N": 2, "J": 1, "eigenvalues": [0.25, 0.25, 0.75, 0.75, 1.25, 1.25], "expected": [0.25, 0.25, 0.75, 0.75, 1.25, 1.25], "max_abs_error": 2.22044604925031e-16, "degeneracy_table": {"0": 2, "1": 2, "2": 2}, "hl_commutes": true, "ok": true}
+"""),
+    ("spectrum --N 2 --J 1 --hbar 0.5 --output csv", 0,
+     """\
+level,energy,multiplicity
+0,0.25,2
+1,0.75,2
+2,1.25,2
+"""),
+    ("spectrum --N 2 --J 1 --hbar 0.5 --output table", 0,
+     """\
+level spectrum  N=2 J=1  max error 2.22044604925031e-16
+level  energy  multiplicity
+-----  ------  ------------
+0      0.25    2
+1      0.75    2
+2      1.25    2
+status: ok
+"""),
+    ("landau-gauge --keep 0 --grid-M 8,16 --output json", 1,
+     """\
+{"keep": 0, "expected": [0, -1], "rows": [{"M": 8, "dk": 2.28571428571429, "keep": 0, "re_coeff": 0, "im_coeff": -0.906612978692374, "abs_error": 0.0933870213076264, "observed_order": null}, {"M": 16, "dk": 1.06666666666667, "keep": 0, "re_coeff": 0, "im_coeff": -1.0170809847979, "abs_error": 0.0170809847979014, "observed_order": 2.22896897781354}], "ok": false}
+"""),
+    ("landau-gauge --keep 0 --grid-M 8,16 --output csv", 1,
+     """\
+M,dk,keep,re_coeff,im_coeff,abs_error,observed_order
+8,2.28571428571429,0,0,-0.906612978692374,0.0933870213076264,
+16,1.06666666666667,0,0,-1.0170809847979,0.0170809847979014,2.22896897781354
+"""),
+    ("landau-gauge --keep 0 --grid-M 8,16 --output table", 1,
+     """\
+momentum-grid convergence  keep=0
+M   dk                keep  re_coeff  im_coeff            abs_error           observed_order
+--  ----------------  ----  --------  ------------------  ------------------  ----------------
+8   2.28571428571429  0     0         -0.906612978692374  0.0933870213076264
+16  1.06666666666667  0     0         -1.0170809847979    0.0170809847979014  2.22896897781354
+status: FAILED
+"""),
+    ("crosscheck --keep 0 --J 2 --grid-M 32 --output json", 0,
+     """\
+{"keep": 0, "J": 2, "grid_M": 32, "symmetric_gauge": [0, -1], "landau_gauge": [0, -1.0090154015176], "relative_difference": 0.00901540151759849, "ok": true}
+"""),
+    ("crosscheck --keep 0 --J 2 --grid-M 32 --output csv", 0,
+     """\
+keep,J,grid_M,sym_re,sym_im,lan_re,lan_im,rel_diff
+0,2,32,0,-1,0,-1.0090154015176,0.00901540151759849
+"""),
+    ("crosscheck --keep 0 --J 2 --grid-M 32 --output table", 0,
+     """\
+gauge crosscheck  keep=0
+  ladder route    : 0 -1i
+  momentum route  : 0 -1.0090154015176i
+  relative diff   : 0.00901540151759849
+status: ok
+"""),
+    ("dump-matrix --op xy-commutator --N 1 --J 1 --output json", 0,
+     """\
+{"dim": 4, "entries": [[0, -8.53284317717928e-17], [0, 0], [0, 0], [0, -8.53284317717928e-17], [0, 0], [0, 2], [0, 0], [0, 0], [0, 0], [0, 0], [0, -2], [0, 0], [0, -8.53284317717928e-17], [0, 0], [0, 0], [0, -8.53284317717928e-17]]}
+"""),
+]
+
+
+@pytest.mark.parametrize("args,status,stdout", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_output_bytes_are_pinned(args, status, stdout):
+    cp = run_cli(*args.split())
+    assert cp.returncode == status, cp.stderr
+    assert cp.stdout == stdout

@@ -11,7 +11,6 @@ from nclandau.ladder import (
     build_alpha,
     build_b,
     build_momenta,
-    build_symmetric_gauge,
     build_xy,
     interior_slice,
 )
@@ -215,7 +214,8 @@ class TestHamiltonian:
 
 def test_bundle_shares_basis_and_dimension():
     c = Cutoffs(2, 3)
-    ops = build_symmetric_gauge(c)
-    for op in (ops.a, ops.b, ops.alpha, ops.x, ops.y, ops.px, ops.py, ops.H, ops.L):
+    ops = [build_a(c), build_b(c), build_alpha(c), *build_xy(c), *build_momenta(c),
+           build_H(c), build_L(c)]
+    for op in ops:
         assert op.dim == c.dim
         assert op.basis == c

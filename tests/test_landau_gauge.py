@@ -6,7 +6,6 @@ from numpy.polynomial.hermite import hermgauss, hermval
 
 from nclandau.fock import Cutoffs
 from nclandau.landau_gauge import (
-    MAX_HERMITE_LEVEL,
     ConvergenceRow,
     KGrid,
     build_landau_xy,
@@ -14,8 +13,6 @@ from nclandau.landau_gauge import (
     delta_coefficients,
     delta_test_profile,
     derivative_matrix,
-    hermite_wavefunction,
-    lowest_level_commutator,
     oscillator_p_elements,
     oscillator_x_elements,
     projected_commutator_landau,
@@ -74,50 +71,11 @@ def quad_overlap(n, m):
 
 
 class TestWavefunction:
-    def test_gaussian_peak(self):
-        assert hermite_wavefunction(0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-14)
-        assert hermite_wavefunction(0, 0.0) == pytest.approx(0.7511255445, abs=1e-10)
-
-    def test_odd_function_vanishes_at_origin(self):
-        assert hermite_wavefunction(1, 0.0) == 0.0
-
-    def test_matches_library_polynomials(self):
-        xs = np.linspace(-6.0, 6.0, 23)
-        for n in (0, 1, 2, 5, 12, 40):
-            assert np.allclose(hermite_wavefunction(n, xs), phi_poly(n, xs), atol=1e-13)
-
-    def test_unit_norm_by_quadrature(self):
-        xs = np.linspace(-15.0, 15.0, 20001)
-        vals = hermite_wavefunction(3, xs)
-        assert np.trapezoid(vals * vals, xs) == pytest.approx(1.0, abs=1e-10)
-
     def test_orthonormality(self):
         for n in range(13):
             for m in range(13):
                 got = quad_overlap(n, m)
                 assert got == pytest.approx(1.0 if n == m else 0.0, abs=1e-10)
-
-    def test_physical_units_scaling(self):
-        # mass and frequency enter only through mw/hbar
-        u = PhysicalUnits(e=2, B=3, c=1.5, hbar=0.5, m=4)
-        lam = u.m * (u.e * u.B / (u.m * u.c)) / u.hbar
-        assert hermite_wavefunction(0, 0.0, u) == pytest.approx(
-            lam**0.25 * math.pi**-0.25, abs=1e-14
-        )
-        xs = np.linspace(-3.0, 3.0, 11)
-        expected = lam**0.25 * phi_poly(4, math.sqrt(lam) * xs)
-        assert np.allclose(hermite_wavefunction(4, xs, u), expected, atol=1e-12)
-
-    def test_rejects_bad_levels(self):
-        with pytest.raises(ValueError):
-            hermite_wavefunction(-1, 0.0)
-        with pytest.raises(ValueError, match="maximum"):
-            hermite_wavefunction(MAX_HERMITE_LEVEL + 1, 0.0)
-
-    def test_large_level_still_normalized(self):
-        xs = np.linspace(-40.0, 40.0, 80001)
-        vals = hermite_wavefunction(200, xs)
-        assert np.trapezoid(vals * vals, xs) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestOscillatorElements:
@@ -228,26 +186,26 @@ class TestGrid:
 class TestOperators:
     def test_x_is_guiding_center_diagonal(self):
         grid = KGrid.centered(16)
-        ops = build_landau_xy(grid, 2)
+        x, _ = build_landau_xy(grid, 2)
         for n in range(3):
             for i in range(16):
-                assert ops.x.entries[n * 16 + i, n * 16 + i] == pytest.approx(grid.points[i])
+                assert x.entries[n * 16 + i, n * 16 + i] == pytest.approx(grid.points[i])
 
     def test_x_exactly_hermitian(self):
-        ops = build_landau_xy(KGrid.centered(16), 2)
-        assert np.array_equal(ops.x.entries, ops.x.entries.conj().T)
+        x, _ = build_landau_xy(KGrid.centered(16), 2)
+        assert np.array_equal(x.entries, x.entries.conj().T)
 
     def test_y_stencil_entries_lowest_level(self):
         grid = KGrid.centered(16)
-        ops = build_landau_xy(grid, 0)
+        _, y = build_landau_xy(grid, 0)
         for i in range(1, 15):
-            assert ops.y.entries[i, i + 1] == pytest.approx(1j / (2 * grid.dk), abs=1e-15)
-            assert ops.y.entries[i, i - 1] == pytest.approx(-1j / (2 * grid.dk), abs=1e-15)
+            assert y.entries[i, i + 1] == pytest.approx(1j / (2 * grid.dk), abs=1e-15)
+            assert y.entries[i, i - 1] == pytest.approx(-1j / (2 * grid.dk), abs=1e-15)
 
     def test_y_hermiticity_deviation_confined_to_end_rows(self):
         M = 24
-        ops = build_landau_xy(KGrid.centered(M), 1)
-        dev = ops.y.entries - ops.y.entries.conj().T
+        _, y = build_landau_xy(KGrid.centered(M), 1)
+        dev = y.entries - y.entries.conj().T
         ends = [0, M - 1, M, 2 * M - 1]
         dev = np.delete(np.delete(dev, ends, axis=0), ends, axis=1)
         assert np.all(dev == 0)
@@ -263,18 +221,19 @@ class TestOperators:
 
 class TestCommutatorCoefficients:
     def test_lowest_level_accuracy(self):
-        got = lowest_level_commutator(KGrid.centered(64))
+        got = projected_commutator_landau(KGrid.centered(64), 0).top_coefficient
         assert abs(got - (-1j)) <= 0.01
         assert got.imag < 0 and abs(got.real) < 1e-12
 
     def test_second_order_error_decay(self):
         # halving dk (63 -> 126 intervals) cuts the deviation ~4x
-        err_coarse = abs(lowest_level_commutator(KGrid.centered(64)) + 1j)
-        err_fine = abs(lowest_level_commutator(KGrid.centered(127)) + 1j)
+        err_coarse = abs(projected_commutator_landau(KGrid.centered(64), 0).top_coefficient + 1j)
+        err_fine = abs(projected_commutator_landau(KGrid.centered(127), 0).top_coefficient + 1j)
         assert 3.2 <= err_coarse / err_fine <= 4.8
 
     def test_field_rescaling(self):
-        got = lowest_level_commutator(KGrid.centered(128, PhysicalUnits(B=2.0)), PhysicalUnits(B=2.0))
+        units = PhysicalUnits(B=2.0)
+        got = projected_commutator_landau(KGrid.centered(128, units), 0, units).top_coefficient
         assert got == pytest.approx(-0.5j, abs=0.005)
 
     def test_two_levels(self):
@@ -283,9 +242,12 @@ class TestCommutatorCoefficients:
         assert report.ok
 
     def test_single_level_reduces_to_lowest_level_routine(self):
+        # with one level there is one block: the whole commutator
         grid = KGrid.centered(64)
         report = projected_commutator_landau(grid, 0)
-        assert report.top_coefficient == lowest_level_commutator(grid)
+        x, y = build_landau_xy(grid, 0)
+        comm = x.entries @ y.entries - y.entries @ x.entries
+        assert report.top_coefficient == complex(np.mean(delta_coefficients(comm, grid)))
         assert report.max_offtop_residual == 0.0
 
     def test_lower_levels_vanish_at_stencil_order(self):
@@ -295,8 +257,8 @@ class TestCommutatorCoefficients:
 
     def test_level_blocks_do_not_mix(self):
         grid = KGrid.centered(32)
-        ops = build_landau_xy(grid, 2)
-        cm = ops.x.entries @ ops.y.entries - ops.y.entries @ ops.x.entries
+        x, y = build_landau_xy(grid, 2)
+        cm = x.entries @ y.entries - y.entries @ x.entries
         M = grid.size
         for n in range(3):
             for n2 in range(3):
@@ -304,10 +266,11 @@ class TestCommutatorCoefficients:
                     block = cm[n * M : (n + 1) * M, n2 * M : (n2 + 1) * M]
                     assert np.max(np.abs(block)) < 1e-12
 
-    def test_report_carries_grid_size_in_degeneracy_slot(self):
-        report = projected_commutator_landau(KGrid.centered(32), 1)
-        assert report.cutoffs == Cutoffs(1, 31)
-        assert report.boundary_artifacts == []
+    def test_report_carries_grid_and_levels(self):
+        grid = KGrid.centered(32)
+        report = projected_commutator_landau(grid, 1)
+        assert report.grid == grid
+        assert report.levels == 1
 
     @pytest.mark.parametrize("keep", [0, 1, 2, 3, 4])
     def test_cross_gauge_agreement(self, keep):

@@ -5,7 +5,6 @@ from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagge
 from nclandau.ladder import build_alpha, build_xy
 from nclandau.projection import (
     analyze_projected_commutator,
-    full_space_boundary,
     full_space_scan,
     project,
     projected_commutator_xy,
@@ -155,13 +154,16 @@ class TestFullSpaceScan:
         assert full_space_scan(Cutoffs(3, 0)) == []
 
     def test_boundary_values(self):
+        # the level edge (n = N, j < J) carries -i(N+1), the degeneracy
+        # edge (n < N, j = J) +i(J+1), and the corner -i(N-J)
         N, J = 3, 4
-        edges = full_space_boundary(Cutoffs(N, J))
-        for value in edges["level_edge"]:
-            assert value == pytest.approx(-1j * (N + 1), abs=1e-12)
-        for value in edges["degeneracy_edge"]:
-            assert value == pytest.approx(1j * (J + 1), abs=1e-12)
-        assert edges["corner"] == pytest.approx(-1j * (N - J), abs=1e-12)
+        c = Cutoffs(N, J)
+        diag = np.diag(commutator(*build_xy(c)).entries)
+        for j in range(J):
+            assert diag[flatten(BasisIndex(N, j), c)] == pytest.approx(-1j * (N + 1), abs=1e-12)
+        for n in range(N):
+            assert diag[flatten(BasisIndex(n, J), c)] == pytest.approx(1j * (J + 1), abs=1e-12)
+        assert diag[flatten(BasisIndex(N, J), c)] == pytest.approx(-1j * (N - J), abs=1e-12)
 
     def test_level_above_kept_set_goes_quiet(self):
         # the top level n=2 of a 3-level projection carries -3i, but the
