@@ -1,4 +1,4 @@
-"""Dense complex matrix algebra over truncated oscillator bases.
+"""Operator algebra over truncated oscillator bases.
 
 Two truncated oscillator modes span the state space: the level index
 ``n = 0..N`` (energy ladder) and the degeneracy index ``j = 0..J`` (orbit
@@ -9,6 +9,11 @@ leading block; projections and report slicing rely on this ordering.
 Operators on a truncated basis are plain corner-cut matrices: the infinite
 matrix restricted to the retained rows and columns. All commutator boundary
 effects computed elsewhere in the package follow from that convention.
+
+Dense :class:`OperatorMatrix` serves ``spectrum``, ``dump-matrix``, the
+momentum-grid route and the tests' reference. :class:`OffsetOperator`
+keeps only nonzero diagonals, all that x, y and their products have, so
+the projected commutator costs O(d) where dense products cost O(d^3).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ __all__ = [
     "Cutoffs",
     "BasisIndex",
     "OperatorMatrix",
+    "OffsetOperator",
     "flatten",
     "annihilation_matrix",
     "identity",
@@ -33,8 +39,8 @@ __all__ = [
     "to_json_dict",
 ]
 
-# Dense storage keeps every operation a single BLAS call; this cap keeps the
-# worst case (a product of two complex matrices) comfortably in memory.
+# Dense operators (spectrum, dump-matrix) hold d*d complex entries; this cap keeps
+# a product of two in memory. The offset-diagonal commutator route needs O(d).
 MAX_DIMENSION = 16384
 
 BasisLike = Union["Cutoffs", int, tuple]
@@ -223,6 +229,54 @@ def kron(a: OperatorMatrix, b: OperatorMatrix, basis: Optional[BasisLike] = None
     is consistent with the n-major flattening used by :func:`flatten`.
     """
     return OperatorMatrix(np.kron(a.entries, b.entries), basis)
+
+
+class OffsetOperator(dict):
+    """A square operator stored by its nonzero diagonals: flat offset k maps
+    to v with v[i] = op[i, i+k]; entries whose i+k leaves the basis are never
+    read. Shifting j by one is offset ±1, shifting n by one is offset ±(J+1).
+    Non-finite entries are rejected on construction, as in OperatorMatrix.
+    """
+
+    def __init__(self, diagonals=()):
+        super().__init__(diagonals)
+        if not all(np.all(np.isfinite(v)) for v in self.values()):
+            raise ValueError("operator matrix contains non-finite entries")
+
+    def __add__(self, other: "OffsetOperator") -> "OffsetOperator":
+        out = OffsetOperator(self)
+        for k, v in other.items():
+            out[k] = out[k] + v if k in out else v
+        return out
+
+    def __sub__(self, other: "OffsetOperator") -> "OffsetOperator":
+        return self + -1 * other
+
+    def __mul__(self, scalar: complex) -> "OffsetOperator":
+        return OffsetOperator({k: scalar * v for k, v in self.items()})
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: "OffsetOperator") -> "OffsetOperator":
+        """Product: op[i, i+k1] * other[i+k1, i+k1+k2] lands on offset k1+k2."""
+        out = OffsetOperator()
+        for k1, v1 in self.items():
+            for k2, v2 in other.items():
+                if abs(k1 + k2) < len(v1):
+                    out += OffsetOperator({k1 + k2: v1 * _shift(v2, k1)})
+        return out
+
+    def leading(self, size: int) -> "OffsetOperator":
+        """The operator restricted to the first ``size`` basis states."""
+        return OffsetOperator({k: v[:size] for k, v in self.items() if abs(k) < size})
+
+
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w with w[i] = v[i+k], zero where i+k falls outside v."""
+    w = np.zeros_like(v)
+    if abs(k) < len(v):
+        w[max(-k, 0) : len(v) - max(k, 0)] = v[max(k, 0) : len(v) + min(k, 0)]
+    return w
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:

@@ -33,7 +33,10 @@ from __future__ import annotations
 
 import math
 
-from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, identity, kron, matmul
+import numpy as np
+
+from .fock import (Cutoffs, OffsetOperator, OperatorMatrix, annihilation_matrix, dagger,
+                   identity, kron, matmul)
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "build_b",
     "build_alpha",
     "build_xy",
+    "build_xy_offsets",
     "build_momenta",
     "build_H",
     "build_L",
@@ -78,6 +82,21 @@ def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[Operator
     scale = math.sqrt(units.hbar * units.c / (2.0 * units.e * units.B))
     alpha = build_alpha(cutoffs)
     alpha_dag = dagger(alpha)
+    x = scale * (alpha + alpha_dag)
+    y = (1j * scale) * (alpha - alpha_dag)
+    return x, y
+
+
+def build_xy_offsets(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OffsetOperator, OffsetOperator]:
+    """The matrices of :func:`build_xy` as offset diagonals, built in O(d)."""
+    scale = math.sqrt(units.hbar * units.c / (2.0 * units.e * units.B))
+    step = cutoffs.num_degeneracy
+    n, j = np.divmod(np.arange(cutoffs.dim), step)
+    # alpha = a + b†: a lowers j within a level (offset +1, nothing past
+    # j = J), b† raises n by one (offset -(J+1), nothing into n = 0);
+    # alpha† holds the same entries on the mirrored offsets.
+    alpha = OffsetOperator({1: np.sqrt(j + 1) * (j < cutoffs.degeneracy_cutoff), -step: np.sqrt(n)})
+    alpha_dag = OffsetOperator({-1: np.sqrt(j), step: np.sqrt(n + 1) * (n < cutoffs.landau_cutoff)})
     x = scale * (alpha + alpha_dag)
     y = (1j * scale) * (alpha - alpha_dag)
     return x, y

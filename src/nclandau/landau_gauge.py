@@ -228,21 +228,15 @@ class GridCommutatorReport:
     levels: int
     top_coefficient: complex
     max_offtop_residual: float
-    ok: bool
 
 
 def projected_commutator_landau(
-    grid: KGrid,
-    levels: int,
-    units: PhysicalUnits = NATURAL,
-    rel_tol: float = 0.01,
+    grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
 ) -> GridCommutatorReport:
     """Commutator report with the lowest ``levels+1`` levels retained.
 
     The intermediate sums are truncated by construction, so no explicit
-    projector appears. ``ok`` applies ``rel_tol`` (relative to the
-    expected magnitude) to both the top coefficient's error and the
-    residual.
+    projector appears. Callers judge the coefficients by their own bounds.
     """
     x, y = build_landau_xy(grid, levels, units)
     comm = x.entries @ y.entries - y.entries @ x.entries
@@ -253,10 +247,8 @@ def projected_commutator_landau(
         per_level.append(complex(np.mean(delta_coefficients(block, grid))))
     top = per_level[levels]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
-    expected = -1j * (levels + 1) * magnetic_length(units) ** 2
-    ok = abs(top - expected) <= rel_tol * abs(expected) and residual <= rel_tol * abs(expected)
     return GridCommutatorReport(
-        grid=grid, levels=levels, top_coefficient=top, max_offtop_residual=float(residual), ok=ok
+        grid=grid, levels=levels, top_coefficient=top, max_offtop_residual=float(residual)
     )
 
 

@@ -7,6 +7,11 @@ everywhere except on the diagonal of the topmost kept level, where every
 space the same commutator vanishes on all doubly-interior diagonal
 elements: the noncommutativity lives entirely on the truncation boundary.
 
+The projected commutator works on offset diagonals: the kept levels are a
+leading block, so projecting is a slice and the cost is O(d). The dense
+:func:`projector` (also dumped by ``dump-matrix``), :func:`project` and
+:func:`full_space_scan` are the reference the tests check it against.
+
 The degeneracy cutoff J is a numerical necessity only: the degeneracy
 direction is physically infinite. Results at j < J are exact because the
 coordinate operators shift j by at most one; elements touching j = J are
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, matmul
-from .ladder import build_xy
+from .fock import BasisIndex, Cutoffs, OffsetOperator, OperatorMatrix, commutator, matmul
+from .ladder import build_xy, build_xy_offsets
 from .units import NATURAL, PhysicalUnits, magnetic_length
 
 __all__ = [
@@ -95,9 +100,7 @@ class CommutatorReport:
 def projector(cutoffs: Cutoffs, keep: int) -> OperatorMatrix:
     """Diagonal 0/1 matrix selecting all states with n <= keep."""
     if not 0 <= keep <= cutoffs.landau_cutoff:
-        raise ValueError(
-            f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}"
-        )
+        raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     diag = np.zeros(cutoffs.dim)
     diag[: (keep + 1) * cutoffs.num_degeneracy] = 1.0
     return OperatorMatrix(np.diag(diag), basis=cutoffs)
@@ -116,59 +119,57 @@ def projected_commutator_xy(
 ) -> CommutatorReport:
     """Commutator of the level-projected coordinates, analyzed and scored.
 
-    Builds x and y on the full truncated basis, projects both onto the
-    lowest ``keep+1`` levels, and commutes the projected matrices. Requires
-    J >= 1 so the degeneracy interior (j <= J-1) is nonempty; J >= 2 gives
-    a sturdier interior. The report's ``ok`` is true when the top diagonal
-    is uniform, equals -i (keep+1) ell^2 to ``tol`` relative, and every
-    other interior element is below ``tol`` (absolute, in ell^2 units).
+    Builds x and y on the full truncated basis, keeps the leading block of
+    the lowest ``keep+1`` levels, and commutes the projected operators.
+    Requires J >= 1 so the degeneracy interior (j <= J-1) is nonempty; J >= 2
+    gives a sturdier interior. The report's ``ok`` is true when the top
+    diagonal is uniform, equals -i (keep+1) ell^2 to ``tol`` relative, and
+    every other interior element is below ``tol`` (absolute, in ell^2 units).
     """
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
-    x, y = build_xy(cutoffs, units)
-    proj = projector(cutoffs, keep)
-    comm = commutator(project(x, proj), project(y, proj))
-    return analyze_projected_commutator(comm, cutoffs, keep, units, tol)
+    if not 0 <= keep <= cutoffs.landau_cutoff:
+        raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
+    size = (keep + 1) * cutoffs.num_degeneracy
+    x, y = (op.leading(size) for op in build_xy_offsets(cutoffs, units))
+    return analyze_projected_commutator(x @ y - y @ x, cutoffs, keep, units, tol)
 
 
 def analyze_projected_commutator(
-    comm: OperatorMatrix,
+    comm: OffsetOperator,
     cutoffs: Cutoffs,
     keep: int,
     units: PhysicalUnits = NATURAL,
     tol: float = DEFAULT_TOLERANCE,
 ) -> CommutatorReport:
-    """Score a commutator matrix produced by :func:`projected_commutator_xy`.
+    """Score the kept-block commutator built by :func:`projected_commutator_xy`.
 
-    Split out so a doctored matrix can be fed through the same analysis in
-    tests; the CLI never calls this directly.
+    ``comm`` acts on the leading ``(keep+1)(J+1)`` states. Split out so a
+    doctored commutator can be fed through the same analysis in tests; the
+    CLI never calls this directly.
     """
     num_j = cutoffs.num_degeneracy
     J = cutoffs.degeneracy_cutoff
     ell2 = magnetic_length(units) ** 2
-    entries = comm.entries
+    diag = comm[0]
 
-    block = entries[: (keep + 1) * num_j, : (keep + 1) * num_j]
-    interior_j = np.arange(J)  # j = 0..J-1
-
-    top_rows = keep * num_j + interior_j
-    top_values = block[top_rows, top_rows]
+    top_values = diag[keep * num_j : keep * num_j + J]
     top_coefficient = complex(np.mean(top_values))
     top_spread = float(np.max(np.abs(top_values - top_coefficient)))
     top_uniform = top_spread <= tol * ell2
 
-    # Interior of the kept block with the top diagonal masked out.
-    interior = (np.arange(keep + 1)[:, None] * num_j + interior_j[None, :]).ravel()
-    sub = block[np.ix_(interior, interior)].copy()
-    d = sub.shape[0]
-    diag_top = np.arange(keep * J, keep * J + J)  # positions of (keep, j<J) in `interior`
-    sub[diag_top, diag_top] = 0.0
-    max_offtop_residual = float(np.max(np.abs(sub))) if d else 0.0
+    # Elements between two interior (j < J) states, top diagonal left out.
+    rows = np.arange(len(diag))
+    max_offtop_residual = 0.0
+    for k, values in comm.items():
+        cols = rows + k
+        inside = (rows % num_j < J) & (cols >= 0) & (cols < len(diag)) & (cols % num_j < J)
+        inside &= (k != 0) | (rows < keep * num_j)
+        max_offtop_residual = max(max_offtop_residual, float(np.max(np.abs(values[inside]), initial=0)))
 
     artifacts = []
     for n in range(keep + 1):
-        row = n * num_j + J
-        value = complex(block[row, row])
+        value = complex(diag[n * num_j + J])
         if abs(value) > tol * ell2:
             artifacts.append((BasisIndex(n, J), BasisIndex(n, J), value))
 

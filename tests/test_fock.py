@@ -4,6 +4,7 @@ import pytest
 from nclandau.fock import (
     BasisIndex,
     Cutoffs,
+    OffsetOperator,
     OperatorMatrix,
     annihilation_matrix,
     commutator,
@@ -171,6 +172,46 @@ class TestKron:
         lhs = matmul(kron(a, b), kron(c, d)).entries
         rhs = kron(matmul(a, c), matmul(b, d)).entries
         assert np.allclose(lhs, rhs, atol=1e-13)
+
+
+def dense_of(op):
+    """The dense matrix an OffsetOperator stores."""
+    d = len(next(iter(op.values())))
+    return sum(np.diag(v[: d - k] if k >= 0 else v[-k:], k) for k, v in op.items())
+
+
+def random_offsets(rng, dim, offsets):
+    """Random complex diagonals, with junk where i+k leaves the basis."""
+    return OffsetOperator({k: rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for k in offsets})
+
+
+class TestOffsetOperator:
+    @pytest.mark.parametrize("dim,offsets", [(1, [0]), (3, [-2, 1]), (7, [-3, -1, 0, 1, 3]), (12, [-4, 2, 5])])
+    def test_algebra_matches_dense(self, dim, offsets):
+        rng = np.random.default_rng(dim)
+        a = random_offsets(rng, dim, offsets)
+        b = random_offsets(rng, dim, [0, 1, -dim + 1] if dim > 1 else [0])
+        da, db = dense_of(a), dense_of(b)
+        assert np.allclose(dense_of(a @ b), da @ db, atol=1e-13)
+        assert np.allclose(dense_of(a @ b - b @ a), da @ db - db @ da, atol=1e-13)
+        assert np.array_equal(dense_of(a + b), da + db)
+        assert np.array_equal(dense_of(2j * a), 2j * da)
+
+    @pytest.mark.parametrize("size", [1, 4, 9])
+    def test_leading_is_the_leading_block(self, size):
+        a = random_offsets(np.random.default_rng(size), 9, [-5, -1, 0, 2, 4])
+        assert np.array_equal(dense_of(a.leading(size)), dense_of(a)[:size, :size])
+
+    def test_product_drops_offsets_outside_the_basis(self):
+        a = random_offsets(np.random.default_rng(1), 3, [2])
+        assert set(a @ a) == set()
+        assert set(a @ OffsetOperator({-2: a[2][::-1]})) == {0}
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            OffsetOperator({0: np.array([1.0, np.nan])})
+        with pytest.raises(ValueError, match="non-finite"):
+            np.inf * OffsetOperator({1: np.array([1.0, 2.0])})
 
 
 class TestSerialization:

@@ -12,6 +12,7 @@ from nclandau.ladder import (
     build_b,
     build_momenta,
     build_xy,
+    build_xy_offsets,
     interior_slice,
 )
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
@@ -96,6 +97,14 @@ class TestCoordinates:
         x, y = build_xy(Cutoffs(N, J))
         assert np.array_equal(x.entries, x.entries.conj().T)
         assert np.array_equal(y.entries, y.entries.conj().T)
+
+    @pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (3, 0), (2, 5), (6, 4)])
+    def test_offset_form_stores_the_dense_entries(self, N, J):
+        c = Cutoffs(N, J)
+        u = PhysicalUnits(e=2.0, B=0.5, c=1.0, hbar=3.0, m=1.5)
+        for dense, offsets in zip(build_xy(c, u), build_xy_offsets(c, u)):
+            stored = sum(np.diag(v[: c.dim - k] if k >= 0 else v[-k:], k) for k, v in offsets.items())
+            assert np.array_equal(stored, dense.entries)
 
     def test_small_case_commutator(self):
         x, y = build_xy(Cutoffs(1, 1))

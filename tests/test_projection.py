@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
-from nclandau.ladder import build_alpha, build_xy
+from nclandau import fock
+from nclandau.fock import BasisIndex, Cutoffs, OffsetOperator, OperatorMatrix, commutator, dagger, flatten
+from nclandau.ladder import build_alpha, build_xy, build_xy_offsets
 from nclandau.projection import (
     analyze_projected_commutator,
     full_space_scan,
@@ -86,6 +89,11 @@ class TestProjectedCommutator:
         with pytest.raises(ValueError, match="degeneracy"):
             projected_commutator_xy(Cutoffs(2, 0), keep=1)
 
+    @pytest.mark.parametrize("keep", [-1, 3])
+    def test_keep_out_of_range(self, keep):
+        with pytest.raises(ValueError, match="keep"):
+            projected_commutator_xy(Cutoffs(2, 2), keep=keep)
+
     @pytest.mark.parametrize("keep,J", [(0, 2), (1, 3), (2, 2), (3, 5)])
     def test_only_top_diagonal_survives(self, keep, J):
         # every interior element vanishes unless n=n'=keep and j=j'
@@ -128,14 +136,78 @@ class TestProjectedCommutator:
 
     def test_nonuniform_top_sets_flag_not_exception(self):
         c = Cutoffs(1, 3)
-        x, y = build_xy(c)
-        p = projector(c, 1)
-        cm = commutator(project(x, p), project(y, p)).entries.copy()
-        row = flatten(BasisIndex(1, 0), c)
-        cm[row, row] += 1e-6  # simulate an indexing bug
-        report = analyze_projected_commutator(OperatorMatrix(cm, basis=c), c, 1)
+        x, y = (op.leading(c.dim) for op in build_xy_offsets(c))
+        comm = x @ y - y @ x
+        assert analyze_projected_commutator(comm, c, 1).ok
+        bump = np.zeros(c.dim)
+        bump[flatten(BasisIndex(1, 0), c)] = 1e-6  # simulate an indexing bug
+        report = analyze_projected_commutator(comm + OffsetOperator({0: bump}), c, 1)
         assert not report.top_uniform
         assert not report.ok
+
+    def test_residual_reads_only_interior_pairs(self):
+        # an element touching j = J is a boundary artifact, not a residual
+        c = Cutoffs(1, 3)
+        x, y = (op.leading(c.dim) for op in build_xy_offsets(c))
+        comm = x @ y - y @ x
+        for row, k, counted in [((0, 2), 1, False), ((0, 3), 1, False), ((0, 1), 1, True),
+                                ((0, 0), 4, True), ((0, 2), 5, False)]:
+            bump = np.zeros(c.dim)
+            bump[flatten(BasisIndex(*row), c)] = 1e-6
+            report = analyze_projected_commutator(comm + OffsetOperator({k: bump}), c, 1)
+            assert (report.max_offtop_residual >= 1e-6) is counted, (row, k)
+            assert report.ok is not counted
+
+
+def dense_route_report(cutoffs, keep, units):
+    """The dense oracle: P x P and P y P commuted as full matrices, with the
+    kept block's diagonals fed through the production analysis."""
+    x, y = build_xy(cutoffs, units)
+    p = projector(cutoffs, keep)
+    size = (keep + 1) * cutoffs.num_degeneracy
+    block = commutator(project(x, p), project(y, p)).entries[:size, :size]
+    diagonals = {}
+    for k in range(1 - size, size):
+        v = np.zeros(size, dtype=complex)
+        v[max(-k, 0) : size - max(k, 0)] = np.diagonal(block, k)
+        diagonals[k] = v
+    return analyze_projected_commutator(OffsetOperator(diagonals), cutoffs, keep, units)
+
+
+def assert_routes_agree(cutoffs, keep, units):
+    fast = projected_commutator_xy(cutoffs, keep, units)
+    oracle = dense_route_report(cutoffs, keep, units)
+    ell2 = magnetic_length(units) ** 2
+    scale = 1e-12 * (keep + 1) * ell2
+    assert (fast.ok, fast.top_uniform) == (oracle.ok, oracle.top_uniform)
+    assert abs(fast.top_coefficient - oracle.top_coefficient) <= scale
+    assert fast.max_offtop_residual <= 1e-12 * ell2
+    assert oracle.max_offtop_residual <= 1e-12 * ell2
+    assert [a[:2] for a in fast.boundary_artifacts] == [a[:2] for a in oracle.boundary_artifacts]
+    for (_, _, got), (_, _, want) in zip(fast.boundary_artifacts, oracle.boundary_artifacts):
+        assert abs(got - want) <= scale
+
+
+class TestOffsetRouteMatchesDenseOracle:
+    constant = st.floats(0.5, 2.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(0, 12), st.integers(1, 14), constant, constant, constant, constant)
+    def test_random_cutoffs_and_units(self, data, N, J, e, B, c, hbar):
+        keep = data.draw(st.integers(0, N), label="keep")
+        assert_routes_agree(Cutoffs(N, J), keep, PhysicalUnits(e=e, B=B, c=c, hbar=hbar))
+
+    @pytest.mark.parametrize("keep", [0, 15, 30])
+    def test_thirty_levels(self, keep):
+        assert_routes_agree(Cutoffs(30, 30), keep, PhysicalUnits())
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("dense matrix built")
+
+        monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
+        assert projected_commutator_xy(Cutoffs(60, 60), 60).ok
+        assert all(report.ok for report in sweep(Cutoffs(20, 20)))
 
 
 class TestFullSpaceScan:
