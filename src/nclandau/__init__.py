@@ -47,7 +47,7 @@ from .projection import (
     projector,
     sweep,
 )
-from .spectrum import SpectrumReport, hermitian_eigenvalues, verify_spectrum
+from .spectrum import SpectrumReport, verify_spectrum
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length
 
 __version__ = "0.1.0"

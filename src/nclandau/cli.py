@@ -13,10 +13,9 @@ Exit status is 0 exactly when every assertion inside the emitted report
 holds, 1 when a report is emitted but fails, 2 for usage errors. Output
 is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
 (table if unset). Every subcommand builds a report and one renderer turns
-it into any of the three formats. The ladder route works on offset diagonals
-in O(d); ``spectrum``, ``dump-matrix`` and the grid route multiply dense
-matrices through numpy's BLAS, which may use several threads. Output is
-still deterministic: identical invocations produce byte-identical output.
+it into any of the three formats. Every operator is held by its nonzero
+diagonals; only ``dump-matrix`` builds a dense matrix, for its d² JSON
+entries. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ Operators on a truncated basis are plain corner-cut matrices: the infinite
 matrix restricted to the retained rows and columns. All commutator boundary
 effects computed elsewhere in the package follow from that convention.
 
-Dense :class:`OperatorMatrix` serves ``spectrum``, ``dump-matrix``, the
-momentum-grid route and the tests' reference. :class:`OffsetOperator`
-keeps only nonzero diagonals, all that x, y and their products have, so
-the projected commutator costs O(d) where dense products cost O(d^3).
+Every operator the package needs shifts each index by at most one or two,
+so :class:`OperatorMatrix` stores only its few nonzero diagonals: sums,
+products, daggers, tensor products and matrix-vector products all cost
+O(d) per diagonal pair where dense products cost O(d^3). The dense matrix
+is built only on request (``entries``), for ``dump-matrix`` and the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "Cutoffs",
     "BasisIndex",
     "OperatorMatrix",
-    "OffsetOperator",
     "flatten",
     "annihilation_matrix",
     "identity",
@@ -39,8 +39,8 @@ __all__ = [
     "to_json_dict",
 ]
 
-# Dense operators (spectrum, dump-matrix) hold d*d complex entries; this cap keeps
-# a product of two in memory. The offset-diagonal commutator route needs O(d).
+# Operators hold O(d) per diagonal; only dump-matrix builds the d*d dense
+# matrix (16 bytes an entry, 4 GiB at the cap), because its JSON lists d^2 entries.
 MAX_DIMENSION = 16384
 
 BasisLike = Union["Cutoffs", int, tuple]
@@ -102,63 +102,103 @@ def flatten(idx: BasisIndex, cutoffs: Cutoffs) -> int:
 
 
 class OperatorMatrix:
-    """A square complex matrix tied to the basis it acts on.
+    """A square complex operator tied to the basis it acts on, stored by its
+    nonzero diagonals: offset k maps to a length-``dim`` vector v with
+    v[i] = op[i, i+k]. Shifting j by one is offset ±1, shifting n by one is
+    offset ±(J+1). Slots whose column i+k leaves the basis hold zero.
 
-    Instances are immutable; every algebraic operation returns a new matrix.
-    Construction rejects non-square shapes and non-finite entries, so any
-    NaN/Inf produced by a bug surfaces immediately instead of propagating.
+    Construct from a dense square array (``entries``) or from ``diagonals``
+    and ``dim``. Instances are immutable; every algebraic operation returns
+    a new operator. Construction rejects non-finite entries, so any NaN/Inf
+    produced by a bug surfaces immediately instead of propagating.
     """
 
-    __slots__ = ("entries", "basis")
+    __slots__ = ("diagonals", "dim", "basis")
 
-    def __init__(self, entries, basis: Optional[BasisLike] = None):
-        arr = np.array(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] > MAX_DIMENSION:
-            raise ValueError(
-                f"dimension {arr.shape[0]} exceeds the supported maximum {MAX_DIMENSION}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("operator matrix contains non-finite entries")
-        if basis is not None:
-            expected = _basis_dim(basis)
-            if expected != arr.shape[0]:
-                raise ValueError(
-                    f"matrix dimension {arr.shape[0]} does not match basis dimension {expected}"
-                )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+    def __init__(self, entries=None, basis: Optional[BasisLike] = None, *, diagonals=None, dim=None):
+        if diagonals is None:
+            arr = np.asarray(entries, dtype=complex)
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+                raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
+            dim = arr.shape[0]
+            diagonals = {k: np.pad(np.diagonal(arr, k), (max(-k, 0), max(k, 0)))
+                         for k in range(1 - dim, dim) if np.any(np.diagonal(arr, k))}
+        if dim > MAX_DIMENSION:
+            raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
+        if basis is not None and _basis_dim(basis) != dim:
+            raise ValueError(f"matrix dimension {dim} does not match basis dimension {_basis_dim(basis)}")
+        stored = {}
+        for k, v in diagonals.items():
+            v = np.array(v, dtype=complex)
+            if not abs(k) < dim or v.shape != (dim,):
+                raise ValueError(f"diagonal {k} of shape {v.shape} does not fit dimension {dim}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("operator matrix contains non-finite entries")
+            v[: max(-k, 0)] = v[dim - max(k, 0) :] = 0
+            v.setflags(write=False)
+            stored[k] = v
+        object.__setattr__(self, "diagonals", stored)
+        object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        """The dense d×d matrix, built on demand and read-only."""
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, v in self.diagonals.items():
+            rows = np.arange(max(-k, 0), self.dim - max(k, 0))
+            out[rows, rows + k] = v[rows]
+        out.setflags(write=False)
+        return out
 
     def __repr__(self) -> str:
         return f"OperatorMatrix(dim={self.dim}, basis={self.basis!r})"
 
     # -- arithmetic sugar used by the operator constructors ---------------
+    # A diagonal missing from one operand counts as +0, as a dense zero would.
+    # Offsets keep first-appearance order, which fixes later summation order.
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.entries + other.entries, _merge_basis(self, other))
+        return _entrywise(np.add, self, other)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(self.entries - other.entries, _merge_basis(self, other))
+        return _entrywise(np.subtract, self, other)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(-self.entries, self.basis)
+        diagonals = {k: -v for k, v in self.diagonals.items()}
+        return OperatorMatrix(basis=self.basis, diagonals=diagonals, dim=self.dim)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries * scalar, self.basis)
+        diagonals = {k: v * scalar for k, v in self.diagonals.items()}
+        return OperatorMatrix(basis=self.basis, diagonals=diagonals, dim=self.dim)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return matmul(self, other)
+
+    def apply(self, vector: np.ndarray) -> np.ndarray:
+        """The matrix-vector product op·vector."""
+        out = np.zeros(self.dim, dtype=complex)
+        for k, v in self.diagonals.items():
+            out += v * _shift(vector, k)
+        return out
+
+    def leading(self, size: int) -> "OperatorMatrix":
+        """The operator restricted to the first ``size`` basis states."""
+        diagonals = {k: v[:size] for k, v in self.diagonals.items() if abs(k) < size}
+        return OperatorMatrix(diagonals=diagonals, dim=size)
+
+
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w with w[i] = v[i+k], zero where i+k falls outside v."""
+    w = np.zeros_like(v)
+    if abs(k) < len(v):
+        w[max(-k, 0) : len(v) - max(k, 0)] = v[max(k, 0) : len(v) + min(k, 0)]
+    return w
 
 
 def _basis_dim(basis: BasisLike) -> int:
@@ -184,7 +224,14 @@ def _merge_basis(a: OperatorMatrix, b: OperatorMatrix) -> Optional[BasisLike]:
     raise ValueError(f"basis mismatch: {a.basis!r} vs {b.basis!r}")
 
 
-def annihilation_matrix(dim: int, basis: Optional[BasisLike] = None) -> OperatorMatrix:
+def _entrywise(op, a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    basis = _merge_basis(a, b)
+    offsets = dict.fromkeys([*a.diagonals, *b.diagonals])
+    diagonals = {k: op(a.diagonals.get(k, 0), b.diagonals.get(k, 0)) for k in offsets}
+    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim)
+
+
+def annihilation_matrix(dim: int) -> OperatorMatrix:
     """Single-mode lowering operator truncated to ``dim`` states.
 
     Entry sqrt(m+1) sits at (m, m+1) for m = 0..dim-2. The corner cut shows
@@ -194,89 +241,53 @@ def annihilation_matrix(dim: int, basis: Optional[BasisLike] = None) -> Operator
     """
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    entries = np.zeros((dim, dim), dtype=complex)
-    if dim > 1:
-        entries[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(np.arange(1, dim))
-    return OperatorMatrix(entries, basis if basis is not None else int(dim))
+    diagonals = {1: np.sqrt(np.arange(1, dim + 1))} if dim > 1 else {}
+    return OperatorMatrix(basis=int(dim), diagonals=diagonals, dim=dim)
 
 
 def identity(dim: int, basis: Optional[BasisLike] = None) -> OperatorMatrix:
     if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    return OperatorMatrix(np.eye(dim, dtype=complex), basis if basis is not None else int(dim))
+    return OperatorMatrix(basis=basis if basis is not None else int(dim), diagonals={0: np.ones(dim)}, dim=dim)
 
 
 def dagger(op: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose."""
-    return OperatorMatrix(op.entries.conj().T, op.basis)
+    """Conjugate transpose: offset k becomes offset -k."""
+    diagonals = {-k: _shift(v, -k).conj() for k, v in op.diagonals.items()}
+    return OperatorMatrix(basis=op.basis, diagonals=diagonals, dim=op.dim)
 
 
 def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Matrix product a.b."""
-    return OperatorMatrix(a.entries @ b.entries, _merge_basis(a, b))
+    """Matrix product a.b: a[i, i+k1] * b[i+k1, i+k1+k2] lands on offset k1+k2."""
+    basis = _merge_basis(a, b)
+    diagonals: dict = {}
+    for k1, v1 in a.diagonals.items():
+        for k2, v2 in b.diagonals.items():
+            if abs(k1 + k2) < a.dim:
+                diagonals[k1 + k2] = diagonals.get(k1 + k2, 0) + v1 * _shift(v2, k1)
+    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """a.b - b.a."""
-    basis = _merge_basis(a, b)
-    return OperatorMatrix(a.entries @ b.entries - b.entries @ a.entries, basis)
+    return matmul(a, b) - matmul(b, a)
 
 
 def kron(a: OperatorMatrix, b: OperatorMatrix, basis: Optional[BasisLike] = None) -> OperatorMatrix:
     """Tensor product with ``a`` on the outer (level) factor.
 
     The composite entry at ((n, j), (n', j')) is a[n, n'] * b[j, j'], which
-    is consistent with the n-major flattening used by :func:`flatten`.
+    is consistent with the n-major flattening used by :func:`flatten`: the
+    pair of offsets (ka, kb) lands on the flat offset ka * b.dim + kb. Where
+    n + ka or j + kb leaves its factor's basis the factor's slot holds zero,
+    so pairs that share a flat offset fill disjoint rows.
     """
-    return OperatorMatrix(np.kron(a.entries, b.entries), basis)
-
-
-class OffsetOperator(dict):
-    """A square operator stored by its nonzero diagonals: flat offset k maps
-    to v with v[i] = op[i, i+k]; entries whose i+k leaves the basis are never
-    read. Shifting j by one is offset ±1, shifting n by one is offset ±(J+1).
-    Non-finite entries are rejected on construction, as in OperatorMatrix.
-    """
-
-    def __init__(self, diagonals=()):
-        super().__init__(diagonals)
-        if not all(np.all(np.isfinite(v)) for v in self.values()):
-            raise ValueError("operator matrix contains non-finite entries")
-
-    def __add__(self, other: "OffsetOperator") -> "OffsetOperator":
-        out = OffsetOperator(self)
-        for k, v in other.items():
-            out[k] = out[k] + v if k in out else v
-        return out
-
-    def __sub__(self, other: "OffsetOperator") -> "OffsetOperator":
-        return self + -1 * other
-
-    def __mul__(self, scalar: complex) -> "OffsetOperator":
-        return OffsetOperator({k: scalar * v for k, v in self.items()})
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "OffsetOperator") -> "OffsetOperator":
-        """Product: op[i, i+k1] * other[i+k1, i+k1+k2] lands on offset k1+k2."""
-        out = OffsetOperator()
-        for k1, v1 in self.items():
-            for k2, v2 in other.items():
-                if abs(k1 + k2) < len(v1):
-                    out += OffsetOperator({k1 + k2: v1 * _shift(v2, k1)})
-        return out
-
-    def leading(self, size: int) -> "OffsetOperator":
-        """The operator restricted to the first ``size`` basis states."""
-        return OffsetOperator({k: v[:size] for k, v in self.items() if abs(k) < size})
-
-
-def _shift(v: np.ndarray, k: int) -> np.ndarray:
-    """w with w[i] = v[i+k], zero where i+k falls outside v."""
-    w = np.zeros_like(v)
-    if abs(k) < len(v):
-        w[max(-k, 0) : len(v) - max(k, 0)] = v[max(k, 0) : len(v) + min(k, 0)]
-    return w
+    diagonals: dict = {}
+    for ka, va in a.diagonals.items():
+        for kb, vb in b.diagonals.items():
+            k = ka * b.dim + kb
+            diagonals[k] = diagonals.get(k, 0) + np.repeat(va, b.dim) * np.tile(vb, a.dim)
+    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim * b.dim)
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:

@@ -20,7 +20,7 @@ the defining mode combinations
 
 which gives
 
-    px = i sqrt(eB hbar / 8c) ((a† - a) + (b† - b))
+    px = -i sqrt(eB hbar / 8c) ((a - a†) + (b - b†))
     py =   sqrt(eB hbar / 8c) ((a + a†) - (b + b†))
 
 The inversion is pinned down operationally by the canonical commutators
@@ -33,10 +33,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .fock import (Cutoffs, OffsetOperator, OperatorMatrix, annihilation_matrix, dagger,
-                   identity, kron, matmul)
+from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, identity, kron, matmul
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency
 
 __all__ = [
@@ -44,7 +41,6 @@ __all__ = [
     "build_b",
     "build_alpha",
     "build_xy",
-    "build_xy_offsets",
     "build_momenta",
     "build_H",
     "build_L",
@@ -87,28 +83,14 @@ def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[Operator
     return x, y
 
 
-def build_xy_offsets(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OffsetOperator, OffsetOperator]:
-    """The matrices of :func:`build_xy` as offset diagonals, built in O(d)."""
-    scale = math.sqrt(units.hbar * units.c / (2.0 * units.e * units.B))
-    step = cutoffs.num_degeneracy
-    n, j = np.divmod(np.arange(cutoffs.dim), step)
-    # alpha = a + b†: a lowers j within a level (offset +1, nothing past
-    # j = J), b† raises n by one (offset -(J+1), nothing into n = 0);
-    # alpha† holds the same entries on the mirrored offsets.
-    alpha = OffsetOperator({1: np.sqrt(j + 1) * (j < cutoffs.degeneracy_cutoff), -step: np.sqrt(n)})
-    alpha_dag = OffsetOperator({-1: np.sqrt(j), step: np.sqrt(n + 1) * (n < cutoffs.landau_cutoff)})
-    x = scale * (alpha + alpha_dag)
-    y = (1j * scale) * (alpha - alpha_dag)
-    return x, y
-
-
 def build_momenta(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Canonical momentum matrices (px, py); both exactly Hermitian."""
     scale = math.sqrt(units.e * units.B * units.hbar / (8.0 * units.c))
     a = build_a(cutoffs)
     b = build_b(cutoffs)
     a_dag, b_dag = dagger(a), dagger(b)
-    px = (1j * scale) * ((a_dag - a) + (b_dag - b))
+    # Written with a - a† so the zero real parts of px stay +0, as in a dense sum.
+    px = (-1j * scale) * ((a - a_dag) + (b - b_dag))
     py = scale * ((a + a_dag) - (b + b_dag))
     return px, py
 

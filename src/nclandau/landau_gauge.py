@@ -33,6 +33,10 @@ term visible so convergence order can be measured. (Summing rows instead
 would be exact for every dk — the stencil's interior row sums are exact —
 and would leave nothing to converge.)
 
+K, d/dk and the level couplings have a few nonzero diagonals each, so
+[x, y] costs O((levels+1) M) and each level's block acts on f through one
+matrix-vector product comm·(e_n ⊗ f); no (levels+1)M-square array is built.
+
 Grid edges use one-sided second-order stencils purely to keep matrices
 square; all extracted quantities ignore points within two steps of an
 edge.
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import MAX_DIMENSION, OperatorMatrix
+from .fock import MAX_DIMENSION, OperatorMatrix, annihilation_matrix, commutator, dagger, identity, kron
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length
 
 __all__ = [
@@ -122,10 +126,8 @@ def oscillator_x_elements(nmax: int, units: PhysicalUnits = NATURAL) -> Operator
     """
     omega = cyclotron_frequency(units)
     x0 = math.sqrt(units.hbar / (2.0 * units.m * omega))
-    entries = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for m in range(nmax):
-        entries[m, m + 1] = entries[m + 1, m] = x0 * math.sqrt(m + 1)
-    return OperatorMatrix(entries, basis=nmax + 1)
+    a = annihilation_matrix(nmax + 1)
+    return x0 * (a + dagger(a))
 
 
 def oscillator_p_elements(nmax: int, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
@@ -136,27 +138,18 @@ def oscillator_p_elements(nmax: int, units: PhysicalUnits = NATURAL) -> Operator
     """
     omega = cyclotron_frequency(units)
     p0 = math.sqrt(units.m * omega * units.hbar / 2.0)
-    entries = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    for m in range(nmax):
-        entries[m + 1, m] = 1j * p0 * math.sqrt(m + 1)
-        entries[m, m + 1] = -1j * p0 * math.sqrt(m + 1)
-    return OperatorMatrix(entries, basis=nmax + 1)
+    a = annihilation_matrix(nmax + 1)
+    return (1j * p0) * (dagger(a) - a)
 
 
-def derivative_matrix(grid: KGrid) -> np.ndarray:
+def derivative_matrix(grid: KGrid) -> OperatorMatrix:
     """Second-order d/dk on the grid: central interior, one-sided ends."""
-    M, dk = grid.size, grid.dk
-    D = np.zeros((M, M))
-    rows = np.arange(1, M - 1)
-    D[rows, rows + 1] = 1.0 / (2.0 * dk)
-    D[rows, rows - 1] = -1.0 / (2.0 * dk)
-    D[0, 0], D[0, 1], D[0, 2] = -3.0 / (2.0 * dk), 4.0 / (2.0 * dk), -1.0 / (2.0 * dk)
-    D[M - 1, M - 1], D[M - 1, M - 2], D[M - 1, M - 3] = (
-        3.0 / (2.0 * dk),
-        -4.0 / (2.0 * dk),
-        1.0 / (2.0 * dk),
-    )
-    return D
+    M, step = grid.size, 2.0 * grid.dk
+    D = {k: np.zeros(M) for k in (-2, -1, 0, 1, 2)}  # D[k][i] = d/dk[i, i+k]
+    D[1][1 : M - 1], D[-1][1 : M - 1] = 1.0 / step, -1.0 / step
+    D[0][0], D[1][0], D[2][0] = -3.0 / step, 4.0 / step, -1.0 / step
+    D[0][M - 1], D[-1][M - 1], D[-2][M - 1] = 3.0 / step, -4.0 / step, 1.0 / step
+    return OperatorMatrix(basis=M, diagonals=D, dim=M)
 
 
 def build_landau_xy(
@@ -176,18 +169,14 @@ def build_landau_xy(
     if dim > MAX_DIMENSION:
         raise ValueError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
     ratio = units.c / (units.e * units.B)
-    eye_levels = np.eye(levels + 1)
-    eye_grid = np.eye(M)
-    K = np.diag(grid.points)
-    D = derivative_matrix(grid)
-    x = ratio * np.kron(eye_levels, K) + np.kron(
-        oscillator_x_elements(levels, units).entries, eye_grid
-    )
-    y = 1j * units.hbar * np.kron(eye_levels, D) + ratio * np.kron(
-        oscillator_p_elements(levels, units).entries, eye_grid
-    )
     basis = (levels + 1, M)
-    return OperatorMatrix(x, basis=basis), OperatorMatrix(y, basis=basis)
+    levels_eye, grid_eye = identity(levels + 1), identity(M)
+    K = OperatorMatrix(basis=M, diagonals={0: grid.points}, dim=M)
+    x = ratio * kron(levels_eye, K, basis) + kron(oscillator_x_elements(levels, units), grid_eye, basis)
+    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid), basis) + ratio * kron(
+        oscillator_p_elements(levels, units), grid_eye, basis
+    )
+    return x, y
 
 
 def delta_test_profile(grid: KGrid) -> np.ndarray:
@@ -198,19 +187,22 @@ def delta_test_profile(grid: KGrid) -> np.ndarray:
     return np.exp(-((pts - mid) ** 2) / (2.0 * sigma**2))
 
 
-def delta_coefficients(block: np.ndarray, grid: KGrid) -> np.ndarray:
-    """Per-point delta coefficients of one level-diagonal grid block.
+def delta_coefficients(comm: OperatorMatrix, grid: KGrid, level: int) -> np.ndarray:
+    """Per-point delta coefficients of one level-diagonal grid block of ``comm``.
 
     For a block whose continuum limit is c·δ(k-k'), returns the interior
     values of (block·f)/f for the test profile f; these equal c up to
-    O(dk²) stencil error.
+    O(dk²) stencil error. The block acts on f through comm·(e_level ⊗ f).
     """
-    if block.shape != (grid.size, grid.size):
-        raise ValueError(f"block shape {block.shape} does not match grid size {grid.size}")
+    if comm.dim % grid.size:
+        raise ValueError(f"operator dimension {comm.dim} does not match grid size {grid.size}")
     if grid.size < 5:
         raise ValueError("need at least 5 grid points for a nonempty interior")
     f = delta_test_profile(grid)
-    g = block @ f
+    levels = slice(level * grid.size, (level + 1) * grid.size)
+    probe = np.zeros(comm.dim)
+    probe[levels] = f
+    g = comm.apply(probe)[levels]
     inner = grid.interior
     return g[inner] / f[inner]
 
@@ -238,13 +230,8 @@ def projected_commutator_landau(
     The intermediate sums are truncated by construction, so no explicit
     projector appears. Callers judge the coefficients by their own bounds.
     """
-    x, y = build_landau_xy(grid, levels, units)
-    comm = x.entries @ y.entries - y.entries @ x.entries
-    M = grid.size
-    per_level = []
-    for n in range(levels + 1):
-        block = comm[n * M : (n + 1) * M, n * M : (n + 1) * M]
-        per_level.append(complex(np.mean(delta_coefficients(block, grid))))
+    comm = commutator(*build_landau_xy(grid, levels, units))
+    per_level = [complex(np.mean(delta_coefficients(comm, grid, n))) for n in range(levels + 1)]
     top = per_level[levels]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     return GridCommutatorReport(

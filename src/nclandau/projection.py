@@ -7,10 +7,19 @@ everywhere except on the diagonal of the topmost kept level, where every
 space the same commutator vanishes on all doubly-interior diagonal
 elements: the noncommutativity lives entirely on the truncation boundary.
 
-The projected commutator works on offset diagonals: the kept levels are a
-leading block, so projecting is a slice and the cost is O(d). The dense
-:func:`projector` (also dumped by ``dump-matrix``), :func:`project` and
-:func:`full_space_scan` are the reference the tests check it against.
+The projected commutator works on the operators' diagonals: the kept
+levels are a leading block, so projecting is a slice and the cost is O(d).
+:func:`projector` is the diagonal 0/1 operator ``dump-matrix`` prints;
+:func:`project` (P.op.P, also O(d)) and :func:`full_space_scan` serve the
+tests.
+
+Tolerances. Entries of x and y are ell sqrt(m/2) with m <= max(keep, J), so
+each product term in an entry of [x, y] is below (keep+J+2) ell^2 / 2 and an
+entry sums at most 8 such terms: rounding leaves an error of order
+4 eps (keep+J+2) ell^2, eps ~ 1.1e-16. The off-top residual and the spread
+of the top diagonal are bounded by DEFAULT_TOLERANCE (keep+J+2) ell^2, about
+2000 times that error and never tighter than DEFAULT_TOLERANCE ell^2; the
+top coefficient is judged relative to its expected size.
 
 The degeneracy cutoff J is a numerical necessity only: the degeneracy
 direction is physically infinite. Results at j < J are exact because the
@@ -25,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import BasisIndex, Cutoffs, OffsetOperator, OperatorMatrix, commutator, matmul
-from .ladder import build_xy, build_xy_offsets
+from .fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, matmul
+from .ladder import build_xy
 from .units import NATURAL, PhysicalUnits, magnetic_length
 
 __all__ = [
@@ -39,7 +48,7 @@ __all__ = [
     "sweep",
 ]
 
-# Absolute tolerance, in units of ell^2, for "vanishes up to rounding".
+# Relative tolerance; absolute bounds scale it by ell^2 (see the module docstring).
 DEFAULT_TOLERANCE = 1e-12
 
 
@@ -103,7 +112,7 @@ def projector(cutoffs: Cutoffs, keep: int) -> OperatorMatrix:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     diag = np.zeros(cutoffs.dim)
     diag[: (keep + 1) * cutoffs.num_degeneracy] = 1.0
-    return OperatorMatrix(np.diag(diag), basis=cutoffs)
+    return OperatorMatrix(basis=cutoffs, diagonals={0: diag}, dim=cutoffs.dim)
 
 
 def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
@@ -112,10 +121,7 @@ def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
 
 
 def projected_commutator_xy(
-    cutoffs: Cutoffs,
-    keep: int,
-    units: PhysicalUnits = NATURAL,
-    tol: float = DEFAULT_TOLERANCE,
+    cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL
 ) -> CommutatorReport:
     """Commutator of the level-projected coordinates, analyzed and scored.
 
@@ -123,24 +129,20 @@ def projected_commutator_xy(
     the lowest ``keep+1`` levels, and commutes the projected operators.
     Requires J >= 1 so the degeneracy interior (j <= J-1) is nonempty; J >= 2
     gives a sturdier interior. The report's ``ok`` is true when the top
-    diagonal is uniform, equals -i (keep+1) ell^2 to ``tol`` relative, and
-    every other interior element is below ``tol`` (absolute, in ell^2 units).
+    diagonal is uniform, equals -i (keep+1) ell^2 to DEFAULT_TOLERANCE
+    relative, and every other interior element vanishes up to rounding.
     """
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     size = (keep + 1) * cutoffs.num_degeneracy
-    x, y = (op.leading(size) for op in build_xy_offsets(cutoffs, units))
-    return analyze_projected_commutator(x @ y - y @ x, cutoffs, keep, units, tol)
+    x, y = (op.leading(size) for op in build_xy(cutoffs, units))
+    return analyze_projected_commutator(commutator(x, y), cutoffs, keep, units)
 
 
 def analyze_projected_commutator(
-    comm: OffsetOperator,
-    cutoffs: Cutoffs,
-    keep: int,
-    units: PhysicalUnits = NATURAL,
-    tol: float = DEFAULT_TOLERANCE,
+    comm: OperatorMatrix, cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL
 ) -> CommutatorReport:
     """Score the kept-block commutator built by :func:`projected_commutator_xy`.
 
@@ -151,33 +153,33 @@ def analyze_projected_commutator(
     num_j = cutoffs.num_degeneracy
     J = cutoffs.degeneracy_cutoff
     ell2 = magnetic_length(units) ** 2
-    diag = comm[0]
+    rounding = DEFAULT_TOLERANCE * (keep + J + 2) * ell2
+    diag = comm.diagonals[0]
 
     top_values = diag[keep * num_j : keep * num_j + J]
     top_coefficient = complex(np.mean(top_values))
     top_spread = float(np.max(np.abs(top_values - top_coefficient)))
-    top_uniform = top_spread <= tol * ell2
+    top_uniform = top_spread <= rounding
 
     # Elements between two interior (j < J) states, top diagonal left out.
+    # Slots whose column leaves the block hold zero, so they never count.
     rows = np.arange(len(diag))
     max_offtop_residual = 0.0
-    for k, values in comm.items():
-        cols = rows + k
-        inside = (rows % num_j < J) & (cols >= 0) & (cols < len(diag)) & (cols % num_j < J)
-        inside &= (k != 0) | (rows < keep * num_j)
+    for k, values in comm.diagonals.items():
+        inside = (rows % num_j < J) & ((rows + k) % num_j < J) & ((k != 0) | (rows < keep * num_j))
         max_offtop_residual = max(max_offtop_residual, float(np.max(np.abs(values[inside]), initial=0)))
 
     artifacts = []
     for n in range(keep + 1):
         value = complex(diag[n * num_j + J])
-        if abs(value) > tol * ell2:
+        if abs(value) > DEFAULT_TOLERANCE * ell2:
             artifacts.append((BasisIndex(n, J), BasisIndex(n, J), value))
 
     expected = -1j * (keep + 1) * ell2
     ok = (
         top_uniform
-        and max_offtop_residual <= tol * ell2
-        and abs(top_coefficient - expected) <= tol * abs(expected)
+        and max_offtop_residual <= rounding
+        and abs(top_coefficient - expected) <= DEFAULT_TOLERANCE * abs(expected)
     )
     return CommutatorReport(
         cutoffs=cutoffs,
@@ -203,8 +205,7 @@ def full_space_scan(
     N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
     if N == 0 or J == 0:
         return []
-    x, y = build_xy(cutoffs, units)
-    diag = np.diag(commutator(x, y).entries)
+    diag = commutator(*build_xy(cutoffs, units)).diagonals[0]
     num_j = cutoffs.num_degeneracy
     out = []
     for n in range(N):
@@ -213,13 +214,6 @@ def full_space_scan(
     return out
 
 
-def sweep(
-    cutoffs: Cutoffs,
-    units: PhysicalUnits = NATURAL,
-    tol: float = DEFAULT_TOLERANCE,
-) -> list[CommutatorReport]:
+def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
     """One projected-commutator report per keep = 0..N, in order."""
-    return [
-        projected_commutator_xy(cutoffs, keep, units, tol)
-        for keep in range(cutoffs.num_levels)
-    ]
+    return [projected_commutator_xy(cutoffs, keep, units) for keep in range(cutoffs.num_levels)]

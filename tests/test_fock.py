@@ -4,7 +4,6 @@ import pytest
 from nclandau.fock import (
     BasisIndex,
     Cutoffs,
-    OffsetOperator,
     OperatorMatrix,
     annihilation_matrix,
     commutator,
@@ -66,6 +65,14 @@ class TestOperatorMatrix:
         bad[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             OperatorMatrix(bad)
+
+    def test_stores_the_nonzero_diagonals_of_dense_input(self):
+        rng = np.random.default_rng(10)
+        dense = np.triu(rng.standard_normal((5, 5)), -1) * (1 + 1j)
+        dense[np.arange(3), np.arange(2, 5)] = 0.0
+        op = OperatorMatrix(dense)
+        assert sorted(op.diagonals) == [-1, 0, 1, 3, 4]
+        assert np.array_equal(op.entries, dense)
 
     def test_entries_are_read_only(self):
         op = identity(3)
@@ -137,7 +144,7 @@ class TestAlgebra:
         rng = np.random.default_rng(12)
         a, b = random_operator(rng, 6), random_operator(rng, 6)
         lhs = dagger(matmul(a, b)).entries
-        rhs = matmul(dagger(b), dagger(a)).entries
+        rhs = (a.entries @ b.entries).conj().T
         assert np.allclose(lhs, rhs, atol=1e-14)
 
     def test_matmul_identity(self):
@@ -170,48 +177,65 @@ class TestKron:
         rng = np.random.default_rng(15)
         a, b, c, d = (random_operator(rng, 2) for _ in range(4))
         lhs = matmul(kron(a, b), kron(c, d)).entries
-        rhs = kron(matmul(a, c), matmul(b, d)).entries
+        rhs = np.kron(a.entries @ c.entries, b.entries @ d.entries)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
-
-def dense_of(op):
-    """The dense matrix an OffsetOperator stores."""
-    d = len(next(iter(op.values())))
-    return sum(np.diag(v[: d - k] if k >= 0 else v[-k:], k) for k, v in op.items())
+    @pytest.mark.parametrize("outer,inner", [([0, 1], [-3, 1, 3]), ([-1, 0], [-3, -1, 3]), ([-2, 0, 1], [-3, -1, 2, 3])])
+    def test_colliding_flat_offsets(self, outer, inner):
+        # 3 (x) 4: outer offset ka and inner offset kb land on 4*ka + kb, so
+        # (1, -3) and (0, 1), or (0, 3) and (1, -1), share a flat diagonal
+        rng = np.random.default_rng(len(outer) + len(inner))
+        a, b = random_offsets(rng, 3, outer), random_offsets(rng, 4, inner)
+        assert np.array_equal(kron(a, b).entries, np.kron(a.entries, b.entries))
 
 
 def random_offsets(rng, dim, offsets):
     """Random complex diagonals, with junk where i+k leaves the basis."""
-    return OffsetOperator({k: rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for k in offsets})
+    diagonals = {k: rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for k in offsets}
+    return OperatorMatrix(diagonals=diagonals, dim=dim)
 
 
 class TestOffsetOperator:
+    """The diagonal storage against numpy on the dense entries."""
+
     @pytest.mark.parametrize("dim,offsets", [(1, [0]), (3, [-2, 1]), (7, [-3, -1, 0, 1, 3]), (12, [-4, 2, 5])])
     def test_algebra_matches_dense(self, dim, offsets):
         rng = np.random.default_rng(dim)
         a = random_offsets(rng, dim, offsets)
         b = random_offsets(rng, dim, [0, 1, -dim + 1] if dim > 1 else [0])
-        da, db = dense_of(a), dense_of(b)
-        assert np.allclose(dense_of(a @ b), da @ db, atol=1e-13)
-        assert np.allclose(dense_of(a @ b - b @ a), da @ db - db @ da, atol=1e-13)
-        assert np.array_equal(dense_of(a + b), da + db)
-        assert np.array_equal(dense_of(2j * a), 2j * da)
+        da, db = a.entries, b.entries
+        vector = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        assert np.allclose((a @ b).entries, da @ db, atol=1e-13)
+        assert np.allclose(commutator(a, b).entries, da @ db - db @ da, atol=1e-13)
+        assert np.array_equal((a + b).entries, da + db)
+        assert np.array_equal((a - b).entries, da - db)
+        assert np.array_equal((2j * a).entries, 2j * da)
+        assert np.array_equal((-a).entries, -da)
+        assert np.array_equal(dagger(a).entries, da.conj().T)
+        assert np.allclose(a.apply(vector), da @ vector, atol=1e-13)
 
     @pytest.mark.parametrize("size", [1, 4, 9])
     def test_leading_is_the_leading_block(self, size):
         a = random_offsets(np.random.default_rng(size), 9, [-5, -1, 0, 2, 4])
-        assert np.array_equal(dense_of(a.leading(size)), dense_of(a)[:size, :size])
+        assert np.array_equal(a.leading(size).entries, a.entries[:size, :size])
 
     def test_product_drops_offsets_outside_the_basis(self):
         a = random_offsets(np.random.default_rng(1), 3, [2])
-        assert set(a @ a) == set()
-        assert set(a @ OffsetOperator({-2: a[2][::-1]})) == {0}
+        assert set((a @ a).diagonals) == set()
+        flipped = OperatorMatrix(diagonals={-2: a.diagonals[2][::-1]}, dim=3)
+        assert set((a @ flipped).diagonals) == {0}
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError, match="non-finite"):
-            OffsetOperator({0: np.array([1.0, np.nan])})
+            OperatorMatrix(diagonals={0: np.array([1.0, np.nan])}, dim=2)
         with pytest.raises(ValueError, match="non-finite"):
-            np.inf * OffsetOperator({1: np.array([1.0, 2.0])})
+            np.inf * OperatorMatrix(diagonals={1: np.array([1.0, 2.0])}, dim=2)
+
+    def test_rejects_offsets_outside_the_basis(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            OperatorMatrix(diagonals={2: np.ones(2)}, dim=2)
+        with pytest.raises(ValueError, match="does not fit"):
+            OperatorMatrix(diagonals={0: np.ones(3)}, dim=2)
 
 
 class TestSerialization:

@@ -12,7 +12,6 @@ from nclandau.ladder import (
     build_b,
     build_momenta,
     build_xy,
-    build_xy_offsets,
     interior_slice,
 )
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
@@ -100,11 +99,16 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (3, 0), (2, 5), (6, 4)])
     def test_offset_form_stores_the_dense_entries(self, N, J):
+        # numpy oracle: alpha = a + b+ from np.kron of literal ladder matrices
         c = Cutoffs(N, J)
         u = PhysicalUnits(e=2.0, B=0.5, c=1.0, hbar=3.0, m=1.5)
-        for dense, offsets in zip(build_xy(c, u), build_xy_offsets(c, u)):
-            stored = sum(np.diag(v[: c.dim - k] if k >= 0 else v[-k:], k) for k, v in offsets.items())
-            assert np.array_equal(stored, dense.entries)
+        lower = lambda dim: np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        alpha = np.kron(np.eye(N + 1), lower(J + 1)) + np.kron(lower(N + 1), np.eye(J + 1)).T
+        scale = math.sqrt(u.hbar * u.c / (2.0 * u.e * u.B))
+        x, y = build_xy(c, u)
+        assert set(x.diagonals) <= {-J - 1, -1, 1, J + 1}
+        assert np.array_equal(x.entries, scale * (alpha + alpha.T))
+        assert np.allclose(y.entries, 1j * scale * (alpha - alpha.T), rtol=0, atol=1e-15)
 
     def test_small_case_commutator(self):
         x, y = build_xy(Cutoffs(1, 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 
-from nclandau.fock import Cutoffs
+from nclandau.fock import Cutoffs, OperatorMatrix
 from nclandau.landau_gauge import (
     ConvergenceRow,
     KGrid,
@@ -18,7 +18,7 @@ from nclandau.landau_gauge import (
     projected_commutator_landau,
 )
 from nclandau.projection import projected_commutator_xy
-from nclandau.units import NATURAL, PhysicalUnits
+from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
 
 
 # -- independent oracles ----------------------------------------------------
@@ -167,15 +167,15 @@ class TestGrid:
         grid = KGrid.centered(101)
         pts = grid.points
         f = np.exp(-(pts**2) / 9.0)
-        df = derivative_matrix(grid) @ f
+        df = derivative_matrix(grid).entries @ f
         exact = -2.0 * pts / 9.0 * f
         assert np.max(np.abs(df - exact)[2:-2]) < 1e-3
 
     def test_position_derivative_commutator_is_neighbor_average(self):
         # direct 1D matrix oracle: [K, D] has -1/2 on both off-diagonals
         grid = KGrid(size=9, k_min=-2.0, dk=0.5)
-        K = np.diag(grid.points)
-        cm = K @ derivative_matrix(grid) - derivative_matrix(grid) @ K
+        K, D = np.diag(grid.points), derivative_matrix(grid).entries
+        cm = K @ D - D @ K
         S = np.zeros((9, 9))
         rows = np.arange(1, 8)
         S[rows, rows + 1] = 0.5
@@ -214,9 +214,19 @@ class TestOperators:
         with pytest.raises(ValueError, match="levels"):
             build_landau_xy(KGrid.centered(16), -1)
         with pytest.raises(ValueError, match="interior"):
-            delta_coefficients(np.zeros((3, 3)), KGrid(size=3, k_min=0.0, dk=0.1))
-        with pytest.raises(ValueError, match="shape"):
-            delta_coefficients(np.zeros((4, 4)), KGrid(size=8, k_min=0.0, dk=0.1))
+            delta_coefficients(OperatorMatrix(np.zeros((3, 3))), KGrid(size=3, k_min=0.0, dk=0.1), 0)
+        with pytest.raises(ValueError, match="grid size"):
+            delta_coefficients(OperatorMatrix(np.zeros((4, 4))), KGrid(size=8, k_min=0.0, dk=0.1), 0)
+
+
+def dense_level_coefficients(grid, levels, units):
+    """The dense oracle: per level, (block·f)/f on the grid interior, with
+    the block cut from [x, y] formed by numpy on the dense entries."""
+    x, y = (op.entries for op in build_landau_xy(grid, levels, units))
+    comm = x @ y - y @ x
+    M, f = grid.size, delta_test_profile(grid)
+    blocks = (comm[n * M : (n + 1) * M, n * M : (n + 1) * M] for n in range(levels + 1))
+    return [(block @ f)[grid.interior] / f[grid.interior] for block in blocks]
 
 
 class TestCommutatorCoefficients:
@@ -246,10 +256,24 @@ class TestCommutatorCoefficients:
         # with one level there is one block: the whole commutator
         grid = KGrid.centered(64)
         report = projected_commutator_landau(grid, 0)
-        x, y = build_landau_xy(grid, 0)
-        comm = x.entries @ y.entries - y.entries @ x.entries
-        assert report.top_coefficient == complex(np.mean(delta_coefficients(comm, grid)))
+        expected = complex(np.mean(dense_level_coefficients(grid, 0, NATURAL)[0]))
+        assert abs(report.top_coefficient - expected) <= 1e-12 * abs(expected)
         assert report.max_offtop_residual == 0.0
+
+    @pytest.mark.parametrize("units", [NATURAL, PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)])
+    @pytest.mark.parametrize("M", [16, 64, 200])
+    @pytest.mark.parametrize("levels", [0, 1, 2, 3])
+    def test_matches_dense_block_times_profile(self, levels, M, units):
+        grid = KGrid.centered(M, units)
+        x, y = build_landau_xy(grid, levels, units)
+        comm = x @ y - y @ x
+        expected = dense_level_coefficients(grid, levels, units)
+        scale = (levels + 1) * magnetic_length(units) ** 2
+        for n in range(levels + 1):
+            got = delta_coefficients(comm, grid, n)
+            assert np.max(np.abs(got - expected[n])) <= 1e-12 * scale
+        report = projected_commutator_landau(grid, levels, units)
+        assert abs(report.top_coefficient - np.mean(expected[levels])) <= 1e-12 * scale
 
     def test_lower_levels_vanish_at_stencil_order(self):
         grid = KGrid.centered(128)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclandau import fock
-from nclandau.fock import BasisIndex, Cutoffs, OffsetOperator, OperatorMatrix, commutator, dagger, flatten
-from nclandau.ladder import build_alpha, build_xy, build_xy_offsets
+from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
+from nclandau.ladder import build_alpha, build_xy
+from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
 from nclandau.projection import (
     analyze_projected_commutator,
     full_space_scan,
@@ -14,6 +15,7 @@ from nclandau.projection import (
     projector,
     sweep,
 )
+from nclandau.spectrum import verify_spectrum
 from nclandau.units import PhysicalUnits, magnetic_length
 
 
@@ -28,7 +30,7 @@ class TestProjector:
     @pytest.mark.parametrize("keep", [0, 1, 2])
     def test_idempotent_and_hermitian(self, keep):
         p = projector(Cutoffs(2, 2), keep)
-        assert np.array_equal((p @ p).entries, p.entries)
+        assert np.array_equal(p.entries @ p.entries, p.entries)
         assert np.array_equal(dagger(p).entries, p.entries)
 
     def test_keep_out_of_range(self):
@@ -89,6 +91,14 @@ class TestProjectedCommutator:
         with pytest.raises(ValueError, match="degeneracy"):
             projected_commutator_xy(Cutoffs(2, 0), keep=1)
 
+    @pytest.mark.parametrize("N,J,keep", [(4000, 2, 4000), (8191, 1, 8191), (1, 8191, 1)])
+    def test_large_cutoffs_pass_within_rounding(self, N, J, keep):
+        # residuals of a few 1e-12 ell^2 here are rounding of entries of
+        # size (keep+J) ell^2, not a failed projection
+        report = projected_commutator_xy(Cutoffs(N, J), keep)
+        assert report.ok and report.top_uniform
+        assert report.max_offtop_residual <= 1e-14 * (keep + J + 2)
+
     @pytest.mark.parametrize("keep", [-1, 3])
     def test_keep_out_of_range(self, keep):
         with pytest.raises(ValueError, match="keep"):
@@ -136,42 +146,36 @@ class TestProjectedCommutator:
 
     def test_nonuniform_top_sets_flag_not_exception(self):
         c = Cutoffs(1, 3)
-        x, y = (op.leading(c.dim) for op in build_xy_offsets(c))
-        comm = x @ y - y @ x
+        comm = commutator(*build_xy(c))
         assert analyze_projected_commutator(comm, c, 1).ok
         bump = np.zeros(c.dim)
         bump[flatten(BasisIndex(1, 0), c)] = 1e-6  # simulate an indexing bug
-        report = analyze_projected_commutator(comm + OffsetOperator({0: bump}), c, 1)
+        report = analyze_projected_commutator(comm + OperatorMatrix(diagonals={0: bump}, dim=c.dim), c, 1)
         assert not report.top_uniform
         assert not report.ok
 
     def test_residual_reads_only_interior_pairs(self):
         # an element touching j = J is a boundary artifact, not a residual
         c = Cutoffs(1, 3)
-        x, y = (op.leading(c.dim) for op in build_xy_offsets(c))
-        comm = x @ y - y @ x
+        comm = commutator(*build_xy(c))
         for row, k, counted in [((0, 2), 1, False), ((0, 3), 1, False), ((0, 1), 1, True),
                                 ((0, 0), 4, True), ((0, 2), 5, False)]:
             bump = np.zeros(c.dim)
             bump[flatten(BasisIndex(*row), c)] = 1e-6
-            report = analyze_projected_commutator(comm + OffsetOperator({k: bump}), c, 1)
+            report = analyze_projected_commutator(comm + OperatorMatrix(diagonals={k: bump}, dim=c.dim), c, 1)
             assert (report.max_offtop_residual >= 1e-6) is counted, (row, k)
             assert report.ok is not counted
 
 
 def dense_route_report(cutoffs, keep, units):
-    """The dense oracle: P x P and P y P commuted as full matrices, with the
-    kept block's diagonals fed through the production analysis."""
-    x, y = build_xy(cutoffs, units)
-    p = projector(cutoffs, keep)
+    """The dense oracle: P x P and P y P commuted as full numpy matrices, with
+    the kept block fed through the production analysis."""
+    x, y = (op.entries for op in build_xy(cutoffs, units))
     size = (keep + 1) * cutoffs.num_degeneracy
-    block = commutator(project(x, p), project(y, p)).entries[:size, :size]
-    diagonals = {}
-    for k in range(1 - size, size):
-        v = np.zeros(size, dtype=complex)
-        v[max(-k, 0) : size - max(k, 0)] = np.diagonal(block, k)
-        diagonals[k] = v
-    return analyze_projected_commutator(OffsetOperator(diagonals), cutoffs, keep, units)
+    p = np.diag((np.arange(cutoffs.dim) < size).astype(float))
+    px, py = p @ x @ p, p @ y @ p
+    block = (px @ py - py @ px)[:size, :size]
+    return analyze_projected_commutator(OperatorMatrix(block), cutoffs, keep, units)
 
 
 def assert_routes_agree(cutoffs, keep, units):
@@ -202,12 +206,16 @@ class TestOffsetRouteMatchesDenseOracle:
         assert_routes_agree(Cutoffs(30, 30), keep, PhysicalUnits())
 
     def test_builds_no_dense_matrix(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
+        def refuse(self):
             raise AssertionError("dense matrix built")
 
-        monkeypatch.setattr(fock.OperatorMatrix, "__init__", refuse)
+        monkeypatch.setattr(fock.OperatorMatrix, "entries", property(refuse))
         assert projected_commutator_xy(Cutoffs(60, 60), 60).ok
         assert all(report.ok for report in sweep(Cutoffs(20, 20)))
+        grid = projected_commutator_landau(KGrid.centered(1024), 2)
+        assert abs(grid.top_coefficient + 3j) <= 0.01 * 3
+        assert convergence_study(1, [128, 256, 512])[-1].abs_error <= 0.01 * 2
+        assert verify_spectrum(Cutoffs(40, 40)).ok
 
 
 class TestFullSpaceScan:

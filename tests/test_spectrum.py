@@ -1,34 +1,20 @@
 import numpy as np
 import pytest
 
-from nclandau.fock import Cutoffs, OperatorMatrix, commutator
-from nclandau.ladder import build_xy
-from nclandau.spectrum import hermitian_eigenvalues, verify_spectrum
+from nclandau.fock import Cutoffs
+from nclandau.ladder import build_H, build_xy
+from nclandau.spectrum import verify_spectrum
 from nclandau.units import PhysicalUnits
 
 
 class TestHermitianEigenvalues:
-    def test_sorts_diagonal(self):
-        op = OperatorMatrix(np.diag([3.0, 1.0, 2.0]))
-        assert np.array_equal(hermitian_eigenvalues(op), [1.0, 2.0, 3.0])
-
-    def test_ladder_hamiltonian_levels(self):
-        from nclandau.ladder import build_H
-
-        vals = hermitian_eigenvalues(build_H(Cutoffs(2, 1)))
-        assert np.allclose(vals, [0.5, 0.5, 1.5, 1.5, 2.5, 2.5], atol=1e-13)
-
-    def test_rejects_non_hermitian_with_deviation(self):
-        op = OperatorMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="deviation"):
-            hermitian_eigenvalues(op)
-
     def test_commutator_over_minus_i_is_hermitian(self):
         # [x,y] is anti-Hermitian, so [x,y]/(-i) has a real spectrum
-        x, y = build_xy(Cutoffs(1, 2))
-        herm = (1.0 / -1j) * commutator(x, y)
-        vals = hermitian_eigenvalues(herm)
-        raw = np.linalg.eigvals(herm.entries)  # independent solver route
+        x, y = (op.entries for op in build_xy(Cutoffs(1, 2)))
+        herm = (x @ y - y @ x) / -1j
+        assert np.max(np.abs(herm - herm.conj().T)) <= 1e-10
+        vals = np.linalg.eigvalsh(herm)
+        raw = np.linalg.eigvals(herm)  # independent solver route
         assert np.max(np.abs(raw.imag)) < 1e-12
         assert np.allclose(vals, np.sort(raw.real), atol=1e-12)
 
@@ -57,6 +43,13 @@ class TestVerifySpectrum:
         distinct = sorted(set(round(v, 9) for v in report.eigenvalues))
         gaps = np.diff(distinct)
         assert np.allclose(gaps, u.hbar * u.e * u.B / (u.m * u.c), rtol=1e-12)
+
+    @pytest.mark.parametrize("N,J", [(0, 0), (3, 5), (12, 7), (25, 25)])
+    @pytest.mark.parametrize("units", [PhysicalUnits(), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)])
+    def test_sorted_diagonal_matches_dense_eigensolver(self, N, J, units):
+        dense = build_H(Cutoffs(N, J), units).entries
+        report = verify_spectrum(Cutoffs(N, J), units)
+        assert np.allclose(report.eigenvalues, np.linalg.eigvalsh(dense), rtol=1e-15, atol=0)
 
     def test_hl_commute_flag(self):
         assert verify_spectrum(Cutoffs(4, 3)).hl_commutes
