@@ -161,7 +161,7 @@ def _units_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         parser.error(str(exc))
 
 
-def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str) -> list[int]:
+def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str, keep: int) -> list[int]:
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
@@ -169,6 +169,8 @@ def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str) -> list[int]:
     # coefficient extraction needs a nonempty grid interior
     if not sizes or any(size < 5 for size in sizes):
         parser.error(f"--grid-M: grid sizes must be >= 5, got {text!r}")
+    if (keep + 1) * max(sizes) > fock.MAX_DIMENSION:
+        parser.error(f"--grid-M: (--keep + 1) * {max(sizes)} exceeds {fock.MAX_DIMENSION}")
     return sizes
 
 
@@ -209,7 +211,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.k_range <= 0:
             parser.error(f"--k-range must be positive, got {args.k_range}")
         config.k_half_width = args.k_range
-        config.grid_sizes = _parse_grid_sizes(parser, getattr(args, "grid_M"))
+        config.grid_sizes = _parse_grid_sizes(parser, getattr(args, "grid_M"), args.keep)
 
     if args.command == "crosscheck":
         if len(config.grid_sizes) != 1:

@@ -39,8 +39,8 @@ __all__ = [
     "to_json_dict",
 ]
 
-# Operators hold O(d) per diagonal; only dump-matrix builds the d*d dense
-# matrix (16 bytes an entry, 4 GiB at the cap), because its JSON lists d^2 entries.
+# Operators hold O(d) per diagonal; only dump-matrix builds the dense d*d matrix. At the
+# cap a dump holds 4 GiB of it plus up to two copies of its JSON text (>= 8 B an entry).
 MAX_DIMENSION = 16384
 
 BasisLike = Union["Cutoffs", int, tuple]
@@ -291,9 +291,5 @@ def kron(a: OperatorMatrix, b: OperatorMatrix, basis: Optional[BasisLike] = None
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:
-    """Serialize to ``{dim, entries}`` with row-major [re, im] pairs."""
-    flat = op.entries.ravel()
-    return {
-        "dim": op.dim,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    """``{dim, entries}``; ``entries`` is a (d², 2) float view of the row-major [re, im] pairs."""
+    return {"dim": op.dim, "entries": op.entries.view(float).reshape(-1, 2)}

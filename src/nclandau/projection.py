@@ -132,12 +132,16 @@ def projected_commutator_xy(
     diagonal is uniform, equals -i (keep+1) ell^2 to DEFAULT_TOLERANCE
     relative, and every other interior element vanishes up to rounding.
     """
+    return _kept_block_report(build_xy(cutoffs, units), cutoffs, keep, units)
+
+
+def _kept_block_report(xy, cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     size = (keep + 1) * cutoffs.num_degeneracy
-    x, y = (op.leading(size) for op in build_xy(cutoffs, units))
+    x, y = (op.leading(size) for op in xy)
     return analyze_projected_commutator(commutator(x, y), cutoffs, keep, units)
 
 
@@ -215,5 +219,6 @@ def full_space_scan(
 
 
 def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
-    """One projected-commutator report per keep = 0..N, in order."""
-    return [projected_commutator_xy(cutoffs, keep, units) for keep in range(cutoffs.num_levels)]
+    """One projected-commutator report per keep = 0..N, in order; x and y are built once."""
+    xy = build_xy(cutoffs, units)
+    return [_kept_block_report(xy, cutoffs, keep, units) for keep in range(cutoffs.num_levels)]

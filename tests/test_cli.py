@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,18 @@ def test_undersized_grid_is_usage_error():
     cp = run_cli("landau-gauge", "--grid-M", "3,4")
     assert cp.returncode == 2
     assert "--grid-M" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    "landau-gauge --grid-M 20000",
+    "landau-gauge --keep 3 --grid-M 5000",
+    "crosscheck --keep 3 --grid-M 5000",
+])
+def test_oversized_grid_is_usage_error(args):
+    cp = run_cli(*args.split())
+    assert cp.returncode == 2
+    assert "--grid-M" in cp.stderr and "16384" in cp.stderr
+    assert "Traceback" not in cp.stderr
 
 
 def test_bad_units_rejected():
@@ -324,3 +337,19 @@ def test_output_bytes_are_pinned(args, status, stdout):
     cp = run_cli(*args.split())
     assert cp.returncode == status, cp.stderr
     assert cp.stdout == stdout
+
+
+# sha256 of the stdout of dumps too large to pin as text, captured before
+# the matrix entries were handed to the serializer as one float array.
+DUMP_DIGESTS = [
+    ("dump-matrix --op x --N 16 --J 16", "dab1727f31e30d90e908c884a53a48d040970adce7b9aa05aacad8af556b305c"),
+    ("dump-matrix --op px --N 5 --J 5 --e 1.5 --B 0.7",
+     "620299488ea85fd63249a6dcc922f9612f2e4d26b9a3cb226cd85d8b8466ed9d"),
+]
+
+
+@pytest.mark.parametrize("args,digest", DUMP_DIGESTS, ids=[case[0] for case in DUMP_DIGESTS])
+def test_dump_bytes_are_pinned(args, digest):
+    cp = run_cli(*args.split())
+    assert cp.returncode == 0, cp.stderr
+    assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest

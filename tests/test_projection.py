@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclandau import fock
+from nclandau import fock, projection
 from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
 from nclandau.ladder import build_alpha, build_xy
 from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
@@ -273,6 +273,14 @@ class TestSweep:
         for strong, weak in zip(sweep(Cutoffs(2, 4), doubled), sweep(Cutoffs(2, 4))):
             assert strong.top_coefficient == pytest.approx(0.5 * weak.top_coefficient, rel=1e-14)
             assert strong.ok
+
+    def test_builds_x_and_y_once(self, monkeypatch):
+        calls = []
+        build = projection.build_xy
+        monkeypatch.setattr(projection, "build_xy", lambda *args: calls.append(args) or build(*args))
+        reports = sweep(Cutoffs(6, 6))
+        assert len(calls) == 1
+        assert reports == [projected_commutator_xy(Cutoffs(6, 6), keep) for keep in range(7)]
 
     @pytest.mark.parametrize("keep", [0, 2])
     def test_degeneracy_cutoff_independence(self, keep):
