@@ -9,6 +9,11 @@ boundary when nothing is projected out. An independent momentum-grid
 route reproduces the same numbers by finite differences.
 """
 
+import os
+
+# No route calls BLAS, so an OpenBLAS worker thread would only spin; set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .fock import (
     BasisIndex,
     Cutoffs,

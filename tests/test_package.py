@@ -1,0 +1,115 @@
+"""The package's one-BLAS-thread policy and the premise it rests on.
+
+``nclandau/__init__.py`` sets ``OPENBLAS_NUM_THREADS=1`` unless it is
+already set, because no module calls BLAS. The first test fails when a
+module starts to, so that the policy is revisited instead of a dense
+product silently running on one thread; the others check the policy in
+fresh interpreters.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nclandau"
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_references(source: str) -> list[int]:
+    """Line numbers where ``source`` multiplies with ``@`` or reaches numpy's BLAS routines.
+
+    A BLAS routine is reached through an attribute (``np.dot``, ``a.dot``,
+    ``np.linalg.norm``) or imported from numpy by name. The package's own
+    ``fock.matmul``, imported relatively and called bare, is not BLAS.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(BLAS_NAMES & set(alias.name.split(".")) for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            parts = node.module.split(".")
+            imported = {alias.name for alias in node.names}
+            if BLAS_NAMES & set(parts) or (parts[0] == "numpy" and BLAS_NAMES & imported):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("source", [
+    "c = a @ b",
+    "a @= b",
+    "c = np.dot(a, b)",
+    "c = a.dot(b)",
+    "n = np.linalg.norm(v)",
+    "c = numpy.tensordot(a, b)",
+    "from numpy import einsum",
+    "from numpy.linalg import eigvalsh",
+    "import numpy.linalg",
+])
+def test_blas_references_are_found(source):
+    assert blas_references(source) == [1]
+
+
+@pytest.mark.parametrize("source", [
+    "from .fock import matmul\nc = matmul(a, b)",
+    "inner = grid.interior",
+    "def __matmul__(self, other):\n    return matmul(self, other)",
+    "@dataclass\nclass A:\n    pass",
+])
+def test_own_names_are_not_blas(source):
+    assert blas_references(source) == []
+
+
+def test_no_module_calls_blas():
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := blas_references(path.read_text()))}
+    assert found == {}
+
+
+def child_env(**threads: str) -> dict:
+    """This process's environment without the thread variables, plus ``threads``.
+
+    Built explicitly: once this process has imported nclandau, its own
+    environment holds ``OPENBLAS_NUM_THREADS``.
+    """
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARS}
+    env.pop("NCG_DEFAULT_OUTPUT", None)
+    env.update(threads)
+    return env
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+@pytest.mark.parametrize("threads, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_import_sets_one_thread_unless_set(threads, expected):
+    probe = ("import json, os, nclandau; "
+             "print(json.dumps([os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task'))]))")
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                        env=child_env(**threads), check=True)
+    value, os_threads = json.loads(cp.stdout)
+    assert value == expected
+    if expected == "1":
+        assert os_threads == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutator", "--N", "4", "--J", "4"),
+    ("sweep", "--N", "4", "--J", "4"),
+    ("spectrum", "--N", "4", "--J", "4"),
+    ("dump-matrix", "--op", "x", "--N", "4", "--J", "4"),
+])
+def test_stdout_does_not_depend_on_the_thread_count(argv):
+    runs = [subprocess.run([sys.executable, "-m", "nclandau", *argv], capture_output=True,
+                           env=child_env(**threads))
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    assert runs[0].stdout and all(run.stdout == runs[0].stdout for run in runs)
