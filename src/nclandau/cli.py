@@ -208,8 +208,8 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.keep < 0:
             parser.error(f"--keep must be nonnegative, got {args.keep}")
         config.keep = args.keep
-        if args.k_range <= 0:
-            parser.error(f"--k-range must be positive, got {args.k_range}")
+        if not 0 < args.k_range < float("inf"):
+            parser.error(f"--k-range must be positive and finite, got {args.k_range}")
         config.k_half_width = args.k_range
         config.grid_sizes = _parse_grid_sizes(parser, getattr(args, "grid_M"), args.keep)
 
@@ -379,7 +379,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     config = config_from_args(parser, args)
     status, text = run(config)
     if config.out_path:
-        Path(config.out_path).write_text(text)
+        try:
+            Path(config.out_path).write_text(text)
+        except OSError as exc:
+            parser.error(f"--out: cannot write {config.out_path}: {exc}")
     else:
         sys.stdout.write(text)
     return status

@@ -20,7 +20,6 @@ is built only on request (``entries``), for ``dump-matrix`` and the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
 # Operators hold O(d) per diagonal; only dump-matrix builds the dense d*d matrix. At the
 # cap a dump holds 4 GiB of it plus up to two copies of its JSON text (>= 8 B an entry).
 MAX_DIMENSION = 16384
-
-BasisLike = Union["Cutoffs", int, tuple]
 
 
 @dataclass(frozen=True)
@@ -102,31 +99,24 @@ def flatten(idx: BasisIndex, cutoffs: Cutoffs) -> int:
 
 
 class OperatorMatrix:
-    """A square complex operator tied to the basis it acts on, stored by its
-    nonzero diagonals: offset k maps to a length-``dim`` vector v with
+    """A square complex ``dim``×``dim`` operator stored by its nonzero
+    diagonals: offset k maps to a length-``dim`` vector v with
     v[i] = op[i, i+k]. Shifting j by one is offset ±1, shifting n by one is
     offset ±(J+1). Slots whose column i+k leaves the basis hold zero.
 
-    Construct from a dense square array (``entries``) or from ``diagonals``
-    and ``dim``. Instances are immutable; every algebraic operation returns
-    a new operator. Construction rejects non-finite entries, so any NaN/Inf
-    produced by a bug surfaces immediately instead of propagating.
+    ``OperatorMatrix(diagonals, dim)`` is the one constructor. Instances are
+    immutable; every algebraic operation returns a new operator. Construction
+    rejects a ``dim`` that is not a positive integer and non-finite entries,
+    so a NaN/Inf produced by a bug surfaces at once instead of propagating.
     """
 
-    __slots__ = ("diagonals", "dim", "basis")
+    __slots__ = ("diagonals", "dim")
 
-    def __init__(self, entries=None, basis: Optional[BasisLike] = None, *, diagonals=None, dim=None):
-        if diagonals is None:
-            arr = np.asarray(entries, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                raise ValueError(f"operator matrix must be square, got shape {arr.shape}")
-            dim = arr.shape[0]
-            diagonals = {k: np.pad(np.diagonal(arr, k), (max(-k, 0), max(k, 0)))
-                         for k in range(1 - dim, dim) if np.any(np.diagonal(arr, k))}
+    def __init__(self, diagonals: dict, dim: int):
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         if dim > MAX_DIMENSION:
             raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
-        if basis is not None and _basis_dim(basis) != dim:
-            raise ValueError(f"matrix dimension {dim} does not match basis dimension {_basis_dim(basis)}")
         stored = {}
         for k, v in diagonals.items():
             v = np.array(v, dtype=complex)
@@ -139,7 +129,6 @@ class OperatorMatrix:
             stored[k] = v
         object.__setattr__(self, "diagonals", stored)
         object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -155,7 +144,7 @@ class OperatorMatrix:
         return out
 
     def __repr__(self) -> str:
-        return f"OperatorMatrix(dim={self.dim}, basis={self.basis!r})"
+        return f"OperatorMatrix(dim={self.dim})"
 
     # -- arithmetic sugar used by the operator constructors ---------------
     # A diagonal missing from one operand counts as +0, as a dense zero would.
@@ -169,11 +158,11 @@ class OperatorMatrix:
 
     def __neg__(self) -> "OperatorMatrix":
         diagonals = {k: -v for k, v in self.diagonals.items()}
-        return OperatorMatrix(basis=self.basis, diagonals=diagonals, dim=self.dim)
+        return OperatorMatrix(diagonals=diagonals, dim=self.dim)
 
     def __mul__(self, scalar: complex) -> "OperatorMatrix":
         diagonals = {k: v * scalar for k, v in self.diagonals.items()}
-        return OperatorMatrix(basis=self.basis, diagonals=diagonals, dim=self.dim)
+        return OperatorMatrix(diagonals=diagonals, dim=self.dim)
 
     __rmul__ = __mul__
 
@@ -201,34 +190,12 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
-def _basis_dim(basis: BasisLike) -> int:
-    if isinstance(basis, Cutoffs):
-        return basis.dim
-    if isinstance(basis, (int, np.integer)):
-        return int(basis)
-    if isinstance(basis, tuple):
-        out = 1
-        for factor in basis:
-            out *= _basis_dim(factor)
-        return out
-    raise TypeError(f"unsupported basis descriptor {basis!r}")
-
-
-def _merge_basis(a: OperatorMatrix, b: OperatorMatrix) -> Optional[BasisLike]:
+def _entrywise(op, a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.basis is None:
-        return b.basis
-    if b.basis is None or a.basis == b.basis:
-        return a.basis
-    raise ValueError(f"basis mismatch: {a.basis!r} vs {b.basis!r}")
-
-
-def _entrywise(op, a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    basis = _merge_basis(a, b)
     offsets = dict.fromkeys([*a.diagonals, *b.diagonals])
     diagonals = {k: op(a.diagonals.get(k, 0), b.diagonals.get(k, 0)) for k in offsets}
-    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim)
+    return OperatorMatrix(diagonals=diagonals, dim=a.dim)
 
 
 def annihilation_matrix(dim: int) -> OperatorMatrix:
@@ -239,33 +206,31 @@ def annihilation_matrix(dim: int) -> OperatorMatrix:
     of the identity, which is exactly the boundary effect the projected
     coordinate commutator is made of.
     """
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
     diagonals = {1: np.sqrt(np.arange(1, dim + 1))} if dim > 1 else {}
-    return OperatorMatrix(basis=int(dim), diagonals=diagonals, dim=dim)
+    return OperatorMatrix(diagonals=diagonals, dim=dim)
 
 
-def identity(dim: int, basis: Optional[BasisLike] = None) -> OperatorMatrix:
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-    return OperatorMatrix(basis=basis if basis is not None else int(dim), diagonals={0: np.ones(dim)}, dim=dim)
+def identity(dim: int) -> OperatorMatrix:
+    # np.arange takes any dim, so a bad one reaches the constructor's check.
+    return OperatorMatrix(diagonals={0: np.ones_like(np.arange(dim), dtype=float)}, dim=dim)
 
 
 def dagger(op: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose: offset k becomes offset -k."""
     diagonals = {-k: _shift(v, -k).conj() for k, v in op.diagonals.items()}
-    return OperatorMatrix(basis=op.basis, diagonals=diagonals, dim=op.dim)
+    return OperatorMatrix(diagonals=diagonals, dim=op.dim)
 
 
 def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Matrix product a.b: a[i, i+k1] * b[i+k1, i+k1+k2] lands on offset k1+k2."""
-    basis = _merge_basis(a, b)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     diagonals: dict = {}
     for k1, v1 in a.diagonals.items():
         for k2, v2 in b.diagonals.items():
             if abs(k1 + k2) < a.dim:
                 diagonals[k1 + k2] = diagonals.get(k1 + k2, 0) + v1 * _shift(v2, k1)
-    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim)
+    return OperatorMatrix(diagonals=diagonals, dim=a.dim)
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -273,7 +238,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return matmul(a, b) - matmul(b, a)
 
 
-def kron(a: OperatorMatrix, b: OperatorMatrix, basis: Optional[BasisLike] = None) -> OperatorMatrix:
+def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Tensor product with ``a`` on the outer (level) factor.
 
     The composite entry at ((n, j), (n', j')) is a[n, n'] * b[j, j'], which
@@ -287,7 +252,7 @@ def kron(a: OperatorMatrix, b: OperatorMatrix, basis: Optional[BasisLike] = None
         for kb, vb in b.diagonals.items():
             k = ka * b.dim + kb
             diagonals[k] = diagonals.get(k, 0) + np.repeat(va, b.dim) * np.tile(vb, a.dim)
-    return OperatorMatrix(basis=basis, diagonals=diagonals, dim=a.dim * b.dim)
+    return OperatorMatrix(diagonals=diagonals, dim=a.dim * b.dim)
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:

@@ -55,7 +55,6 @@ def build_a(cutoffs: Cutoffs) -> OperatorMatrix:
     return kron(
         identity(cutoffs.num_levels),
         annihilation_matrix(cutoffs.num_degeneracy),
-        basis=cutoffs,
     )
 
 
@@ -64,7 +63,6 @@ def build_b(cutoffs: Cutoffs) -> OperatorMatrix:
     return kron(
         annihilation_matrix(cutoffs.num_levels),
         identity(cutoffs.num_degeneracy),
-        basis=cutoffs,
     )
 
 
@@ -121,7 +119,7 @@ def build_H(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL, form: str = "ladde
     if form == "ladder":
         omega = cyclotron_frequency(units)
         b = build_b(cutoffs)
-        half = identity(cutoffs.dim, basis=cutoffs)
+        half = identity(cutoffs.dim)
         return units.hbar * omega * (matmul(dagger(b), b) + 0.5 * half)
     if form == "quadratic":
         x, y = build_xy(cutoffs, units)

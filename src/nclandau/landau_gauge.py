@@ -149,7 +149,7 @@ def derivative_matrix(grid: KGrid) -> OperatorMatrix:
     D[1][1 : M - 1], D[-1][1 : M - 1] = 1.0 / step, -1.0 / step
     D[0][0], D[1][0], D[2][0] = -3.0 / step, 4.0 / step, -1.0 / step
     D[0][M - 1], D[-1][M - 1], D[-2][M - 1] = 3.0 / step, -4.0 / step, 1.0 / step
-    return OperatorMatrix(basis=M, diagonals=D, dim=M)
+    return OperatorMatrix(diagonals=D, dim=M)
 
 
 def build_landau_xy(
@@ -169,12 +169,11 @@ def build_landau_xy(
     if dim > MAX_DIMENSION:
         raise ValueError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
     ratio = units.c / (units.e * units.B)
-    basis = (levels + 1, M)
     levels_eye, grid_eye = identity(levels + 1), identity(M)
-    K = OperatorMatrix(basis=M, diagonals={0: grid.points}, dim=M)
-    x = ratio * kron(levels_eye, K, basis) + kron(oscillator_x_elements(levels, units), grid_eye, basis)
-    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid), basis) + ratio * kron(
-        oscillator_p_elements(levels, units), grid_eye, basis
+    K = OperatorMatrix(diagonals={0: grid.points}, dim=M)
+    x = ratio * kron(levels_eye, K) + kron(oscillator_x_elements(levels, units), grid_eye)
+    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid)) + ratio * kron(
+        oscillator_p_elements(levels, units), grid_eye
     )
     return x, y
 

@@ -112,7 +112,7 @@ def projector(cutoffs: Cutoffs, keep: int) -> OperatorMatrix:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     diag = np.zeros(cutoffs.dim)
     diag[: (keep + 1) * cutoffs.num_degeneracy] = 1.0
-    return OperatorMatrix(basis=cutoffs, diagonals={0: diag}, dim=cutoffs.dim)
+    return OperatorMatrix(diagonals={0: diag}, dim=cutoffs.dim)
 
 
 def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:

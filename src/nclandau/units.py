@@ -10,6 +10,7 @@ results are pure numbers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -26,7 +27,7 @@ class PhysicalUnits:
     """Charge, field strength, speed of light, hbar and mass.
 
     All five constants must be strictly positive and mutually consistent
-    (same unit system); nothing else is assumed about them.
+    (same unit system), and hbar c / (e B) must be at least a normal float.
     """
 
     e: float = 1.0
@@ -41,6 +42,9 @@ class PhysicalUnits:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"constant {name} must be a positive finite number, got {value!r}")
+        ell2 = self.hbar * self.c / (self.e * self.B)
+        if ell2 < sys.float_info.min:
+            raise ValueError(f"hbar*c/(e*B) = {ell2!r} underflows below the smallest normal float")
 
 
 NATURAL = PhysicalUnits()

@@ -155,6 +155,20 @@ def test_bad_units_rejected():
     assert "B" in cp.stderr
 
 
+def test_underflowing_units_are_usage_error():
+    cp = run_cli("commutator", "--hbar", "1e-200", "--c", "1e-200")
+    assert cp.returncode == 2
+    assert "underflows" in cp.stderr and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("command", ["landau-gauge", "crosscheck"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_k_range_is_usage_error(command, value):
+    cp = run_cli(command, "--k-range", value)
+    assert cp.returncode == 2
+    assert "--k-range" in cp.stderr and "Traceback" not in cp.stderr
+
+
 def test_units_config_file(tmp_path):
     cfg = tmp_path / "units.json"
     cfg.write_text(json.dumps({"B": 2.0}))
@@ -196,6 +210,14 @@ def test_out_path_writes_file(tmp_path):
     assert cp.stdout == ""
     data = json.loads(out.read_text())
     assert data["keep"] == 1
+
+
+def test_unwritable_out_path_is_usage_error(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    cp = run_cli("commutator", "--N", "1", "--J", "3", "--out", str(out))
+    assert cp.returncode == 2
+    assert "--out: cannot write" in cp.stderr and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
 
 
 def test_env_default_output():

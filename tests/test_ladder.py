@@ -225,10 +225,9 @@ class TestHamiltonian:
         assert worst < 1e-10
 
 
-def test_bundle_shares_basis_and_dimension():
+def test_bundle_shares_dimension():
     c = Cutoffs(2, 3)
     ops = [build_a(c), build_b(c), build_alpha(c), *build_xy(c), *build_momenta(c),
            build_H(c), build_L(c)]
     for op in ops:
         assert op.dim == c.dim
-        assert op.basis == c

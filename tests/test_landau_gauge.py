@@ -214,9 +214,9 @@ class TestOperators:
         with pytest.raises(ValueError, match="levels"):
             build_landau_xy(KGrid.centered(16), -1)
         with pytest.raises(ValueError, match="interior"):
-            delta_coefficients(OperatorMatrix(np.zeros((3, 3))), KGrid(size=3, k_min=0.0, dk=0.1), 0)
+            delta_coefficients(OperatorMatrix(diagonals={}, dim=3), KGrid(size=3, k_min=0.0, dk=0.1), 0)
         with pytest.raises(ValueError, match="grid size"):
-            delta_coefficients(OperatorMatrix(np.zeros((4, 4))), KGrid(size=8, k_min=0.0, dk=0.1), 0)
+            delta_coefficients(OperatorMatrix(diagonals={}, dim=4), KGrid(size=8, k_min=0.0, dk=0.1), 0)
 
 
 def dense_level_coefficients(grid, levels, units):

@@ -4,7 +4,9 @@
 already set, because no module calls BLAS. The first test fails when a
 module starts to, so that the policy is revisited instead of a dense
 product silently running on one thread; the others check the policy in
-fresh interpreters.
+fresh interpreters. The last test checks that the benchmark's span
+tracer still installs on the package, which breaks when a name it wraps
+is deleted.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nclandau"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -113,3 +116,25 @@ def test_stdout_does_not_depend_on_the_thread_count(argv):
             for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
     assert [run.returncode for run in runs] == [0, 0, 0]
     assert runs[0].stdout and all(run.stdout == runs[0].stdout for run in runs)
+
+
+SPAN_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+import nclandau.cli
+tracer = spans.Tracer()
+spans.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = nclandau.cli.main(["commutator", "--N", "2", "--J", "2", "--output", "json"])
+print(json.dumps([status, sorted({span[spans.LAYER] for span in tracer.spans})]))
+"""
+
+
+def test_benchmark_spans_install():
+    cp = subprocess.run([sys.executable, "-c", SPAN_PROBE, str(PERFBENCH)],
+                        capture_output=True, text=True, env=child_env())
+    assert cp.returncode == 0, cp.stderr
+    status, layers = json.loads(cp.stdout)
+    assert status == 0
+    assert {"fock", "ladder", "projection"} <= set(layers)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclandau import fock, projection
-from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
+from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten, identity
 from nclandau.ladder import build_alpha, build_xy
 from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
 from nclandau.projection import (
@@ -17,6 +17,8 @@ from nclandau.projection import (
 )
 from nclandau.spectrum import verify_spectrum
 from nclandau.units import PhysicalUnits, magnetic_length
+
+from dense import dense_operator
 
 
 class TestProjector:
@@ -50,7 +52,7 @@ class TestProject:
     def test_projecting_identity_gives_projector(self):
         c = Cutoffs(1, 2)
         p = projector(c, 0)
-        eye = OperatorMatrix(np.eye(c.dim), basis=c)
+        eye = identity(c.dim)
         assert np.array_equal(project(eye, p).entries, p.entries)
 
     def test_discarded_rows_and_columns_vanish(self):
@@ -175,7 +177,7 @@ def dense_route_report(cutoffs, keep, units):
     p = np.diag((np.arange(cutoffs.dim) < size).astype(float))
     px, py = p @ x @ p, p @ y @ p
     block = (px @ py - py @ px)[:size, :size]
-    return analyze_projected_commutator(OperatorMatrix(block), cutoffs, keep, units)
+    return analyze_projected_commutator(dense_operator(block), cutoffs, keep, units)
 
 
 def assert_routes_agree(cutoffs, keep, units):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ def test_cyclotron_frequency_values():
 def test_rejects_nonpositive_constants(field, bad):
     with pytest.raises(ValueError, match=field):
         PhysicalUnits(**{field: bad})
+
+
+@pytest.mark.parametrize("tiny", [1e-160, 1e-200])
+def test_rejects_underflowing_magnetic_length(tiny):
+    # hbar*c is 1e-320, a subnormal with about 3 digits, or 0
+    with pytest.raises(ValueError, match="underflows"):
+        PhysicalUnits(hbar=tiny, c=tiny)
+
+
+def test_accepts_smallest_normal_magnetic_length():
+    assert magnetic_length(PhysicalUnits(hbar=sys.float_info.min)) ** 2 == sys.float_info.min
 
 
 def test_scale_identities_random_units():
