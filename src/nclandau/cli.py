@@ -21,6 +21,7 @@ entries. Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from . import fock, ladder, landau_gauge, projection, spectrum
 from .serialize import dumps, format_float, render_csv, render_table
 from .units import PhysicalUnits, magnetic_length
 
-__all__ = ["RunConfig", "build_parser", "run", "main"]
+__all__ = ["RunConfig", "build_parser", "run", "main", "entry"]
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 ENV_OUTPUT = "NCG_DEFAULT_OUTPUT"
@@ -208,10 +209,13 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.keep < 0:
             parser.error(f"--keep must be nonnegative, got {args.keep}")
         config.keep = args.keep
-        if not 0 < args.k_range < float("inf"):
-            parser.error(f"--k-range must be positive and finite, got {args.k_range}")
         config.k_half_width = args.k_range
         config.grid_sizes = _parse_grid_sizes(parser, getattr(args, "grid_M"), args.keep)
+        for size in config.grid_sizes:  # KGrid rejects a range it cannot hold in normal floats
+            try:
+                landau_gauge.KGrid.centered(size, config.units, args.k_range)
+            except ValueError as exc:
+                parser.error(f"--k-range {args.k_range!r} in these units: {exc}")
 
     if args.command == "crosscheck":
         if len(config.grid_sizes) != 1:
@@ -388,5 +392,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     return status
 
 
+def entry() -> int:
+    """Process entry point: ``main()``, then end the process without teardown.
+
+    Once the report is written and the standard streams are flushed, the
+    ``atexit`` handlers run, their output is flushed, and ``os._exit`` ends
+    the process, skipping the interpreter's module teardown and final
+    garbage collection. A ``SystemExit`` or other exception from ``main()``,
+    or a failed flush, takes the interpreter's normal exit instead, which
+    retries the flush and reports it, with the same status as before.
+    """
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        atexit._run_exitfuncs()  # from Python 3.11 on, reports a handler's exception without raising
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        return status
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

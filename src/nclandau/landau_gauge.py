@@ -45,6 +45,7 @@ edge.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,6 +89,10 @@ class KGrid:
             raise ValueError(f"grid needs at least 3 points, got {self.size!r}")
         if not (self.dk > 0 and math.isfinite(self.dk)):
             raise ValueError(f"grid spacing must be positive, got {self.dk!r}")
+        # delta_test_profile squares offsets up to span/2 and its width; both must stay normal
+        half, sigma = 0.5 * self.span, PROFILE_WIDTH_FRACTION * self.span
+        if not (half * half < math.inf and sigma * sigma >= sys.float_info.min):
+            raise ValueError(f"grid span {self.span!r} squares outside the normal floats")
 
     @property
     def points(self) -> np.ndarray:

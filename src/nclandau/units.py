@@ -27,7 +27,8 @@ class PhysicalUnits:
     """Charge, field strength, speed of light, hbar and mass.
 
     All five constants must be strictly positive and mutually consistent
-    (same unit system), and hbar c / (e B) must be at least a normal float.
+    (same unit system), hbar c / (e B) must be at least a normal float,
+    and hbar omega = hbar e B / (m c) must be finite.
     """
 
     e: float = 1.0
@@ -43,11 +44,13 @@ class PhysicalUnits:
             if not (number and math.isfinite(value) and value > 0):
                 raise ValueError(f"constant {name} must be a positive finite number, got {value!r}")
         ell2 = self.hbar * self.c / (self.e * self.B)
-        if ell2 < sys.float_info.min:
-            raise ValueError(f"hbar*c/(e*B) = {ell2!r} underflows below the smallest normal float")
-
-
-NATURAL = PhysicalUnits()
+        if not ell2 >= sys.float_info.min:
+            cause = "as hbar*c and e*B both overflow" if math.isnan(ell2) else (
+                "underflows below the smallest normal float")
+            raise ValueError(f"hbar*c/(e*B) = {ell2!r} {cause}")
+        gap = level_spacing(self)
+        if not math.isfinite(gap):
+            raise ValueError(f"hbar*e*B/(m*c) = {gap!r} overflows")
 
 
 def magnetic_length(units: PhysicalUnits) -> float:
@@ -67,3 +70,6 @@ def cyclotron_frequency(units: PhysicalUnits) -> float:
 def level_spacing(units: PhysicalUnits) -> float:
     """Energy gap hbar*omega between adjacent oscillator levels."""
     return units.hbar * cyclotron_frequency(units)
+
+
+NATURAL = PhysicalUnits()

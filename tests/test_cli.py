@@ -1,8 +1,11 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +170,37 @@ def test_non_finite_k_range_is_usage_error(command, value):
     cp = run_cli(command, "--k-range", value)
     assert cp.returncode == 2
     assert "--k-range" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_overflowing_magnetic_length_quotient_is_usage_error():
+    # hbar*c and e*B both overflow, so hbar*c/(e*B) computes as inf/inf = nan
+    cp = run_cli("commutator", "--hbar", "1e200", "--c", "1e200", "--e", "1e200", "--B", "1e200")
+    assert cp.returncode == 2
+    assert "hbar*c/(e*B)" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_overflowing_level_spacing_is_usage_error():
+    cp = run_cli("spectrum", "--B", "1e300", "--m", "1e-10")
+    assert cp.returncode == 2
+    assert "hbar*e*B/(m*c)" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_subnormal_level_spacing_passes():
+    cp = run_cli("spectrum", "--B", "1e-310", "--output", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("command,value", [
+    ("landau-gauge", "1e308"),  # the grid spacing overflows
+    ("landau-gauge", "1e-300"),  # the test profile's squared width underflows
+    ("crosscheck", "1e300"),  # the test profile's squared width overflows
+])
+def test_extreme_k_range_is_usage_error(command, value):
+    cp = run_cli(command, "--k-range", value)
+    assert cp.returncode == 2
+    assert "--k-range" in cp.stderr and "Traceback" not in cp.stderr
+    assert cp.stdout == ""
 
 
 def test_units_config_file(tmp_path):
@@ -375,3 +409,119 @@ def test_dump_bytes_are_pinned(args, digest):
     cp = run_cli(*args.split())
     assert cp.returncode == 0, cp.stderr
     assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
+
+
+# ``python -m nclandau`` ends through ``cli.entry``, which skips interpreter
+# teardown; its bytes and statuses must be those of ``cli.main``.
+ENTRY_CASES = [
+    "commutator --N 2 --J 3 --keep 1 --output json",
+    "sweep --N 2 --J 3 --output csv",
+    "spectrum --N 2 --J 1",
+    "landau-gauge --grid-M 32,64 --output csv",
+    "crosscheck --keep 0 --grid-M 32 --output json",
+    "dump-matrix --op x --N 2 --J 2",
+    "crosscheck --keep 0 --grid-M 16",  # a FAILED report, exit 1
+]
+
+
+def run_entry(*args, code=None):
+    env = dict(os.environ)
+    env.pop("NCG_DEFAULT_OUTPUT", None)
+    argv = ["-c", code, *args] if code else ["-m", "nclandau", *args]
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("args", ENTRY_CASES)
+def test_entry_matches_main(args, capsys, monkeypatch):
+    from nclandau import cli
+
+    monkeypatch.delenv("NCG_DEFAULT_OUTPUT", raising=False)
+    status = cli.main(args.split())
+    expected = capsys.readouterr().out.encode()
+    cp = run_entry(*args.split())
+    assert cp.returncode == status, cp.stderr
+    assert cp.stdout == expected
+    assert cp.stderr == b""
+
+
+ATEXIT_PROBE = """
+import atexit, sys
+from nclandau import cli
+atexit.register(lambda: sys.stderr.write("atexit-marker"))
+sys.exit(cli.entry())
+"""
+
+TEARDOWN_PROBE = """
+import sys
+from nclandau import cli
+
+class Witness:
+    def __del__(self):
+        sys.stderr.write("teardown-ran")
+
+witness = Witness()
+sys.exit(cli.entry())
+"""
+
+
+def test_entry_runs_atexit_handlers():
+    cp = run_entry("commutator", "--output", "json", code=ATEXIT_PROBE)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["ok"] is True
+    assert cp.stderr == b"atexit-marker"
+
+
+def test_entry_skips_module_teardown():
+    cp = run_entry("commutator", "--output", "json", code=TEARDOWN_PROBE)
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["ok"] is True
+    assert cp.stderr == b""
+
+
+def test_entry_out_path_holds_the_whole_report(tmp_path, capsys):
+    from nclandau import cli
+
+    args = ["dump-matrix", "--op", "H", "--N", "6", "--J", "6"]
+    cli.main(args)
+    expected = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    cp = run_entry(*args, "--out", str(out))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == b""
+    assert out.read_text() == expected
+
+
+def test_entry_usage_error_exits_2():
+    cp = run_entry("commutator", "--N", "3", "--keep", "5")
+    assert cp.returncode == 2
+    assert cp.stdout == b""
+    assert cp.stderr.startswith(b"usage: nclandau") and b"--keep" in cp.stderr
+
+
+def test_entry_keeps_the_known_traceback():
+    # an infinite hbar*c/(e*B) still ends in a traceback with exit 1;
+    # the benchmark pins it as a known contract break
+    cp = run_entry("commutator", "--B", "1e-310")
+    assert cp.returncode == 1
+    assert cp.stdout == b""
+    assert b"Traceback (most recent call last)" in cp.stderr
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main_block_calls(path: Path) -> set[str]:
+    """Names of the functions called in the ``if __name__ == "__main__"`` block of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test):
+            return {call.func.id for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+    return set()
+
+
+def test_every_launcher_ends_through_entry():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts == {"nclandau": "nclandau.cli:entry"}
+    for module in ("__main__.py", "cli.py"):
+        calls = main_block_calls(ROOT / "src" / "nclandau" / module)
+        assert "entry" in calls and "main" not in calls, module

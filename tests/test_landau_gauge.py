@@ -155,6 +155,18 @@ class TestGrid:
         with pytest.raises(ValueError, match="half_width"):
             KGrid.centered(16, half_width=0.0)
 
+    @pytest.mark.parametrize("half_width", [1e-300, 3.7e-154, 1.4e154, 1e300])
+    def test_rejects_spans_that_square_outside_the_normal_floats(self, half_width):
+        with pytest.raises(ValueError, match="normal floats"):
+            KGrid.centered(256, half_width=half_width)
+
+    @pytest.mark.parametrize("half_width", [1e-150, 1e150])
+    def test_extreme_spans_give_the_default_coefficient(self, half_width):
+        # the test profile scales with the grid, so the coefficient does not depend on the span
+        coefficient = projected_commutator_landau(KGrid.centered(64), 0).top_coefficient
+        scaled = projected_commutator_landau(KGrid.centered(64, half_width=half_width), 0).top_coefficient
+        assert scaled == pytest.approx(coefficient, rel=1e-12)
+
     def test_centered_range(self):
         grid = KGrid.centered(33)
         assert grid.points[0] == pytest.approx(-8.0)

@@ -41,6 +41,22 @@ def test_rejects_underflowing_magnetic_length(tiny):
         PhysicalUnits(hbar=tiny, c=tiny)
 
 
+def test_rejects_magnetic_length_of_two_overflowing_products():
+    # hbar*c and e*B are both inf, so hbar*c/(e*B) is nan though the true value is 1
+    with pytest.raises(ValueError, match="both overflow"):
+        PhysicalUnits(hbar=1e200, c=1e200, e=1e200, B=1e200)
+
+
+@pytest.mark.parametrize("flags", [{"B": 1e300, "m": 1e-10}, {"hbar": 1e200, "B": 1e200}])
+def test_rejects_overflowing_level_spacing(flags):
+    with pytest.raises(ValueError, match="overflows"):
+        PhysicalUnits(**flags)
+
+
+def test_accepts_subnormal_level_spacing():
+    assert 0 < level_spacing(PhysicalUnits(B=1e-310)) < sys.float_info.min
+
+
 def test_accepts_smallest_normal_magnetic_length():
     assert magnetic_length(PhysicalUnits(hbar=sys.float_info.min)) ** 2 == sys.float_info.min
 
