@@ -13,7 +13,9 @@ Exit status is 0 exactly when every assertion inside the emitted report
 holds, 1 when a report is emitted but fails, 2 for usage errors. Output
 is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
 (table if unset). Every subcommand builds a report and one renderer turns
-it into any of the three formats. Every operator is held by its nonzero
+it into any of the three formats. The parsed arguments are the run
+configuration: ``config_from_args`` checks them and fills in the values
+the flags leave implicit. Every operator is held by its nonzero
 diagonals; only ``dump-matrix`` builds a dense matrix, for its d² JSON
 entries. Identical invocations produce byte-identical output.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -33,7 +36,7 @@ from . import fock, ladder, landau_gauge, projection, spectrum
 from .serialize import dumps, format_float, render_csv, render_table
 from .units import PhysicalUnits, magnetic_length
 
-__all__ = ["RunConfig", "build_parser", "run", "main", "entry"]
+__all__ = ["build_parser", "main", "entry"]
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 ENV_OUTPUT = "NCG_DEFAULT_OUTPUT"
@@ -42,23 +45,6 @@ DEFAULT_N = 4
 DEFAULT_J = 8
 DEFAULT_GRID_M = "32,64,128,256"
 DEFAULT_CROSSCHECK_M = 128
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; produced by the parser."""
-
-    command: str
-    N: int = DEFAULT_N
-    J: int = DEFAULT_J
-    keep: Optional[int] = None
-    grid_sizes: list[int] = field(default_factory=list)
-    k_half_width: float = landau_gauge.DEFAULT_HALF_WIDTH
-    units: PhysicalUnits = PhysicalUnits()
-    output: str = "table"
-    out_path: Optional[str] = None
-    op_name: Optional[str] = None
-    h_form: str = "ladder"
 
 
 def _add_unit_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,20 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=DEFAULT_N, help="highest retained level")
     p.add_argument("--J", type=int, default=DEFAULT_J, help="highest retained degeneracy orbit")
     p.add_argument("--keep", type=int, default=None, help="highest projected level (default N)")
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="commutator reports for keep = 0..N")
     p.add_argument("--N", type=int, default=DEFAULT_N)
     p.add_argument("--J", type=int, default=DEFAULT_J)
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("spectrum", help="level energies and degeneracies")
     p.add_argument("--N", type=int, default=DEFAULT_N)
     p.add_argument("--J", type=int, default=DEFAULT_J)
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("landau-gauge", help="momentum-grid convergence study")
     p.add_argument("--keep", type=int, default=0, help="highest retained level")
@@ -114,8 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid sizes (default %(default)s)")
     p.add_argument("--k-range", type=float, default=landau_gauge.DEFAULT_HALF_WIDTH,
                    help="half-width of the momentum grid in guiding-center lengths")
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("crosscheck", help="grid route vs ladder route")
     p.add_argument("--keep", type=int, default=0)
@@ -124,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-M", type=str, default=str(DEFAULT_CROSSCHECK_M),
                    help="grid size for the momentum route")
     p.add_argument("--k-range", type=float, default=landau_gauge.DEFAULT_HALF_WIDTH)
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("dump-matrix", help="serialize one operator matrix (JSON)")
     p.add_argument("--op", choices=tuple(_OPERATORS), required=True, help="which operator")
@@ -133,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=int, default=DEFAULT_J)
     p.add_argument("--keep", type=int, default=None, help="kept levels (projector only)")
     p.add_argument("--form", choices=ladder.H_FORMS, default="ladder", help="Hamiltonian form")
-    _add_unit_flags(p)
-    _add_output_flags(p)
 
+    for p in sub.choices.values():
+        _add_unit_flags(p)
+        _add_output_flags(p)
     return parser
 
 
@@ -186,9 +163,11 @@ def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return "table"
 
 
-def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, output=_resolve_output(args, parser),
-                       out_path=args.out_path, units=_units_from_args(parser, args))
+def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Check ``args`` in place and fill in what the flags leave implicit:
+    the resolved ``output``, ``units``, ``grid_sizes`` and crosscheck's ``J``."""
+    output = _resolve_output(args, parser)
+    args.units = _units_from_args(parser, args)
 
     if args.command in ("commutator", "sweep", "spectrum", "dump-matrix"):
         if args.N < 0:
@@ -197,44 +176,45 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
-        config.N, config.J = args.N, args.J
 
     if args.command in ("commutator", "dump-matrix"):
-        keep = args.keep
-        if keep is not None and not 0 <= keep <= args.N:
-            parser.error(f"--keep must lie in 0..--N (got --keep {keep}, --N {args.N})")
-        config.keep = keep
+        if args.keep is not None and not 0 <= args.keep <= args.N:
+            parser.error(f"--keep must lie in 0..--N (got --keep {args.keep}, --N {args.N})")
 
     if args.command in ("landau-gauge", "crosscheck"):
         if args.keep < 0:
             parser.error(f"--keep must be nonnegative, got {args.keep}")
-        config.keep = args.keep
-        config.k_half_width = args.k_range
-        config.grid_sizes = _parse_grid_sizes(parser, getattr(args, "grid_M"), args.keep)
-        for size in config.grid_sizes:  # KGrid rejects a range it cannot hold in normal floats
+        args.grid_sizes = _parse_grid_sizes(parser, args.grid_M, args.keep)
+        for size in args.grid_sizes:  # KGrid rejects a range it cannot hold in normal floats
             try:
-                landau_gauge.KGrid.centered(size, config.units, args.k_range)
+                landau_gauge.KGrid.centered(size, args.units, args.k_range)
             except ValueError as exc:
                 parser.error(f"--k-range {args.k_range!r} in these units: {exc}")
 
     if args.command == "crosscheck":
-        if len(config.grid_sizes) != 1:
+        if len(args.grid_sizes) != 1:
             parser.error("--grid-M: crosscheck takes exactly one grid size")
-        config.J = args.keep + 3 if args.J is None else args.J
-        if config.J < 1:
-            parser.error(f"--J must be >= 1, got {config.J}")
+        if args.J is None:
+            args.J = args.keep + 3
+        if args.J < 1:
+            parser.error(f"--J must be >= 1, got {args.J}")
 
     if args.command == "dump-matrix":
-        config.op_name = args.op
-        config.h_form = args.form
-        if args.op == "projector" and config.keep is None:
+        if args.op == "projector" and args.keep is None:
             parser.error("--keep is required with --op projector")
-        if config.output != "json":
+        if output != "json":
             if args.output is not None:
                 parser.error("--output: dump-matrix only emits json")
-            config.output = "json"
+            output = "json"
+        if args.op == "H" and args.form == "quadratic":
+            # the two coefficients ladder.build_H multiplies in, as it computes them
+            u = args.units
+            half_omega = u.e * u.B / (2.0 * u.m * u.c)
+            coefficients = (1.0 / (2.0 * u.m), 0.5 * u.m * (half_omega * half_omega))
+            if not all(map(math.isfinite, coefficients)):
+                parser.error("--form quadratic: 1/(2*m) or m*(e*B/(2*m*c))**2/2 overflows in these units")
 
-    return config
+    args.output = output
 
 
 # -- command implementations ---------------------------------------------
@@ -269,59 +249,57 @@ def render(report: Report, output: str) -> str:
     return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
 
 
-def _cmd_commutator(config: RunConfig) -> Report:
-    cutoffs = fock.Cutoffs(config.N, config.J)
-    keep = config.N if config.keep is None else config.keep
-    report = projection.projected_commutator_xy(cutoffs, keep, config.units)
-    title = f"projected coordinate commutator  N={config.N} J={config.J} keep={keep}"
+def _cmd_commutator(args: argparse.Namespace) -> Report:
+    cutoffs = fock.Cutoffs(args.N, args.J)
+    keep = args.N if args.keep is None else args.keep
+    report = projection.projected_commutator_xy(cutoffs, keep, args.units)
+    title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
     return Report(report.ok, report.as_dict(), report.csv_header(), [report.csv_row()], title)
 
 
-def _cmd_sweep(config: RunConfig) -> Report:
-    reports = projection.sweep(fock.Cutoffs(config.N, config.J), config.units)
+def _cmd_sweep(args: argparse.Namespace) -> Report:
+    reports = projection.sweep(fock.Cutoffs(args.N, args.J), args.units)
     ok = all(r.ok for r in reports)
     payload = {"reports": [r.as_dict() for r in reports], "ok": ok}
     return Report(ok, payload, projection.CommutatorReport.csv_header(),
                   [r.csv_row() for r in reports],
-                  f"projected commutator sweep  N={config.N} J={config.J}")
+                  f"projected commutator sweep  N={args.N} J={args.J}")
 
 
-def _cmd_spectrum(config: RunConfig) -> Report:
-    report = spectrum.verify_spectrum(fock.Cutoffs(config.N, config.J), config.units)
-    title = (f"level spectrum  N={config.N} J={config.J}"
+def _cmd_spectrum(args: argparse.Namespace) -> Report:
+    report = spectrum.verify_spectrum(fock.Cutoffs(args.N, args.J), args.units)
+    title = (f"level spectrum  N={args.N} J={args.J}"
              f"  max error {format_float(report.max_abs_error)}")
     return Report(report.ok, report.as_dict(), ["level", "energy", "multiplicity"],
                   report.table_rows(), title)
 
 
-def _cmd_landau_gauge(config: RunConfig) -> Report:
-    rows = landau_gauge.convergence_study(
-        config.keep, config.grid_sizes, config.units, config.k_half_width
-    )
-    expected = -1j * (config.keep + 1) * magnetic_length(config.units) ** 2
+def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
+    rows = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.units, args.k_range)
+    expected = -1j * (args.keep + 1) * magnetic_length(args.units) ** 2
     ok = bool(rows) and rows[-1].abs_error <= 0.01 * abs(expected)
     payload = {
-        "keep": config.keep,
+        "keep": args.keep,
         "expected": [expected.real, expected.imag],
         "rows": [row.as_dict() for row in rows],
         "ok": ok,
     }
     return Report(ok, payload, landau_gauge.ConvergenceRow.csv_header(),
-                  [r.csv_row() for r in rows], f"momentum-grid convergence  keep={config.keep}")
+                  [r.csv_row() for r in rows], f"momentum-grid convergence  keep={args.keep}")
 
 
-def _cmd_crosscheck(config: RunConfig) -> Report:
-    keep, M = config.keep, config.grid_sizes[0]
-    cutoffs = fock.Cutoffs(keep, config.J)
-    ladder_report = projection.projected_commutator_xy(cutoffs, keep, config.units)
-    grid = landau_gauge.KGrid.centered(M, config.units, config.k_half_width)
+def _cmd_crosscheck(args: argparse.Namespace) -> Report:
+    keep, M = args.keep, args.grid_sizes[0]
+    cutoffs = fock.Cutoffs(keep, args.J)
+    ladder_report = projection.projected_commutator_xy(cutoffs, keep, args.units)
+    grid = landau_gauge.KGrid.centered(M, args.units, args.k_range)
     sym = ladder_report.top_coefficient
-    lan = landau_gauge.projected_commutator_landau(grid, keep, config.units).top_coefficient
+    lan = landau_gauge.projected_commutator_landau(grid, keep, args.units).top_coefficient
     rel = abs(lan - sym) / abs(sym)
     ok = ladder_report.ok and rel <= 0.01
     payload = {
         "keep": keep,
-        "J": config.J,
+        "J": args.J,
         "grid_M": M,
         "symmetric_gauge": [sym.real, sym.imag],
         "landau_gauge": [lan.real, lan.imag],
@@ -336,28 +314,28 @@ def _cmd_crosscheck(config: RunConfig) -> Report:
         f"  relative diff   : {format_float(rel)}\n"
     )
     header = ["keep", "J", "grid_M", "sym_re", "sym_im", "lan_re", "lan_im", "rel_diff"]
-    row = [keep, config.J, M, sym.real, sym.imag, lan.real, lan.imag, rel]
+    row = [keep, args.J, M, sym.real, sym.imag, lan.real, lan.imag, rel]
     return Report(ok, payload, header, [row], body=body)
 
 
 # Operators dump-matrix can serialize, in the order --help lists them.
 _OPERATORS = {
-    "a": lambda c, config: ladder.build_a(c),
-    "b": lambda c, config: ladder.build_b(c),
-    "alpha": lambda c, config: ladder.build_alpha(c),
-    "x": lambda c, config: ladder.build_xy(c, config.units)[0],
-    "y": lambda c, config: ladder.build_xy(c, config.units)[1],
-    "px": lambda c, config: ladder.build_momenta(c, config.units)[0],
-    "py": lambda c, config: ladder.build_momenta(c, config.units)[1],
-    "H": lambda c, config: ladder.build_H(c, config.units, form=config.h_form),
-    "L": lambda c, config: ladder.build_L(c, config.units),
-    "xy-commutator": lambda c, config: fock.commutator(*ladder.build_xy(c, config.units)),
-    "projector": lambda c, config: projection.projector(c, config.keep),
+    "a": lambda c, args: ladder.build_a(c),
+    "b": lambda c, args: ladder.build_b(c),
+    "alpha": lambda c, args: ladder.build_alpha(c),
+    "x": lambda c, args: ladder.build_xy(c, args.units)[0],
+    "y": lambda c, args: ladder.build_xy(c, args.units)[1],
+    "px": lambda c, args: ladder.build_momenta(c, args.units)[0],
+    "py": lambda c, args: ladder.build_momenta(c, args.units)[1],
+    "H": lambda c, args: ladder.build_H(c, args.units, form=args.form),
+    "L": lambda c, args: ladder.build_L(c, args.units),
+    "xy-commutator": lambda c, args: fock.commutator(*ladder.build_xy(c, args.units)),
+    "projector": lambda c, args: projection.projector(c, args.keep),
 }
 
 
-def _cmd_dump_matrix(config: RunConfig) -> Report:
-    op = _OPERATORS[config.op_name](fock.Cutoffs(config.N, config.J), config)
+def _cmd_dump_matrix(args: argparse.Namespace) -> Report:
+    op = _OPERATORS[args.op](fock.Cutoffs(args.N, args.J), args)
     return Report(True, fock.to_json_dict(op))
 
 
@@ -371,25 +349,20 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one configuration; returns (exit status, rendered report)."""
-    report = _COMMANDS[config.command](config)
-    return (0 if report.ok else 1), render(report, config.output)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = config_from_args(parser, args)
-    status, text = run(config)
-    if config.out_path:
+    config_from_args(parser, args)
+    report = _COMMANDS[args.command](args)
+    text = render(report, args.output)
+    if args.out_path:
         try:
-            Path(config.out_path).write_text(text)
+            Path(args.out_path).write_text(text)
         except OSError as exc:
-            parser.error(f"--out: cannot write {config.out_path}: {exc}")
+            parser.error(f"--out: cannot write {args.out_path}: {exc}")
     else:
         sys.stdout.write(text)
-    return status
+    return 0 if report.ok else 1
 
 
 def entry() -> int:

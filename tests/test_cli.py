@@ -122,6 +122,52 @@ def test_dump_matrix_projector_needs_keep():
     assert "--keep" in cp.stderr
 
 
+def test_dump_matrix_ignores_a_non_json_default_output():
+    cp = run_cli("dump-matrix", "--op", "a", "--N", "0", "--J", "2",
+                 env_extra={"NCG_DEFAULT_OUTPUT": "csv"})
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["dim"] == 3
+
+
+def test_dump_matrix_still_checks_the_default_output():
+    cp = run_cli("dump-matrix", "--op", "a", "--N", "0", "--J", "2",
+                 env_extra={"NCG_DEFAULT_OUTPUT": "yaml"})
+    assert cp.returncode == 2
+    assert cp.stdout == ""
+    assert "NCG_DEFAULT_OUTPUT" in cp.stderr
+
+
+def test_dump_matrix_rejects_a_non_json_output_flag():
+    cp = run_cli("dump-matrix", "--op", "a", "--N", "0", "--J", "2", "--output", "csv")
+    assert cp.returncode == 2
+    assert "--output: dump-matrix only emits json" in cp.stderr
+
+
+# build_H multiplies by 1/(2*m) and m*(e*B/(2*m*c))**2/2 as Python floats;
+# where either overflows, the quadratic form is a usage error.
+QUADRATIC_H_CASES = [
+    ("--B 1e200", 2),
+    ("--B 1e160", 2),
+    ("--m 1e-300", 2),
+    ("--m 1e-309 --B 1e-10", 2),
+    ("--e 1e250 --m 1e100", 2),
+    ("--B 1e150", 0),
+    ("--e 1e200 --c 1e200", 0),
+]
+
+
+@pytest.mark.parametrize("units,status", QUADRATIC_H_CASES, ids=[case[0] for case in QUADRATIC_H_CASES])
+def test_quadratic_hamiltonian_overflow_is_usage_error(units, status):
+    cp = run_cli("dump-matrix", "--op", "H", "--form", "quadratic", "--N", "2", "--J", "2",
+                 *units.split())
+    assert cp.returncode == status, cp.stderr
+    if status == 2:
+        assert cp.stdout == ""
+        assert "--form quadratic" in cp.stderr and "Traceback" not in cp.stderr
+    else:
+        assert json.loads(cp.stdout)["dim"] == 9
+
+
 def test_keep_exceeding_levels_is_usage_error():
     cp = run_cli("commutator", "--N", "2", "--J", "3", "--keep", "5")
     assert cp.returncode == 2

@@ -4,12 +4,15 @@
 already set, because no module calls BLAS. The first test fails when a
 module starts to, so that the policy is revisited instead of a dense
 product silently running on one thread; the others check the policy in
-fresh interpreters. The last test checks that the benchmark's span
-tracer still installs on the package, which breaks when a name it wraps
-is deleted.
+fresh interpreters. Further tests pin what ``import nclandau`` loads,
+which the benchmark's start-up probe times, check that the names in every
+module's ``__all__`` exist, and check that the benchmark's span tracer
+still installs on the package, which breaks when a name it wraps is
+deleted.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -116,6 +119,27 @@ def test_stdout_does_not_depend_on_the_thread_count(argv):
             for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"})]
     assert [run.returncode for run in runs] == [0, 0, 0]
     assert runs[0].stdout and all(run.stdout == runs[0].stdout for run in runs)
+
+
+def test_package_root_loads_numpy_and_the_engine_modules():
+    probe = ("import json, sys, nclandau; "
+             "print(json.dumps(['numpy' in sys.modules, sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'nclandau')]))")
+    cp = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                        env=child_env(), check=True)
+    numpy_loaded, loaded = json.loads(cp.stdout)
+    assert numpy_loaded
+    assert loaded == ["nclandau"] + [f"nclandau.{name}" for name in (
+        "fock", "ladder", "landau_gauge", "projection", "spectrum", "units")]
+
+
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("__"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"nclandau.{name}")
+    assert [item for item in module.__all__ if not hasattr(module, item)] == []
 
 
 SPAN_PROBE = """
