@@ -16,8 +16,9 @@ is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
 it into any of the three formats. The parsed arguments are the run
 configuration: ``config_from_args`` checks them and fills in the values
 the flags leave implicit. Every operator is held by its nonzero
-diagonals; only ``dump-matrix`` builds a dense matrix, for its d² JSON
-entries. Identical invocations produce byte-identical output.
+diagonals, and no subcommand builds a dense matrix: ``dump-matrix``
+writes its d² JSON entries from the diagonals. Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ Every operator the package needs shifts each index by at most one or two,
 so :class:`OperatorMatrix` stores only its few nonzero diagonals: sums,
 products, daggers, tensor products and matrix-vector products all cost
 O(d) per diagonal pair where dense products cost O(d^3). The dense matrix
-is built only on request (``entries``), for ``dump-matrix`` and the tests.
+is built only on request (``entries``), for the tests; ``dump-matrix``
+writes its JSON entries straight from the diagonals (:func:`to_json_dict`).
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ __all__ = [
     "to_json_dict",
 ]
 
-# Operators hold O(d) per diagonal; only dump-matrix builds the dense d*d matrix. At the
-# cap a dump holds 4 GiB of it plus up to two copies of its JSON text (>= 8 B an entry).
+# Operators hold O(d) per diagonal. At the cap a dump holds only its JSON text, in up to
+# two copies, each at least 8 B an entry ("[0, 0], "), so at least 2 GiB.
 MAX_DIMENSION = 16384
 
 
@@ -135,7 +136,7 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense d×d matrix, built on demand and read-only."""
+        """The dense d×d matrix, built on demand and read-only; no command uses it."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for k, v in self.diagonals.items():
             rows = np.arange(max(-k, 0), self.dim - max(k, 0))
@@ -256,5 +257,35 @@ def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:
-    """``{dim, entries}``; ``entries`` is a (d², 2) float view of the row-major [re, im] pairs."""
-    return {"dim": op.dim, "entries": op.entries.view(float).reshape(-1, 2)}
+    """``{dim, entries}``; ``entries`` is the JSON text of the d² row-major [re, im] pairs.
+
+    The text is written from the stored slots alone, in flat row-major order: each
+    slot is formatted from its own bits (so -0.0 prints -0), and each run of absent
+    entries is one repeated "[0, 0], " string, so formatting costs O(nnz).
+    """
+    from .serialize import Verbatim, format_float  # kept off the package root's imports
+
+    d = op.dim
+    slots = sorted(
+        (i * (d + 1) + k, z)
+        for k, v in op.diagonals.items()
+        for i, z in enumerate(v.tolist())
+        if 0 <= i + k < d
+    )
+    runs: dict = {}
+
+    def zeros(count: int) -> str:
+        if count not in runs:
+            runs[count] = "[0, 0], " * count
+        return runs[count]
+
+    parts, end = ["["], 0  # end: flat position after the last entry written
+    for pos, z in slots:
+        parts += (zeros(pos - end), f"[{format_float(z.real)}, {format_float(z.imag)}], ")
+        end = pos + 1
+    # The last entry takes no separator.
+    if end < d * d:
+        parts += (zeros(d * d - end - 1), "[0, 0]]")
+    else:
+        parts[-1] = parts[-1][:-2] + "]"
+    return {"dim": d, "entries": Verbatim(parts)}

@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["format_float", "format_cell", "dumps", "render_csv", "render_table"]
+__all__ = ["Verbatim", "format_float", "format_cell", "dumps", "render_csv", "render_table"]
 
-# A float ndarray is encoded this many first-axis rows at a time, formatting each
-# distinct 64-bit value once per block (a dump's d^2 entries hold few values).
-_BLOCK_ROWS = 1 << 16
+
+@dataclass(frozen=True)
+class Verbatim:
+    """JSON text that :func:`dumps` copies out unchanged, held as a list of pieces."""
+
+    parts: list
 
 
 def format_float(value: float) -> str:
@@ -39,8 +43,8 @@ def _encode(obj, out: list) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _encode_array(obj, out)
+    elif isinstance(obj, Verbatim):
+        out += obj.parts
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -59,21 +63,6 @@ def _encode(obj, out: list) -> None:
         out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
-
-
-def _encode_array(arr: np.ndarray, out: list) -> None:
-    if arr.dtype.kind != "f":
-        raise TypeError(f"cannot serialize {arr.dtype} array")
-    row = "%s"
-    for size in reversed(arr.shape[1:]):
-        row = "[" + ", ".join([row] * size) + "]"
-    parts = []
-    for block in np.split(np.ascontiguousarray(arr, dtype=float), range(_BLOCK_ROWS, len(arr), _BLOCK_ROWS)):
-        # Distinct bit patterns, not values, so -0.0 keeps its sign.
-        patterns, inverse = np.unique(block.view(np.uint64), return_inverse=True)
-        texts = np.array([format_float(v) for v in patterns.view(float)], dtype=object)
-        parts.append(", ".join([row] * len(block)) % tuple(texts[inverse.ravel()]))
-    out += ["[", ", ".join(parts), "]"]
 
 
 def dumps(obj) -> str:

@@ -441,12 +441,26 @@ def test_output_bytes_are_pinned(args, status, stdout):
     assert cp.stdout == stdout
 
 
-# sha256 of the stdout of dumps too large to pin as text, captured before
-# the matrix entries were handed to the serializer as one float array.
+# sha256 of the stdout of dumps too large to pin as text, each captured
+# before a change to the dump encoder.
+_UNITS = "--N 3 --J 4 --e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2"
 DUMP_DIGESTS = [
     ("dump-matrix --op x --N 16 --J 16", "dab1727f31e30d90e908c884a53a48d040970adce7b9aa05aacad8af556b305c"),
     ("dump-matrix --op px --N 5 --J 5 --e 1.5 --B 0.7",
      "620299488ea85fd63249a6dcc922f9612f2e4d26b9a3cb226cd85d8b8466ed9d"),
+    # every --op in non-natural units; y carries signed zeros ("-0")
+    (f"dump-matrix --op a {_UNITS}", "45b3db7f6589b2c2ae04c9e17140ff2cba67a9cf5d8a9bc016af7e70162f1568"),
+    (f"dump-matrix --op b {_UNITS}", "95fdeec782376889ee8586dbfa6240176aa5e23f10fa834dcf7a3ca07cb8c316"),
+    (f"dump-matrix --op alpha {_UNITS}", "be24f83eec49c68c2ac4953f0fa4aa57723ade885500ad6f4d19ad1597fde1e7"),
+    (f"dump-matrix --op x {_UNITS}", "615e5448fd358a6c9a4c081592a772e210a2cc16be87768e2db349a837577cc8"),
+    (f"dump-matrix --op y {_UNITS}", "885bc803e638e3321981452b29fabb4e1374295c94a9f7f6afda17437d72bc72"),
+    (f"dump-matrix --op px {_UNITS}", "150099af4d8de6c77cd8cb8a8254eb6e6ee02f62485ccd5db6ce2e12649a3cbf"),
+    (f"dump-matrix --op py {_UNITS}", "2ba0b6584e5e0767d2b453944ff5cfc30a96055ae3526b58db3d0a7dbf182f1e"),
+    (f"dump-matrix --op H {_UNITS}", "8a5f5120f0eb0ea0fde5a535fc2f7227e05111dd01ec14a7a0d815c15448138c"),
+    (f"dump-matrix --op L {_UNITS}", "49d41db72ea78d55b094a38c951edcc09d85e8e72be5e2173c95f3d8b5d3afb4"),
+    (f"dump-matrix --op xy-commutator {_UNITS}", "c6630f01d8261520c65221098d69fe822a7a7451073d2caf7ff7befbd13feaf9"),
+    (f"dump-matrix --op H --form quadratic {_UNITS}", "63dabc2bd67c9e773c8abb37a95e400c3466a6bc5c729f64c97bd134bc58ebf3"),
+    (f"dump-matrix --op projector --keep 1 {_UNITS}", "28529eaa1596fa4f474bb0a848f4f3eae2b906dc76e4d66dfc9b5f52a6c61457"),
 ]
 
 

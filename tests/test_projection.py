@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclandau import fock, projection
+from nclandau import cli, fock, projection
 from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten, identity
 from nclandau.ladder import build_alpha, build_xy
 from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
@@ -19,6 +21,8 @@ from nclandau.spectrum import verify_spectrum
 from nclandau.units import PhysicalUnits, magnetic_length
 
 from dense import dense_operator
+
+DUMP_OPS = ("a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector")
 
 
 class TestProjector:
@@ -207,7 +211,7 @@ class TestOffsetRouteMatchesDenseOracle:
     def test_thirty_levels(self, keep):
         assert_routes_agree(Cutoffs(30, 30), keep, PhysicalUnits())
 
-    def test_builds_no_dense_matrix(self, monkeypatch):
+    def test_builds_no_dense_matrix(self, monkeypatch, tmp_path):
         def refuse(self):
             raise AssertionError("dense matrix built")
 
@@ -218,6 +222,11 @@ class TestOffsetRouteMatchesDenseOracle:
         assert abs(grid.top_coefficient + 3j) <= 0.01 * 3
         assert convergence_study(1, [128, 256, 512])[-1].abs_error <= 0.01 * 2
         assert verify_spectrum(Cutoffs(40, 40)).ok
+        for op in DUMP_OPS:
+            out = tmp_path / f"{op}.json"
+            argv = ["dump-matrix", "--op", op, "--N", "6", "--J", "6", "--out", str(out)]
+            assert cli.main(argv + ["--keep", "3"] * (op == "projector")) == 0
+            assert json.loads(out.read_text())["dim"] == 49
 
 
 class TestFullSpaceScan:
