@@ -122,7 +122,7 @@ def _units_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             parser.error(f"--config: cannot read {args.config}: {exc}")
         if not isinstance(loaded, dict):
             parser.error(f"--config: {args.config} must hold a JSON object")

@@ -34,8 +34,11 @@ would be exact for every dk — the stencil's interior row sums are exact —
 and would leave nothing to converge.)
 
 K, d/dk and the level couplings have a few nonzero diagonals each, so
-[x, y] costs O((levels+1) M) and each level's block acts on f through one
-matrix-vector product comm·(e_n ⊗ f); no (levels+1)M-square array is built.
+[x, y] costs O((levels+1) M) and no (levels+1)M-square array is built. A
+flat offset is (level offset)·M + (grid offset) with grid offsets at most
+2, so for M >= 5 the diagonals with |k| <= 2 hold exactly the
+level-diagonal blocks: one product of them with f tiled over the levels
+gives every block·f at once.
 
 Grid edges use one-sided second-order stencils purely to keep matrices
 square; all extracted quantities ignore points within two steps of an
@@ -61,7 +64,6 @@ __all__ = [
     "derivative_matrix",
     "build_landau_xy",
     "delta_test_profile",
-    "delta_coefficients",
     "projected_commutator_landau",
     "convergence_study",
     "ConvergenceRow",
@@ -191,26 +193,6 @@ def delta_test_profile(grid: KGrid) -> np.ndarray:
     return np.exp(-((pts - mid) ** 2) / (2.0 * sigma**2))
 
 
-def delta_coefficients(comm: OperatorMatrix, grid: KGrid, level: int) -> np.ndarray:
-    """Per-point delta coefficients of one level-diagonal grid block of ``comm``.
-
-    For a block whose continuum limit is c·δ(k-k'), returns the interior
-    values of (block·f)/f for the test profile f; these equal c up to
-    O(dk²) stencil error. The block acts on f through comm·(e_level ⊗ f).
-    """
-    if comm.dim % grid.size:
-        raise ValueError(f"operator dimension {comm.dim} does not match grid size {grid.size}")
-    if grid.size < 5:
-        raise ValueError("need at least 5 grid points for a nonempty interior")
-    f = delta_test_profile(grid)
-    levels = slice(level * grid.size, (level + 1) * grid.size)
-    probe = np.zeros(comm.dim)
-    probe[levels] = f
-    g = comm.apply(probe)[levels]
-    inner = grid.interior
-    return g[inner] / f[inner]
-
-
 @dataclass(frozen=True)
 class GridCommutatorReport:
     """Outcome of the momentum-grid route at one kept-level count.
@@ -232,10 +214,18 @@ def projected_commutator_landau(
     """Commutator report with the lowest ``levels+1`` levels retained.
 
     The intermediate sums are truncated by construction, so no explicit
-    projector appears. Callers judge the coefficients by their own bounds.
+    projector appears. One product reads every level's coefficient. Callers
+    judge the coefficients by their own bounds.
     """
+    if grid.size < 5:
+        raise ValueError("need at least 5 grid points for a nonempty interior")
     comm = commutator(*build_landau_xy(grid, levels, units))
-    per_level = [complex(np.mean(delta_coefficients(comm, grid, n))) for n in range(levels + 1)]
+    # The diagonals with |k| <= 2 are the level blocks (module docstring).
+    blocks = OperatorMatrix({k: v for k, v in comm.diagonals.items() if abs(k) <= 2}, comm.dim)
+    f = delta_test_profile(grid)
+    inner = grid.interior
+    g = blocks.apply(np.tile(f, levels + 1)).reshape(levels + 1, grid.size)
+    per_level = [complex(np.mean(row[inner] / f[inner])) for row in g]
     top = per_level[levels]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     return GridCommutatorReport(

@@ -26,9 +26,11 @@ __all__ = [
 class PhysicalUnits:
     """Charge, field strength, speed of light, hbar and mass.
 
-    All five constants must be strictly positive and mutually consistent
-    (same unit system), hbar c / (e B) must be at least a normal float,
-    and hbar omega = hbar e B / (m c) must be finite.
+    All five constants must be strictly positive numbers within the float
+    range, and are stored as floats. They must be mutually consistent (same
+    unit system): e*B and m*c must not underflow to 0, hbar c / (e B) must be
+    at least a normal float, and hbar omega = hbar e B / (m c) must be
+    positive and finite.
     """
 
     e: float = 1.0
@@ -41,16 +43,21 @@ class PhysicalUnits:
         for name in ("e", "B", "c", "hbar", "m"):
             value = getattr(self, name)
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > 0):
-                raise ValueError(f"constant {name} must be a positive finite number, got {value!r}")
+            # exact comparisons, so an int past the float range is rejected, not converted
+            if not (number and 0 < value <= sys.float_info.max):
+                raise ValueError(f"constant {name} must be a positive finite float, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        for product, value in (("e*B", self.e * self.B), ("m*c", self.m * self.c)):
+            if value == 0:
+                raise ValueError(f"{product} underflows to 0")
         ell2 = self.hbar * self.c / (self.e * self.B)
         if not ell2 >= sys.float_info.min:
             cause = "as hbar*c and e*B both overflow" if math.isnan(ell2) else (
                 "underflows below the smallest normal float")
             raise ValueError(f"hbar*c/(e*B) = {ell2!r} {cause}")
         gap = level_spacing(self)
-        if not math.isfinite(gap):
-            raise ValueError(f"hbar*e*B/(m*c) = {gap!r} overflows")
+        if not 0 < gap < math.inf:
+            raise ValueError(f"hbar*e*B/(m*c) = {gap!r} {'overflows' if gap else 'underflows to 0'}")
 
 
 def magnetic_length(units: PhysicalUnits) -> float:

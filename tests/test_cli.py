@@ -204,10 +204,22 @@ def test_bad_units_rejected():
     assert "B" in cp.stderr
 
 
-def test_underflowing_units_are_usage_error():
-    cp = run_cli("commutator", "--hbar", "1e-200", "--c", "1e-200")
+# Constants whose products underflow: each is a usage error with one message.
+UNDERFLOWING_UNITS = [
+    ("commutator --hbar 1e-200 --c 1e-200", "hbar*c/(e*B) = 0.0 underflows"),
+    ("commutator --e 1e-200 --B 1e-200", "e*B underflows to 0"),
+    ("commutator --m 1e-200 --c 1e-200", "m*c underflows to 0"),
+    ("spectrum --hbar 1e-200 --e 1e-200", "hbar*e*B/(m*c) = 0.0 underflows to 0"),
+    ("commutator --hbar 1e-200 --e 1e-200", "hbar*e*B/(m*c) = 0.0 underflows to 0"),
+]
+
+
+@pytest.mark.parametrize("args,message", UNDERFLOWING_UNITS, ids=[case[0] for case in UNDERFLOWING_UNITS])
+def test_underflowing_units_are_usage_error(args, message):
+    cp = run_cli(*args.split())
     assert cp.returncode == 2
-    assert "underflows" in cp.stderr and "Traceback" not in cp.stderr
+    assert cp.stderr.count("nclandau: error:") == 1 and message in cp.stderr
+    assert "Traceback" not in cp.stderr and "Warning" not in cp.stderr
 
 
 @pytest.mark.parametrize("command", ["landau-gauge", "crosscheck"])
@@ -272,6 +284,19 @@ def test_config_file_must_hold_an_object(tmp_path, text):
     cp = run_cli("commutator", "--config", str(cfg))
     assert cp.returncode == 2
     assert "--config" in cp.stderr and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'{"e": \xff}', "--config: cannot read"),  # not UTF-8
+    (b'{"e": 1' + b"0" * 400 + b"}", "constant e"),  # an int past the float range
+], ids=["non-utf8", "huge-int"])
+def test_unusable_config_file_is_usage_error(tmp_path, content, message):
+    cfg = tmp_path / "units.json"
+    cfg.write_bytes(content)
+    cp = run_cli("commutator", "--config", str(cfg))
+    assert cp.returncode == 2
+    assert cp.stderr.count("nclandau: error:") == 1 and message in cp.stderr
+    assert "Traceback" not in cp.stderr
 
 
 def test_config_file_rejects_boolean_constant(tmp_path):

@@ -10,7 +10,6 @@ from nclandau.landau_gauge import (
     KGrid,
     build_landau_xy,
     convergence_study,
-    delta_coefficients,
     delta_test_profile,
     derivative_matrix,
     oscillator_p_elements,
@@ -225,10 +224,9 @@ class TestOperators:
     def test_rejects_undersized_inputs(self):
         with pytest.raises(ValueError, match="levels"):
             build_landau_xy(KGrid.centered(16), -1)
-        with pytest.raises(ValueError, match="interior"):
-            delta_coefficients(OperatorMatrix(diagonals={}, dim=3), KGrid(size=3, k_min=0.0, dk=0.1), 0)
-        with pytest.raises(ValueError, match="grid size"):
-            delta_coefficients(OperatorMatrix(diagonals={}, dim=4), KGrid(size=8, k_min=0.0, dk=0.1), 0)
+        for size in (3, 4):
+            with pytest.raises(ValueError, match="interior"):
+                projected_commutator_landau(KGrid(size=size, k_min=0.0, dk=0.1), 0)
 
 
 def dense_level_coefficients(grid, levels, units):
@@ -277,15 +275,12 @@ class TestCommutatorCoefficients:
     @pytest.mark.parametrize("levels", [0, 1, 2, 3])
     def test_matches_dense_block_times_profile(self, levels, M, units):
         grid = KGrid.centered(M, units)
-        x, y = build_landau_xy(grid, levels, units)
-        comm = x @ y - y @ x
-        expected = dense_level_coefficients(grid, levels, units)
+        means = [np.mean(level) for level in dense_level_coefficients(grid, levels, units)]
         scale = (levels + 1) * magnetic_length(units) ** 2
-        for n in range(levels + 1):
-            got = delta_coefficients(comm, grid, n)
-            assert np.max(np.abs(got - expected[n])) <= 1e-12 * scale
         report = projected_commutator_landau(grid, levels, units)
-        assert abs(report.top_coefficient - np.mean(expected[levels])) <= 1e-12 * scale
+        assert abs(report.top_coefficient - means[levels]) <= 1e-12 * scale
+        residual = max((abs(mean) for mean in means[:levels]), default=0.0)
+        assert abs(report.max_offtop_residual - residual) <= 1e-12 * scale
 
     def test_lower_levels_vanish_at_stencil_order(self):
         grid = KGrid.centered(128)
@@ -328,6 +323,13 @@ class TestConvergenceStudy:
         assert all(o is not None for o in orders)
         assert orders == sorted(orders)  # approaching 2 from below
         assert 1.8 <= orders[-1] <= 2.1
+
+    def test_one_product_per_grid_size(self, monkeypatch):
+        calls = []
+        apply = OperatorMatrix.apply
+        monkeypatch.setattr(OperatorMatrix, "apply", lambda op, v: calls.append(op.dim) or apply(op, v))
+        convergence_study(2, [16, 32, 64])
+        assert calls == [3 * 16, 3 * 32, 3 * 64]
 
     def test_row_serialization(self):
         row = convergence_study(1, [32])[0]

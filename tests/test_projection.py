@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -227,6 +228,51 @@ class TestOffsetRouteMatchesDenseOracle:
             argv = ["dump-matrix", "--op", op, "--N", "6", "--J", "6", "--out", str(out)]
             assert cli.main(argv + ["--keep", "3"] * (op == "projector")) == 0
             assert json.loads(out.read_text())["dim"] == 49
+
+
+def closed_form_diagonal(cutoffs, keep, units):
+    """The exact kept-block diagonal of [x, y], each entry rounded once from a Fraction.
+
+    [x, y] = -i ell^2 ([a, a†] - [b, b†]) at every truncation, and b is cut at
+    level keep, so the entry at (n, j) is -i ell^2 (u_j - v_n): u_j = 1 for
+    j < J and u_J = -J, v_n = 1 for n < keep and v_keep = -keep. Every entry
+    off the diagonal is 0.
+    """
+    J = cutoffs.degeneracy_cutoff
+    ell2 = Fraction(units.hbar) * Fraction(units.c) / (Fraction(units.e) * Fraction(units.B))
+    u, v = [1] * J + [-J], [1] * keep + [-keep]
+    imag = {uj - vn: float(-ell2 * (uj - vn)) for uj in set(u) for vn in set(v)}
+    return np.array([complex(0.0, imag[uj - vn]) for vn in v for uj in u])
+
+
+class TestClosedFormOracle:
+    """The ladder route against its exact closed form, at the largest bases."""
+
+    @pytest.mark.parametrize("units", [PhysicalUnits(), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)],
+                             ids=["natural", "non-natural"])
+    @pytest.mark.parametrize("N,J,keep", [(127, 127, 127), (127, 127, 40), (2, 5460, 2), (0, 16383, 0)])
+    def test_kept_block_and_report(self, N, J, keep, units):
+        cutoffs = Cutoffs(N, J)
+        exact = closed_form_diagonal(cutoffs, keep, units)
+        # the rounding bound of the projection module docstring
+        bound = 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length(units) ** 2
+
+        size = (keep + 1) * cutoffs.num_degeneracy
+        comm = commutator(*(op.leading(size) for op in build_xy(cutoffs, units)))
+        assert np.max(np.abs(comm.diagonals[0] - exact)) <= bound
+        for k, values in comm.diagonals.items():
+            if k != 0:
+                assert np.max(np.abs(values)) <= bound, k
+
+        report = projected_commutator_xy(cutoffs, keep, units)
+        assert abs(report.top_coefficient - exact[keep * cutoffs.num_degeneracy]) <= bound
+        edge = [(n, exact[n * cutoffs.num_degeneracy + J]) for n in range(keep + 1)]
+        want = [(n, value) for n, value in edge if value != 0]
+        assert [(row.n, row.j, col.n, col.j) for row, col, _ in report.boundary_artifacts] == [
+            (n, J, n, J) for n, _ in want
+        ]
+        for (_, _, got), (_, value) in zip(report.boundary_artifacts, want):
+            assert abs(got - value) <= bound
 
 
 class TestFullSpaceScan:

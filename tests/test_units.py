@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length
 
@@ -51,6 +53,33 @@ def test_rejects_magnetic_length_of_two_overflowing_products():
 def test_rejects_overflowing_level_spacing(flags):
     with pytest.raises(ValueError, match="overflows"):
         PhysicalUnits(**flags)
+
+
+@pytest.mark.parametrize("flags,message", [
+    ({"e": 1e-200, "B": 1e-200}, r"e\*B underflows to 0"),
+    ({"m": 1e-200, "c": 1e-200}, r"m\*c underflows to 0"),
+    ({"hbar": 1e-200, "e": 1e-200}, r"hbar\*e\*B/\(m\*c\) = 0.0 underflows to 0"),
+    ({"e": 10**400}, "constant e"),
+    ({"e": 10**200, "B": 10**200}, "underflows below the smallest normal float"),
+], ids=["e*B", "m*c", "hbar*omega", "int constant", "int product"])
+def test_rejects_products_outside_the_float_range(flags, message):
+    with pytest.raises(ValueError, match=message):
+        PhysicalUnits(**flags)
+
+
+# each constant log-uniform over the floats, or an int up to 10**400
+constant = st.one_of(st.floats(-320, 308).map(lambda t: 10.0**t), st.integers(0, 10**400))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(constant, constant, constant, constant, constant)
+def test_constructs_or_raises_value_error(e, B, c, hbar, m):
+    try:
+        units = PhysicalUnits(e=e, B=B, c=c, hbar=hbar, m=m)
+    except ValueError:
+        return
+    assert all(type(getattr(units, name)) is float for name in ("e", "B", "c", "hbar", "m"))
+    assert 0 < level_spacing(units) < math.inf
 
 
 def test_accepts_subnormal_level_spacing():
