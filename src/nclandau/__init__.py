@@ -14,8 +14,8 @@ import os
 # No route calls BLAS, so an OpenBLAS worker thread would only spin; set before numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# Import names from the submodules. The root still loads numpy and the engine modules,
-# in this order, because the benchmark's start-up probe times ``import nclandau``.
-from . import fock, ladder, landau_gauge, projection, spectrum, units
+# The root loads numpy, which the benchmark's start-up probe times with ``import nclandau``,
+# and no submodule: each process imports only the modules its command runs.
+import numpy
 
 __version__ = "0.1.0"

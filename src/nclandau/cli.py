@@ -19,23 +19,43 @@ the flags leave implicit. Every operator is held by its nonzero
 diagonals, and no subcommand builds a dense matrix: ``dump-matrix``
 writes its d² JSON entries from the diagonals. Identical invocations
 produce byte-identical output.
+
+A process executes only the engine modules its command runs: ``projection``,
+``landau_gauge`` and ``spectrum`` load on first attribute access. The parser
+reads ``ladder.H_FORMS``, so ``ladder`` loads at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
+import importlib.util
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
-from . import fock, ladder, landau_gauge, projection, spectrum
+from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
 from .units import PhysicalUnits, magnetic_length
+
+
+def _lazy(name: str):
+    """Submodule ``name``: the loaded one if there is one, else one that loads on first use."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+# Module-level names, so that perfbench's span tracer wraps them as it wraps any other.
+landau_gauge, projection, spectrum = map(_lazy, ("landau_gauge", "projection", "spectrum"))
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -93,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep", type=int, default=0, help="highest retained level")
     p.add_argument("--grid-M", type=str, default=DEFAULT_GRID_M,
                    help="comma-separated grid sizes (default %(default)s)")
-    p.add_argument("--k-range", type=float, default=landau_gauge.DEFAULT_HALF_WIDTH,
+    p.add_argument("--k-range", type=float, default=None,
                    help="half-width of the momentum grid in guiding-center lengths")
 
     p = sub.add_parser("crosscheck", help="grid route vs ladder route")
@@ -102,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="degeneracy cutoff for the ladder route (default keep+3)")
     p.add_argument("--grid-M", type=str, default=str(DEFAULT_CROSSCHECK_M),
                    help="grid size for the momentum route")
-    p.add_argument("--k-range", type=float, default=landau_gauge.DEFAULT_HALF_WIDTH)
+    p.add_argument("--k-range", type=float, default=None)
 
     p = sub.add_parser("dump-matrix", help="serialize one operator matrix (JSON)")
     p.add_argument("--op", choices=tuple(_OPERATORS), required=True, help="which operator")
@@ -122,7 +142,7 @@ def _units_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON, or a too-long int
             parser.error(f"--config: cannot read {args.config}: {exc}")
         if not isinstance(loaded, dict):
             parser.error(f"--config: {args.config} must hold a JSON object")
@@ -166,7 +186,7 @@ def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check ``args`` in place and fill in what the flags leave implicit:
-    the resolved ``output``, ``units``, ``grid_sizes`` and crosscheck's ``J``."""
+    the resolved ``output``, ``units``, ``grid_sizes``, ``k_range`` and crosscheck's ``J``."""
     output = _resolve_output(args, parser)
     args.units = _units_from_args(parser, args)
 
@@ -185,6 +205,8 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if args.command in ("landau-gauge", "crosscheck"):
         if args.keep < 0:
             parser.error(f"--keep must be nonnegative, got {args.keep}")
+        if args.k_range is None:
+            args.k_range = landau_gauge.DEFAULT_HALF_WIDTH
         args.grid_sizes = _parse_grid_sizes(parser, args.grid_M, args.keep)
         for size in args.grid_sizes:  # KGrid rejects a range it cannot hold in normal floats
             try:
@@ -221,8 +243,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 # -- command implementations ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What one subcommand emits, in a form every output format can use.
 
     ``payload`` is the JSON document; ``header`` and ``rows`` feed the CSV
@@ -232,8 +253,8 @@ class Report:
 
     ok: bool
     payload: dict
-    header: list = field(default_factory=list)
-    rows: list = field(default_factory=list)
+    header: Sequence = ()
+    rows: Sequence = ()
     title: str = ""
     body: Optional[str] = None
 
@@ -372,11 +393,18 @@ def entry() -> int:
     Once the report is written and the standard streams are flushed, the
     ``atexit`` handlers run, their output is flushed, and ``os._exit`` ends
     the process, skipping the interpreter's module teardown and final
-    garbage collection. A ``SystemExit`` or other exception from ``main()``,
-    or a failed flush, takes the interpreter's normal exit instead, which
-    retries the flush and reports it, with the same status as before.
+    garbage collection. A ``SystemExit`` with an int code, as argparse raises
+    for a usage error or ``--help``, ends the same way with that status. Any
+    other exception from ``main()``, or a failed flush, takes the
+    interpreter's normal exit instead, which retries the flush and reports
+    it, with the same status as before.
     """
-    status = main()
+    try:
+        status = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        status = exc.code
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -20,7 +20,8 @@ writes its JSON entries straight from the diagonals (:func:`to_json_dict`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,26 +45,25 @@ __all__ = [
 MAX_DIMENSION = 16384
 
 
-@dataclass(frozen=True)
-class Cutoffs:
+class Cutoffs(namedtuple("Cutoffs", "landau_cutoff degeneracy_cutoff")):
     """Truncation parameters of the two-mode basis.
 
     ``landau_cutoff`` is the highest retained level index N (levels 0..N),
     ``degeneracy_cutoff`` the highest retained orbit index J (orbits 0..J).
     """
 
-    landau_cutoff: int
-    degeneracy_cutoff: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("landau_cutoff", "degeneracy_cutoff"):
-            value = getattr(self, name)
+    def __new__(cls, landau_cutoff: int, degeneracy_cutoff: int) -> "Cutoffs":
+        self = super().__new__(cls, landau_cutoff, degeneracy_cutoff)
+        for name, value in zip(cls._fields, self):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.dim > MAX_DIMENSION:
             raise ValueError(
                 f"composite dimension {self.dim} exceeds the supported maximum {MAX_DIMENSION}"
             )
+        return self
 
     @property
     def num_levels(self) -> int:
@@ -78,8 +78,7 @@ class Cutoffs:
         return self.num_levels * self.num_degeneracy
 
 
-@dataclass(frozen=True)
-class BasisIndex:
+class BasisIndex(NamedTuple):
     """A single composite basis label (n, j)."""
 
     n: int

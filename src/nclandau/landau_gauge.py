@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,18 +76,16 @@ DEFAULT_HALF_WIDTH = 8.0
 PROFILE_WIDTH_FRACTION = 0.2
 
 
-@dataclass(frozen=True)
-class KGrid:
+class KGrid(namedtuple("KGrid", "size k_min dk")):
     """Uniform grid of momentum labels k_i = k_min + i*dk, i = 0..size-1.
 
     The discrete stand-in for δ(k_i - k_j) is δ_ij / dk.
     """
 
-    size: int
-    k_min: float
-    dk: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, size: int, k_min: float, dk: float) -> "KGrid":
+        self = super().__new__(cls, size, k_min, dk)
         if not isinstance(self.size, (int, np.integer)) or self.size < 3:
             raise ValueError(f"grid needs at least 3 points, got {self.size!r}")
         if not (self.dk > 0 and math.isfinite(self.dk)):
@@ -95,6 +94,7 @@ class KGrid:
         half, sigma = 0.5 * self.span, PROFILE_WIDTH_FRACTION * self.span
         if not (half * half < math.inf and sigma * sigma >= sys.float_info.min):
             raise ValueError(f"grid span {self.span!r} squares outside the normal floats")
+        return self
 
     @property
     def points(self) -> np.ndarray:
@@ -193,8 +193,7 @@ def delta_test_profile(grid: KGrid) -> np.ndarray:
     return np.exp(-((pts - mid) ** 2) / (2.0 * sigma**2))
 
 
-@dataclass(frozen=True)
-class GridCommutatorReport:
+class GridCommutatorReport(NamedTuple):
     """Outcome of the momentum-grid route at one kept-level count.
 
     ``top_coefficient`` is the mean interior delta coefficient of [x, y] at
@@ -233,8 +232,7 @@ def projected_commutator_landau(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """One grid refinement step of a convergence study."""
 
     size: int

@@ -30,7 +30,7 @@ truncation artifacts of the finite degeneracy and are reported separately
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,7 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     """Outcome of one projected-commutator computation.
 
     ``top_coefficient`` is the common diagonal matrix element at the top
@@ -71,7 +70,7 @@ class CommutatorReport:
     keep_levels: int
     top_coefficient: complex
     max_offtop_residual: float
-    boundary_artifacts: list = field(default_factory=list)
+    boundary_artifacts: list
     top_uniform: bool = True
     ok: bool = True
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = ["Verbatim", "format_float", "format_cell", "dumps", "render_csv", "render_table"]
 
 
-@dataclass(frozen=True)
-class Verbatim:
+class Verbatim(NamedTuple):
     """JSON text that :func:`dumps` copies out unchanged, held as a list of pieces."""
 
     parts: list
@@ -43,7 +42,7 @@ def _encode(obj, out: list) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, Verbatim):
+    elif isinstance(obj, Verbatim):  # before tuple: a Verbatim is one
         out += obj.parts
     elif isinstance(obj, (list, tuple)):
         out.append("[")

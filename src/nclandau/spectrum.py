@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ __all__ = ["SpectrumReport", "verify_spectrum"]
 TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Eigenvalues of the level Hamiltonian against the exact ladder values."""
 
     cutoffs: Cutoffs

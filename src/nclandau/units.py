@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "PhysicalUnits",
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PhysicalUnits:
+class PhysicalUnits(namedtuple("PhysicalUnits", "e B c hbar m")):
     """Charge, field strength, speed of light, hbar and mass.
 
     All five constants must be strictly positive numbers within the float
@@ -33,20 +32,17 @@ class PhysicalUnits:
     positive and finite.
     """
 
-    e: float = 1.0
-    B: float = 1.0
-    c: float = 1.0
-    hbar: float = 1.0
-    m: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("e", "B", "c", "hbar", "m"):
-            value = getattr(self, name)
+    def __new__(cls, e: float = 1.0, B: float = 1.0, c: float = 1.0, hbar: float = 1.0, m: float = 1.0):
+        for name, value in zip(cls._fields, (e, B, c, hbar, m)):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             # exact comparisons, so an int past the float range is rejected, not converted
             if not (number and 0 < value <= sys.float_info.max):
-                raise ValueError(f"constant {name} must be a positive finite float, got {value!r}")
-            object.__setattr__(self, name, float(value))
+                huge = isinstance(value, int) and abs(value) > sys.float_info.max
+                shown = f"an integer of {len(str(abs(value)))} digits" if huge else repr(value)
+                raise ValueError(f"constant {name} must be a positive finite float, got {shown}")
+        self = super().__new__(cls, float(e), float(B), float(c), float(hbar), float(m))
         for product, value in (("e*B", self.e * self.B), ("m*c", self.m * self.c)):
             if value == 0:
                 raise ValueError(f"{product} underflows to 0")
@@ -58,6 +54,7 @@ class PhysicalUnits:
         gap = level_spacing(self)
         if not 0 < gap < math.inf:
             raise ValueError(f"hbar*e*B/(m*c) = {gap!r} {'overflows' if gap else 'underflows to 0'}")
+        return self
 
 
 def magnetic_length(units: PhysicalUnits) -> float:

@@ -288,8 +288,10 @@ def test_config_file_must_hold_an_object(tmp_path, text):
 
 @pytest.mark.parametrize("content,message", [
     (b'{"e": \xff}', "--config: cannot read"),  # not UTF-8
-    (b'{"e": 1' + b"0" * 400 + b"}", "constant e"),  # an int past the float range
-], ids=["non-utf8", "huge-int"])
+    (b'{"e": 1' + b"0" * 400 + b"}", "constant e must be a positive finite float, got an integer of 401 digits"),
+    (b'{"e": 1' + b"0" * 4299 + b"}", "got an integer of 4300 digits"),  # the longest int json reads
+    (b'{"e": 1' + b"0" * 5000 + b"}", "--config: cannot read"),  # past json's int digit limit
+], ids=["non-utf8", "huge-int", "longest-int", "too-long-int"])
 def test_unusable_config_file_is_usage_error(tmp_path, content, message):
     cfg = tmp_path / "units.json"
     cfg.write_bytes(content)
@@ -297,6 +299,7 @@ def test_unusable_config_file_is_usage_error(tmp_path, content, message):
     assert cp.returncode == 2
     assert cp.stderr.count("nclandau: error:") == 1 and message in cp.stderr
     assert "Traceback" not in cp.stderr
+    assert max(map(len, cp.stderr.splitlines())) < 400  # no constant printed digit by digit
 
 
 def test_config_file_rejects_boolean_constant(tmp_path):
@@ -581,6 +584,41 @@ def test_entry_usage_error_exits_2():
     assert cp.returncode == 2
     assert cp.stdout == b""
     assert cp.stderr.startswith(b"usage: nclandau") and b"--keep" in cp.stderr
+
+
+# ``--help`` of the program and of every subcommand, at 80 columns.
+HELP_DIGESTS = {
+    "": "a97f0e7b9c4078887e84daca10a6f9eefbb7bf3052e5840c968cd649339baa2c",
+    "commutator": "7bc93bcb92467478e1af30db97cdcd87638f254da6bed3951192a8ec97036a86",
+    "sweep": "fd4998e6605c58604e66392bcc4bb3c713f3b613422f45c29cc9ccffc592ef9c",
+    "spectrum": "8d2b1d740242037bb0b276fa139cfec26bf2da4ba5e55623cc5f85f26953e1c0",
+    "landau-gauge": "e044f6e7bfb2f86b172b22f7c1983656277487b5bbe871bed65873ce214410e6",
+    "crosscheck": "20c38fe1165c49286b0714261a76198b62f1c63dc11eef1b47c8a43eaf2db9af",
+    "dump-matrix": "dd6b491e58755d63e827324afd2557a599a9bfcc83feb4ff7339d49098736d2f",
+}
+
+
+@pytest.mark.parametrize("command", HELP_DIGESTS)
+def test_entry_help_bytes_are_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cp = run_entry(*command.split(), "--help")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == b""
+    assert hashlib.sha256(cp.stdout).hexdigest() == HELP_DIGESTS[command]
+
+
+@pytest.mark.parametrize("args", ["commutator --N 3 --keep 5", "--help"])
+def test_entry_usage_error_and_help_run_atexit_handlers(args):
+    cp = run_entry(*args.split(), code=ATEXIT_PROBE)
+    assert cp.returncode == (0 if args == "--help" else 2)
+    assert cp.stderr.endswith(b"atexit-marker")
+
+
+@pytest.mark.parametrize("args", ["commutator --N 3 --keep 5", "--help"])
+def test_entry_usage_error_and_help_skip_module_teardown(args):
+    cp = run_entry(*args.split(), code=TEARDOWN_PROBE)
+    assert cp.returncode == (0 if args == "--help" else 2)
+    assert b"teardown-ran" not in cp.stderr
 
 
 def test_entry_keeps_the_known_traceback():

@@ -59,6 +59,14 @@ class TestIndexing:
         with pytest.raises(ValueError, match="exceeds"):
             Cutoffs(200, 200)
 
+    def test_cutoffs_are_read_only_values(self):
+        c = Cutoffs(landau_cutoff=2, degeneracy_cutoff=3)
+        assert c == Cutoffs(2, 3) and hash(c) == hash(Cutoffs(2, 3)) and c != Cutoffs(3, 2)
+        assert repr(c) == "Cutoffs(landau_cutoff=2, degeneracy_cutoff=3)"
+        for name in ("landau_cutoff", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+
 
 class TestOperatorMatrix:
     def test_rejects_non_square(self):

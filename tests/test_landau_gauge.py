@@ -154,6 +154,14 @@ class TestGrid:
         with pytest.raises(ValueError, match="half_width"):
             KGrid.centered(16, half_width=0.0)
 
+    def test_grid_is_a_read_only_value(self):
+        grid = KGrid(size=9, k_min=-2.0, dk=0.5)
+        assert grid == KGrid(9, -2.0, 0.5) and hash(grid) == hash(KGrid(9, -2.0, 0.5))
+        assert grid != KGrid(9, -2.0, 0.25)
+        for name in ("dk", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(grid, name, 1.0)
+
     @pytest.mark.parametrize("half_width", [1e-300, 3.7e-154, 1.4e154, 1e300])
     def test_rejects_spans_that_square_outside_the_normal_floats(self, half_width):
         with pytest.raises(ValueError, match="normal floats"):

@@ -5,10 +5,10 @@ already set, because no module calls BLAS. The first test fails when a
 module starts to, so that the policy is revisited instead of a dense
 product silently running on one thread; the others check the policy in
 fresh interpreters. Further tests pin what ``import nclandau`` loads,
-which the benchmark's start-up probe times, check that the names in every
-module's ``__all__`` exist, and check that the benchmark's span tracer
-still installs on the package, which breaks when a name it wraps is
-deleted.
+which the benchmark's start-up probe times, and which modules each CLI
+command executes; check that the names in every module's ``__all__``
+exist; and check that the benchmark's span tracer still installs on the
+package, which breaks when a name it wraps is deleted.
 """
 
 import ast
@@ -121,7 +121,7 @@ def test_stdout_does_not_depend_on_the_thread_count(argv):
     assert runs[0].stdout and all(run.stdout == runs[0].stdout for run in runs)
 
 
-def test_package_root_loads_numpy_and_the_engine_modules():
+def test_package_root_loads_numpy_and_no_submodule():
     probe = ("import json, sys, nclandau; "
              "print(json.dumps(['numpy' in sys.modules, sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'nclandau')]))")
@@ -129,8 +129,60 @@ def test_package_root_loads_numpy_and_the_engine_modules():
                         env=child_env(), check=True)
     numpy_loaded, loaded = json.loads(cp.stdout)
     assert numpy_loaded
-    assert loaded == ["nclandau"] + [f"nclandau.{name}" for name in (
-        "fock", "ladder", "landau_gauge", "projection", "spectrum", "units")]
+    assert loaded == ["nclandau"]
+
+
+# Which package modules a CLI command executed. ``type(module)``, unlike
+# ``module.__class__``, does not load a lazy module.
+LOAD_PROBE = """
+import contextlib, io, json, sys, types
+from nclandau import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(json.dumps([status, "dataclasses" in sys.modules, sorted(
+    name.split(".")[1] for name, module in sys.modules.items()
+    if name.startswith("nclandau.") and type(module) is types.ModuleType)]))
+"""
+
+# Every command executes these; the parser and the unit checks need them.
+CORE = {"cli", "fock", "ladder", "serialize", "units"}
+
+
+@pytest.mark.parametrize("argv, engine", [
+    ("commutator", {"projection"}),
+    ("sweep --N 2 --J 2", {"projection"}),
+    ("spectrum", {"spectrum"}),
+    ("landau-gauge --grid-M 16,32", {"landau_gauge"}),
+    ("crosscheck", {"landau_gauge", "projection"}),
+    ("dump-matrix --op x", set()),
+    ("dump-matrix --op xy-commutator", set()),
+    ("dump-matrix --op projector --keep 1", {"projection"}),
+])
+def test_each_command_executes_only_the_modules_it_runs(argv, engine):
+    cp = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()],
+                        capture_output=True, text=True, env=child_env())
+    assert cp.returncode == 0, cp.stderr
+    status, dataclasses_loaded, executed = json.loads(cp.stdout)
+    assert status == 0
+    assert not dataclasses_loaded
+    assert set(executed) == CORE | engine
+
+
+SHARED_PROBE = """
+import json
+import nclandau.projection as first
+from nclandau import cli
+import nclandau.spectrum
+print(json.dumps([cli.projection is first, cli.spectrum is nclandau.spectrum,
+                  cli.spectrum.verify_spectrum.__module__]))
+"""
+
+
+def test_cli_shares_the_package_modules():
+    # a module loaded before the CLI is reused, and a lazy one is the package's own
+    cp = subprocess.run([sys.executable, "-c", SHARED_PROBE], capture_output=True, text=True,
+                        env=child_env(), check=True)
+    assert json.loads(cp.stdout) == [True, True, "nclandau.spectrum"]
 
 
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("__"))

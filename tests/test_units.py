@@ -67,6 +67,22 @@ def test_rejects_products_outside_the_float_range(flags, message):
         PhysicalUnits(**flags)
 
 
+def test_huge_int_constant_is_named_by_its_digit_count():
+    with pytest.raises(ValueError) as info:
+        PhysicalUnits(B=-(10**400))
+    assert str(info.value) == "constant B must be a positive finite float, got an integer of 401 digits"
+
+
+def test_units_are_read_only_values():
+    units = PhysicalUnits(B=2)
+    assert units == PhysicalUnits(1.0, 2.0, 1.0, 1.0, 1.0) and units != NATURAL
+    assert hash(units) == hash(PhysicalUnits(B=2.0)) and type(units.B) is float
+    assert repr(NATURAL) == "PhysicalUnits(e=1.0, B=1.0, c=1.0, hbar=1.0, m=1.0)"
+    for name in ("B", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(units, name, 3.0)
+
+
 # each constant log-uniform over the floats, or an int up to 10**400
 constant = st.one_of(st.floats(-320, 308).map(lambda t: 10.0**t), st.integers(0, 10**400))
 
