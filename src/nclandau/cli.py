@@ -12,13 +12,14 @@ Subcommands map one-to-one onto the engine's operations:
 Exit status is 0 exactly when every assertion inside the emitted report
 holds, 1 when a report is emitted but fails, 2 for usage errors. Output
 is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
-(table if unset). Every subcommand builds a report and one renderer turns
-it into any of the three formats. The parsed arguments are the run
-configuration: ``config_from_args`` checks them and fills in the values
-the flags leave implicit. Every operator is held by its nonzero
-diagonals, and no subcommand builds a dense matrix: ``dump-matrix``
-writes its d² JSON entries from the diagonals. Identical invocations
-produce byte-identical output.
+(table if unset). The engine modules return numbers and verdicts; this
+module alone lays out every report's JSON keys, CSV columns and table
+rows, and one renderer turns them into any of the three formats. The
+parsed arguments are the run configuration: ``config_from_args`` checks
+them and fills in the values the flags leave implicit. Every operator is
+held by its nonzero diagonals, and no subcommand builds a dense matrix:
+``dump-matrix`` writes its d² JSON entries from the diagonals. Identical
+invocations produce byte-identical output.
 
 A process executes only the engine modules its command runs: ``projection``,
 ``landau_gauge`` and ``spectrum`` load on first attribute access. The parser
@@ -31,7 +32,6 @@ import argparse
 import atexit
 import importlib.util
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, magnetic_length
+from .units import PhysicalUnits, expected_top_coefficient
 
 
 def _lazy(name: str):
@@ -166,8 +166,8 @@ def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str, keep: int) -> 
     except ValueError:
         parser.error(f"--grid-M: expected comma-separated integers, got {text!r}")
     # coefficient extraction needs a nonempty grid interior
-    if not sizes or any(size < 5 for size in sizes):
-        parser.error(f"--grid-M: grid sizes must be >= 5, got {text!r}")
+    if not sizes or any(size < landau_gauge.MIN_GRID_SIZE for size in sizes):
+        parser.error(f"--grid-M: grid sizes must be >= {landau_gauge.MIN_GRID_SIZE}, got {text!r}")
     if (keep + 1) * max(sizes) > fock.MAX_DIMENSION:
         parser.error(f"--grid-M: (--keep + 1) * {max(sizes)} exceeds {fock.MAX_DIMENSION}")
     return sizes
@@ -230,12 +230,10 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 parser.error("--output: dump-matrix only emits json")
             output = "json"
         if args.op == "H" and args.form == "quadratic":
-            # the two coefficients ladder.build_H multiplies in, as it computes them
-            u = args.units
-            half_omega = u.e * u.B / (2.0 * u.m * u.c)
-            coefficients = (1.0 / (2.0 * u.m), 0.5 * u.m * (half_omega * half_omega))
-            if not all(map(math.isfinite, coefficients)):
-                parser.error("--form quadratic: 1/(2*m) or m*(e*B/(2*m*c))**2/2 overflows in these units")
+            try:
+                ladder.quadratic_coefficients(args.units)
+            except ValueError as exc:
+                parser.error(f"--form quadratic: {exc}")
 
     args.output = output
 
@@ -248,7 +246,8 @@ class Report(NamedTuple):
 
     ``payload`` is the JSON document; ``header`` and ``rows`` feed the CSV
     and the table, which ``title`` heads. A report whose table is not
-    column-shaped carries its own table text in ``body``.
+    column-shaped carries its own table text in ``body``. The ``_cmd_*``
+    functions build all of them from the engine's report tuples.
     """
 
     ok: bool
@@ -271,63 +270,76 @@ def render(report: Report, output: str) -> str:
     return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
 
 
+def _pair(z: complex) -> list[float]:
+    return [z.real, z.imag]
+
+
+COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
+
+
+def _commutator_payload(r: projection.CommutatorReport) -> dict:
+    """The JSON object of one ladder-route ``CommutatorReport``."""
+    artifacts = [{"row": [row.n, row.j], "col": [col.n, col.j], "value": _pair(value)}
+                 for row, col, value in r.boundary_artifacts]
+    return {"N": r.cutoffs.landau_cutoff, "J": r.cutoffs.degeneracy_cutoff, "keep": r.keep_levels,
+            "top_coefficient": _pair(r.top_coefficient), "max_offtop_residual": r.max_offtop_residual,
+            "boundary_artifacts": artifacts, "ok": r.ok}
+
+
+def _commutator_row(r: projection.CommutatorReport) -> list:
+    return [r.keep_levels, *_pair(r.top_coefficient), r.max_offtop_residual]
+
+
 def _cmd_commutator(args: argparse.Namespace) -> Report:
-    cutoffs = fock.Cutoffs(args.N, args.J)
     keep = args.N if args.keep is None else args.keep
-    report = projection.projected_commutator_xy(cutoffs, keep, args.units)
+    r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep, args.units)
     title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
-    return Report(report.ok, report.as_dict(), report.csv_header(), [report.csv_row()], title)
+    return Report(r.ok, _commutator_payload(r), COMMUTATOR_HEADER, [_commutator_row(r)], title)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
     reports = projection.sweep(fock.Cutoffs(args.N, args.J), args.units)
     ok = all(r.ok for r in reports)
-    payload = {"reports": [r.as_dict() for r in reports], "ok": ok}
-    return Report(ok, payload, projection.CommutatorReport.csv_header(),
-                  [r.csv_row() for r in reports],
+    payload = {"reports": [_commutator_payload(r) for r in reports], "ok": ok}
+    return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r) for r in reports],
                   f"projected commutator sweep  N={args.N} J={args.J}")
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> Report:
-    report = spectrum.verify_spectrum(fock.Cutoffs(args.N, args.J), args.units)
-    title = (f"level spectrum  N={args.N} J={args.J}"
-             f"  max error {format_float(report.max_abs_error)}")
-    return Report(report.ok, report.as_dict(), ["level", "energy", "multiplicity"],
-                  report.table_rows(), title)
+    r = spectrum.verify_spectrum(fock.Cutoffs(args.N, args.J), args.units)
+    levels = sorted(r.degeneracy_table.items())
+    payload = {"N": args.N, "J": args.J, "eigenvalues": r.eigenvalues, "expected": r.expected,
+               "max_abs_error": r.max_abs_error, "degeneracy_table": {str(n): m for n, m in levels},
+               "hl_commutes": r.hl_commutes, "ok": r.ok}
+    ground = r.expected[0]  # hbar omega / 2
+    rows = [[n, ground + n * (ground * 2), m] for n, m in levels]
+    title = f"level spectrum  N={args.N} J={args.J}  max error {format_float(r.max_abs_error)}"
+    return Report(r.ok, payload, ["level", "energy", "multiplicity"], rows, title)
+
+
+GRID_HEADER = ["M", "dk", "keep", "re_coeff", "im_coeff", "abs_error", "observed_order"]
 
 
 def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
-    rows = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.units, args.k_range)
-    expected = -1j * (args.keep + 1) * magnetic_length(args.units) ** 2
-    ok = bool(rows) and rows[-1].abs_error <= 0.01 * abs(expected)
-    payload = {
-        "keep": args.keep,
-        "expected": [expected.real, expected.imag],
-        "rows": [row.as_dict() for row in rows],
-        "ok": ok,
-    }
-    return Report(ok, payload, landau_gauge.ConvergenceRow.csv_header(),
-                  [r.csv_row() for r in rows], f"momentum-grid convergence  keep={args.keep}")
+    study = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.units, args.k_range)
+    expected = expected_top_coefficient(args.keep, args.units)
+    ok = bool(study) and study[-1].abs_error <= landau_gauge.TOLERANCE * abs(expected)
+    rows = [[r.size, r.dk, r.keep, *_pair(r.coefficient), r.abs_error, r.observed_order] for r in study]
+    payload = {"keep": args.keep, "expected": _pair(expected),
+               "rows": [dict(zip(GRID_HEADER, row)) for row in rows], "ok": ok}
+    return Report(ok, payload, GRID_HEADER, rows, f"momentum-grid convergence  keep={args.keep}")
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> Report:
     keep, M = args.keep, args.grid_sizes[0]
-    cutoffs = fock.Cutoffs(keep, args.J)
-    ladder_report = projection.projected_commutator_xy(cutoffs, keep, args.units)
+    ladder_report = projection.projected_commutator_xy(fock.Cutoffs(keep, args.J), keep, args.units)
     grid = landau_gauge.KGrid.centered(M, args.units, args.k_range)
     sym = ladder_report.top_coefficient
     lan = landau_gauge.projected_commutator_landau(grid, keep, args.units).top_coefficient
     rel = abs(lan - sym) / abs(sym)
-    ok = ladder_report.ok and rel <= 0.01
-    payload = {
-        "keep": keep,
-        "J": args.J,
-        "grid_M": M,
-        "symmetric_gauge": [sym.real, sym.imag],
-        "landau_gauge": [lan.real, lan.imag],
-        "relative_difference": rel,
-        "ok": ok,
-    }
+    ok = ladder_report.ok and rel <= landau_gauge.TOLERANCE
+    payload = {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": _pair(sym),
+               "landau_gauge": _pair(lan), "relative_difference": rel, "ok": ok}
     # The table is key : value lines, not columns; perfbench/checker.py parses it.
     body = (
         f"gauge crosscheck  keep={keep}\n"
@@ -336,8 +348,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> Report:
         f"  relative diff   : {format_float(rel)}\n"
     )
     header = ["keep", "J", "grid_M", "sym_re", "sym_im", "lan_re", "lan_im", "rel_diff"]
-    row = [keep, args.J, M, sym.real, sym.imag, lan.real, lan.imag, rel]
-    return Report(ok, payload, header, [row], body=body)
+    return Report(ok, payload, header, [[keep, args.J, M, *_pair(sym), *_pair(lan), rel]], body=body)
 
 
 # Operators dump-matrix can serialize, in the order --help lists them.

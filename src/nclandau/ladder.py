@@ -44,6 +44,7 @@ __all__ = [
     "build_momenta",
     "build_H",
     "build_L",
+    "quadratic_coefficients",
     "interior_slice",
 ]
 
@@ -122,14 +123,26 @@ def build_H(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL, form: str = "ladde
         half = identity(cutoffs.dim)
         return units.hbar * omega * (matmul(dagger(b), b) + 0.5 * half)
     if form == "quadratic":
+        inverse_2m, spring, half_omega = quadratic_coefficients(units)
         x, y = build_xy(cutoffs, units)
         px, py = build_momenta(cutoffs, units)
         ang = build_L(cutoffs, units)
-        half_omega = units.e * units.B / (2.0 * units.m * units.c)
-        kinetic = (1.0 / (2.0 * units.m)) * (matmul(px, px) + matmul(py, py))
-        potential = (0.5 * units.m * half_omega**2) * (matmul(x, x) + matmul(y, y))
+        kinetic = inverse_2m * (matmul(px, px) + matmul(py, py))
+        potential = spring * (matmul(x, x) + matmul(y, y))
         return kinetic + potential - half_omega * ang
     raise ValueError(f"unknown Hamiltonian form {form!r}; expected one of {H_FORMS}")
+
+
+def quadratic_coefficients(units: PhysicalUnits) -> tuple[float, float, float]:
+    """The factors 1/2m, m (eB/2mc)²/2 and eB/2mc of the quadratic Hamiltonian.
+
+    Raises ValueError when any of them is not finite in these units.
+    """
+    half_omega = units.e * units.B / (2.0 * units.m * units.c)
+    factors = (1.0 / (2.0 * units.m), 0.5 * units.m * (half_omega * half_omega), half_omega)
+    if not all(map(math.isfinite, factors)):
+        raise ValueError("1/(2*m) or m*(e*B/(2*m*c))**2/2 overflows in these units")
+    return factors
 
 
 def interior_slice(cutoffs: Cutoffs, depth: int) -> list[int]:

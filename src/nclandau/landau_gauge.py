@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import MAX_DIMENSION, OperatorMatrix, annihilation_matrix, commutator, dagger, identity, kron
-from .units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length
+from .units import NATURAL, PhysicalUnits, cyclotron_frequency, expected_top_coefficient, magnetic_length
 
 __all__ = [
     "KGrid",
@@ -71,6 +71,10 @@ __all__ = [
 ]
 
 DEFAULT_HALF_WIDTH = 8.0
+# Fewest grid points with a nonempty interior (two points from either end).
+MIN_GRID_SIZE = 5
+# A grid-route top coefficient passes within this fraction of its reference.
+TOLERANCE = 0.01
 # Width of the Gaussian test profile as a fraction of the grid span; small
 # enough to be well resolved, curved enough that the O(dk²) term is visible.
 PROFILE_WIDTH_FRACTION = 0.2
@@ -216,8 +220,8 @@ def projected_commutator_landau(
     projector appears. One product reads every level's coefficient. Callers
     judge the coefficients by their own bounds.
     """
-    if grid.size < 5:
-        raise ValueError("need at least 5 grid points for a nonempty interior")
+    if grid.size < MIN_GRID_SIZE:
+        raise ValueError(f"need at least {MIN_GRID_SIZE} grid points for a nonempty interior")
     comm = commutator(*build_landau_xy(grid, levels, units))
     # The diagonals with |k| <= 2 are the level blocks (module docstring).
     blocks = OperatorMatrix({k: v for k, v in comm.diagonals.items() if abs(k) <= 2}, comm.dim)
@@ -242,32 +246,6 @@ class ConvergenceRow(NamedTuple):
     abs_error: float
     observed_order: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "M": self.size,
-            "dk": self.dk,
-            "keep": self.keep,
-            "re_coeff": self.coefficient.real,
-            "im_coeff": self.coefficient.imag,
-            "abs_error": self.abs_error,
-            "observed_order": self.observed_order,
-        }
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["M", "dk", "keep", "re_coeff", "im_coeff", "abs_error", "observed_order"]
-
-    def csv_row(self) -> list:
-        return [
-            self.size,
-            self.dk,
-            self.keep,
-            self.coefficient.real,
-            self.coefficient.imag,
-            self.abs_error,
-            self.observed_order,
-        ]
-
 
 def convergence_study(
     keep: int,
@@ -281,7 +259,7 @@ def convergence_study(
     ratio on a log scale; None on the first row. Second-order stencils
     should show values near 2.
     """
-    expected = -1j * (keep + 1) * magnetic_length(units) ** 2
+    expected = expected_top_coefficient(keep, units)
     rows: list[ConvergenceRow] = []
     for size in sizes:
         grid = KGrid.centered(size, units, half_width)

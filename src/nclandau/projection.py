@@ -36,7 +36,7 @@ import numpy as np
 
 from .fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, matmul
 from .ladder import build_xy
-from .units import NATURAL, PhysicalUnits, magnetic_length
+from .units import NATURAL, PhysicalUnits, expected_top_coefficient, magnetic_length
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -73,36 +73,6 @@ class CommutatorReport(NamedTuple):
     boundary_artifacts: list
     top_uniform: bool = True
     ok: bool = True
-
-    def as_dict(self) -> dict:
-        return {
-            "N": self.cutoffs.landau_cutoff,
-            "J": self.cutoffs.degeneracy_cutoff,
-            "keep": self.keep_levels,
-            "top_coefficient": [self.top_coefficient.real, self.top_coefficient.imag],
-            "max_offtop_residual": self.max_offtop_residual,
-            "boundary_artifacts": [
-                {
-                    "row": [row.n, row.j],
-                    "col": [col.n, col.j],
-                    "value": [value.real, value.imag],
-                }
-                for row, col, value in self.boundary_artifacts
-            ],
-            "ok": self.ok,
-        }
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["keep", "re", "im", "residual"]
-
-    def csv_row(self) -> list:
-        return [
-            self.keep_levels,
-            self.top_coefficient.real,
-            self.top_coefficient.imag,
-            self.max_offtop_residual,
-        ]
 
 
 def projector(cutoffs: Cutoffs, keep: int) -> OperatorMatrix:
@@ -178,7 +148,7 @@ def analyze_projected_commutator(
         if abs(value) > DEFAULT_TOLERANCE * ell2:
             artifacts.append((BasisIndex(n, J), BasisIndex(n, J), value))
 
-    expected = -1j * (keep + 1) * ell2
+    expected = expected_top_coefficient(keep, units)
     ok = (
         top_uniform
         and max_offtop_residual <= rounding

@@ -27,25 +27,6 @@ class SpectrumReport(NamedTuple):
     hl_commutes: bool
     ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "N": self.cutoffs.landau_cutoff,
-            "J": self.cutoffs.degeneracy_cutoff,
-            "eigenvalues": list(self.eigenvalues),
-            "expected": list(self.expected),
-            "max_abs_error": self.max_abs_error,
-            "degeneracy_table": {str(n): m for n, m in sorted(self.degeneracy_table.items())},
-            "hl_commutes": self.hl_commutes,
-            "ok": self.ok,
-        }
-
-    def table_rows(self) -> list[list]:
-        spacing = self.expected[0] * 2 if self.expected else 0.0
-        rows = []
-        for n in sorted(self.degeneracy_table):
-            rows.append([n, self.expected[0] + n * spacing, self.degeneracy_table[n]])
-        return rows
-
 
 def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> SpectrumReport:
     """Check levels hbar omega (n + 1/2), each (J+1)-fold, and [H, L] = 0.

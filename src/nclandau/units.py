@@ -19,6 +19,7 @@ __all__ = [
     "magnetic_length",
     "cyclotron_frequency",
     "level_spacing",
+    "expected_top_coefficient",
 ]
 
 
@@ -74,6 +75,11 @@ def cyclotron_frequency(units: PhysicalUnits) -> float:
 def level_spacing(units: PhysicalUnits) -> float:
     """Energy gap hbar*omega between adjacent oscillator levels."""
     return units.hbar * cyclotron_frequency(units)
+
+
+def expected_top_coefficient(keep: int, units: PhysicalUnits) -> complex:
+    """The paper's result -i (keep+1) ell^2, the commutator on the top kept level."""
+    return -1j * (keep + 1) * magnetic_length(units) ** 2
 
 
 NATURAL = PhysicalUnits()

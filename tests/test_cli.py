@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tomllib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,21 @@ def test_quadratic_hamiltonian_overflow_is_usage_error(units, status):
         assert "--form quadratic" in cp.stderr and "Traceback" not in cp.stderr
     else:
         assert json.loads(cp.stdout)["dim"] == 9
+
+
+@pytest.mark.parametrize("units", [units for units, status in QUADRATIC_H_CASES if status == 2])
+def test_quadratic_hamiltonian_overflow_raises_in_the_library(units):
+    # the usage error above and build_H share ladder.quadratic_coefficients
+    from nclandau.fock import Cutoffs
+    from nclandau.ladder import build_H
+    from nclandau.units import PhysicalUnits
+
+    flags = units.split()
+    constants = {flag[2:]: float(value) for flag, value in zip(flags[::2], flags[1::2])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows in these units"):
+            build_H(Cutoffs(2, 2), PhysicalUnits(**constants), form="quadratic")
 
 
 def test_keep_exceeding_levels_is_usage_error():
@@ -497,6 +513,26 @@ def test_dump_bytes_are_pinned(args, digest):
     cp = run_cli(*args.split())
     assert cp.returncode == 0, cp.stderr
     assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
+
+
+def test_sweep_reports_are_the_commutator_reports(capsys, monkeypatch):
+    # one payload helper and one row helper serve both commands
+    from nclandau import cli
+
+    monkeypatch.delenv("NCG_DEFAULT_OUTPUT", raising=False)
+
+    def stdout(*args):
+        assert cli.main([*args, *_UNITS.split()]) == 0
+        return capsys.readouterr().out
+
+    sweep_json = json.loads(stdout("sweep", "--output", "json"))
+    sweep_csv = stdout("sweep", "--output", "csv").splitlines()
+    assert len(sweep_json["reports"]) == len(sweep_csv) - 1 == 4
+    for keep in range(4):
+        report = json.loads(stdout("commutator", "--keep", str(keep), "--output", "json"))
+        assert report == sweep_json["reports"][keep]
+        csv = stdout("commutator", "--keep", str(keep), "--output", "csv").splitlines()
+        assert csv == [sweep_csv[0], sweep_csv[keep + 1]]
 
 
 # ``python -m nclandau`` ends through ``cli.entry``, which skips interpreter

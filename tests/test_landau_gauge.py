@@ -6,7 +6,6 @@ from numpy.polynomial.hermite import hermgauss, hermval
 
 from nclandau.fock import Cutoffs, OperatorMatrix
 from nclandau.landau_gauge import (
-    ConvergenceRow,
     KGrid,
     build_landau_xy,
     convergence_study,
@@ -338,13 +337,6 @@ class TestConvergenceStudy:
         monkeypatch.setattr(OperatorMatrix, "apply", lambda op, v: calls.append(op.dim) or apply(op, v))
         convergence_study(2, [16, 32, 64])
         assert calls == [3 * 16, 3 * 32, 3 * 64]
-
-    def test_row_serialization(self):
-        row = convergence_study(1, [32])[0]
-        payload = row.as_dict()
-        assert list(payload) == ConvergenceRow.csv_header()
-        assert payload["keep"] == 1
-        assert payload["observed_order"] is None
 
 
 def test_profile_is_smooth_and_positive():

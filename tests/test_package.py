@@ -7,8 +7,9 @@ product silently running on one thread; the others check the policy in
 fresh interpreters. Further tests pin what ``import nclandau`` loads,
 which the benchmark's start-up probe times, and which modules each CLI
 command executes; check that the names in every module's ``__all__``
-exist; and check that the benchmark's span tracer still installs on the
-package, which breaks when a name it wraps is deleted.
+exist and that every name a module imports is used; and check that the
+benchmark's span tracer still installs on the package, which breaks when
+a name it wraps is deleted.
 """
 
 import ast
@@ -79,6 +80,46 @@ def test_own_names_are_not_blas(source):
 def test_no_module_calls_blas():
     found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
              if (lines := blas_references(path.read_text()))}
+    assert found == {}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads, sorted.
+
+    ``from __future__`` lines are compiler directives, not imports of a
+    name, so they are left out.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import math", ["math"]),
+    ("import importlib.util\nimportlib.util.find_spec('x')", []),
+    ("from .units import NATURAL, magnetic_length\nmagnetic_length(NATURAL)", []),
+    ("from .units import NATURAL, magnetic_length\nNATURAL", ["magnetic_length"]),
+    ("import numpy as np\nx: np.ndarray", []),
+    ("from __future__ import annotations", []),
+])
+def test_unused_imports_are_found(source, unused):
+    assert unused_imports(source) == unused
+
+
+# The package root imports numpy and reads nothing of it: the benchmark's
+# start-up probe times ``import nclandau`` and looks for numpy's line.
+IMPORTED_FOR_THE_PROBE = {"__init__.py": ["numpy"]}
+
+
+def test_every_import_is_used():
+    found = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := unused_imports(path.read_text())) != IMPORTED_FOR_THE_PROBE.get(path.name, [])}
     assert found == {}
 
 

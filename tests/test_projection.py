@@ -352,14 +352,3 @@ class TestSweep:
         assert ell2 == pytest.approx(0.5, rel=1e-15)
         for keep, report in enumerate(reports):
             assert report.top_coefficient == pytest.approx(-1j * (keep + 1) * ell2, abs=1e-12)
-
-
-def test_report_json_dict_shape():
-    report = projected_commutator_xy(Cutoffs(1, 3), keep=1)
-    payload = report.as_dict()
-    assert list(payload) == [
-        "N", "J", "keep", "top_coefficient", "max_offtop_residual",
-        "boundary_artifacts", "ok",
-    ]
-    assert payload["top_coefficient"] == pytest.approx([0.0, -2.0], abs=1e-12)
-    assert payload["ok"] is True

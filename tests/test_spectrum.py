@@ -53,11 +53,3 @@ class TestVerifySpectrum:
 
     def test_hl_commute_flag(self):
         assert verify_spectrum(Cutoffs(4, 3)).hl_commutes
-
-    def test_json_dict_shape(self):
-        payload = verify_spectrum(Cutoffs(1, 1)).as_dict()
-        assert list(payload) == [
-            "N", "J", "eigenvalues", "expected", "max_abs_error",
-            "degeneracy_table", "hl_commutes", "ok",
-        ]
-        assert payload["degeneracy_table"] == {"0": 2, "1": 2}
