@@ -4,7 +4,7 @@ Two truncated oscillator modes span the state space: the level index
 ``n = 0..N`` (energy ladder) and the degeneracy index ``j = 0..J`` (orbit
 label within a level). Composite basis vectors ``(n, j)`` are flattened
 n-major, so the block of all states with ``n <= keep`` is a contiguous
-leading block; projections and report slicing rely on this ordering.
+leading block, and each level's states are one row of a (levels, J+1) array.
 
 Operators on a truncated basis are plain corner-cut matrices: the infinite
 matrix restricted to the retained rows and columns. All commutator boundary
@@ -175,11 +175,6 @@ class OperatorMatrix:
         for k, v in self.diagonals.items():
             out += v * _shift(vector, k)
         return out
-
-    def leading(self, size: int) -> "OperatorMatrix":
-        """The operator restricted to the first ``size`` basis states."""
-        diagonals = {k: v[:size] for k, v in self.diagonals.items() if abs(k) < size}
-        return OperatorMatrix(diagonals=diagonals, dim=size)
 
 
 def _shift(v: np.ndarray, k: int) -> np.ndarray:

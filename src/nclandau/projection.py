@@ -7,8 +7,9 @@ everywhere except on the diagonal of the topmost kept level, where every
 space the same commutator vanishes on all doubly-interior diagonal
 elements: the noncommutativity lives entirely on the truncation boundary.
 
-The projected commutator works on the operators' diagonals: the kept
-levels are a leading block, so projecting is a slice and the cost is O(d).
+The projected commutator works on the operators' diagonals in O(d). x and
+y are corner cuts, so their kept block is x and y built on the kept levels
+alone, and :func:`sweep` scores every keep from one full-basis pass.
 :func:`projector` is the diagonal 0/1 operator ``dump-matrix`` prints;
 :func:`project` (P.op.P, also O(d)) and :func:`full_space_scan` serve the
 tests.
@@ -94,75 +95,73 @@ def projected_commutator_xy(
 ) -> CommutatorReport:
     """Commutator of the level-projected coordinates, analyzed and scored.
 
-    Builds x and y on the full truncated basis, keeps the leading block of
-    the lowest ``keep+1`` levels, and commutes the projected operators.
-    Requires J >= 1 so the degeneracy interior (j <= J-1) is nonempty; J >= 2
-    gives a sturdier interior. The report's ``ok`` is true when the top
-    diagonal is uniform, equals -i (keep+1) ell^2 to DEFAULT_TOLERANCE
-    relative, and every other interior element vanishes up to rounding.
+    x and y are corner cuts, so their kept block is x and y built on the
+    lowest ``keep+1`` levels alone, and these are commuted. Requires J >= 1
+    so the degeneracy interior (j <= J-1) is nonempty; J >= 2 gives a
+    sturdier interior. The report's ``ok`` is true when the top diagonal is
+    uniform, equals -i (keep+1) ell^2 to DEFAULT_TOLERANCE relative, and
+    every other interior element vanishes up to rounding.
     """
-    return _kept_block_report(build_xy(cutoffs, units), cutoffs, keep, units)
-
-
-def _kept_block_report(xy, cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
-    if cutoffs.degeneracy_cutoff < 1:
-        raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
-    size = (keep + 1) * cutoffs.num_degeneracy
-    x, y = (op.leading(size) for op in xy)
-    return analyze_projected_commutator(commutator(x, y), cutoffs, keep, units)
+    block = commutator(*build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff), units))
+    return analyze_projected_commutator(block, block, cutoffs, [keep], units)[0]
 
 
 def analyze_projected_commutator(
-    comm: OperatorMatrix, cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL
-) -> CommutatorReport:
-    """Score the kept-block commutator built by :func:`projected_commutator_xy`.
+    below: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs, keeps, units: PhysicalUnits = NATURAL
+) -> list[CommutatorReport]:
+    """Score the kept-block commutator of every keep in ``keeps`` (ascending).
 
-    ``comm`` acts on the leading ``(keep+1)(J+1)`` states. Split out so a
-    doctored commutator can be fed through the same analysis in tests; the
-    CLI never calls this directly.
+    Keep k's kept block holds levels 0..k. Its commutator is read from the
+    rows of ``below`` on the levels under k and from the rows of ``top`` on
+    level k, in the block's columns only: :func:`sweep` passes the full
+    [x, y] and the products that skip level k+1, and one kept block B scores
+    as ``(B, B)``. Split out so a doctored commutator can be fed through the
+    same analysis in tests; the CLI never calls this directly.
     """
-    num_j = cutoffs.num_degeneracy
-    J = cutoffs.degeneracy_cutoff
+    if cutoffs.degeneracy_cutoff < 1:
+        raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
+    num_j, J, keeps = cutoffs.num_degeneracy, cutoffs.degeneracy_cutoff, list(keeps)
     ell2 = magnetic_length(units) ** 2
-    rounding = DEFAULT_TOLERANCE * (keep + J + 2) * ell2
-    diag = comm.diagonals[0]
+    j = np.arange(num_j)
 
-    top_values = diag[keep * num_j : keep * num_j + J]
-    top_coefficient = complex(np.mean(top_values))
-    top_spread = float(np.max(np.abs(top_values - top_coefficient)))
-    top_uniform = top_spread <= rounding
+    def level_rows(op, levels):
+        """|op| on the rows of ``levels`` as (offset k, level, j), the offsets k and the interior (k, j)."""
+        ks = np.array([*op.diagonals, 0])[:, None]  # one zero diagonal, so that every op stacks
+        values = np.stack([*op.diagonals.values(), np.zeros(op.dim)]).reshape(len(ks), -1, num_j)
+        return np.abs(values[:, levels]), ks, (j < J) & ((j + ks) % num_j < J)
 
-    # Elements between two interior (j < J) states, top diagonal left out.
-    # Slots whose column leaves the block hold zero, so they never count.
-    rows = np.arange(len(diag))
-    max_offtop_residual = 0.0
-    for k, values in comm.diagonals.items():
-        inside = (rows % num_j < J) & ((rows + k) % num_j < J) & ((k != 0) | (rows < keep * num_j))
-        max_offtop_residual = max(max_offtop_residual, float(np.max(np.abs(values[inside]), initial=0)))
+    # Elements between two interior (j < J) states, by row level n and column
+    # level n + (j + k) // num_j. One of `below` counts from keep n + max(that
+    # shift, 1) on; first[k] is the largest that starts at keep k. One of `top`
+    # counts at keep n if its column level is <= n, top diagonal left out.
+    rows, ks, interior = level_rows(below, slice(keeps[-1]))
+    start = np.where(interior, np.maximum((j + ks) // num_j, 1), 0)[:, None]
+    first = np.zeros(keeps[-1] + 1)
+    for s in set(start.ravel().tolist()) - {0}:
+        counted = first[s:]
+        np.maximum(counted, np.where(start == s, rows[:, : len(counted)], 0).max(axis=(0, 2)), out=counted)
+    rows, ks, interior = level_rows(top, keeps)
+    top_rest = np.where((interior & (j + ks < num_j) & (ks != 0))[:, None], rows, 0).max(axis=(0, 2))
+    residuals = np.maximum(np.maximum.accumulate(first)[keeps], top_rest).tolist()
 
-    artifacts = []
-    for n in range(keep + 1):
-        value = complex(diag[n * num_j + J])
-        if abs(value) > DEFAULT_TOLERANCE * ell2:
-            artifacts.append((BasisIndex(n, J), BasisIndex(n, J), value))
-
-    expected = expected_top_coefficient(keep, units)
-    ok = (
-        top_uniform
-        and max_offtop_residual <= rounding
-        and abs(top_coefficient - expected) <= DEFAULT_TOLERANCE * abs(expected)
-    )
-    return CommutatorReport(
-        cutoffs=cutoffs,
-        keep_levels=keep,
-        top_coefficient=top_coefficient,
-        max_offtop_residual=max_offtop_residual,
-        boundary_artifacts=artifacts,
-        top_uniform=top_uniform,
-        ok=ok,
-    )
+    top_diag = top.diagonals.get(0, np.zeros(top.dim))
+    edges = below.diagonals.get(0, np.zeros(below.dim))[J::num_j].tolist()  # (n, J) for each n
+    reports = []
+    for keep, residual in zip(keeps, residuals):
+        top_values = top_diag[keep * num_j : keep * num_j + J]
+        top_coefficient = complex(np.mean(top_values))
+        rounding = DEFAULT_TOLERANCE * (keep + J + 2) * ell2
+        top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
+        edge = enumerate(edges[:keep] + [complex(top_diag[keep * num_j + J])])
+        artifacts = [(BasisIndex(n, J), BasisIndex(n, J), z)
+                     for n, z in edge if abs(z) > DEFAULT_TOLERANCE * ell2]
+        expected = expected_top_coefficient(keep, units)
+        close = abs(top_coefficient - expected) <= DEFAULT_TOLERANCE * abs(expected)
+        ok = top_uniform and residual <= rounding and close
+        reports.append(CommutatorReport(cutoffs, keep, top_coefficient, residual, artifacts, top_uniform, ok))
+    return reports
 
 
 def full_space_scan(
@@ -179,15 +178,20 @@ def full_space_scan(
     if N == 0 or J == 0:
         return []
     diag = commutator(*build_xy(cutoffs, units)).diagonals[0]
-    num_j = cutoffs.num_degeneracy
-    out = []
-    for n in range(N):
-        values = diag[n * num_j : n * num_j + J]
-        out.append((n, complex(values[np.argmax(np.abs(values))])))
-    return out
+    rows = diag.reshape(N + 1, cutoffs.num_degeneracy)[:N, :J]
+    return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(rows)]
 
 
 def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
-    """One projected-commutator report per keep = 0..N, in order; x and y are built once."""
-    xy = build_xy(cutoffs, units)
-    return [_kept_block_report(xy, cutoffs, keep, units) for keep in range(cutoffs.num_levels)]
+    """One projected-commutator report per keep = 0..N, in order, from one pass.
+
+    On the rows of the levels under k, keep k's kept-block commutator is the
+    full [x, y]: those rows' products stay inside levels 0..k. On the level-k
+    rows it is the same products without the terms through level k+1, which
+    are the terms of the left factor's +(J+1) diagonal.
+    """
+    x, y = build_xy(cutoffs, units)
+    up = cutoffs.num_degeneracy
+    x_in, y_in = (OperatorMatrix({k: v for k, v in op.diagonals.items() if k != up}, op.dim) for op in (x, y))
+    top = matmul(x_in, y) - matmul(y_in, x)
+    return analyze_projected_commutator(commutator(x, y), top, cutoffs, range(cutoffs.num_levels), units)

@@ -224,11 +224,6 @@ class TestOffsetOperator:
         assert np.array_equal(dagger(a).entries, da.conj().T)
         assert np.allclose(a.apply(vector), da @ vector, atol=1e-13)
 
-    @pytest.mark.parametrize("size", [1, 4, 9])
-    def test_leading_is_the_leading_block(self, size):
-        a = random_offsets(np.random.default_rng(size), 9, [-5, -1, 0, 2, 4])
-        assert np.array_equal(a.leading(size).entries, a.entries[:size, :size])
-
     def test_product_drops_offsets_outside_the_basis(self):
         a = random_offsets(np.random.default_rng(1), 3, [2])
         assert set((a @ a).diagonals) == set()

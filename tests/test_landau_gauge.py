@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermgauss, hermval
 
-from nclandau.fock import Cutoffs, OperatorMatrix
+from nclandau.fock import Cutoffs, OperatorMatrix, commutator
 from nclandau.landau_gauge import (
     KGrid,
     build_landau_xy,
@@ -227,6 +229,24 @@ class TestOperators:
         ends = [0, M - 1, M, 2 * M - 1]
         dev = np.delete(np.delete(dev, ends, axis=0), ends, axis=1)
         assert np.all(dev == 0)
+
+    constant = st.floats(0.5, 2.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(5, 24), st.integers(0, 3), constant, constant, constant, constant, constant)
+    def test_matches_dense_kron_construction(self, M, levels, e, B, c, hbar, m):
+        units = PhysicalUnits(e=e, B=B, c=c, hbar=hbar, m=m)
+        grid = KGrid.centered(M, units)
+        ratio, level_eye, grid_eye = c / (e * B), np.eye(levels + 1), np.eye(M)
+        want_x = ratio * np.kron(level_eye, np.diag(grid.points)) + np.kron(
+            oscillator_x_elements(levels, units).entries, grid_eye)
+        want_y = 1j * hbar * np.kron(level_eye, derivative_matrix(grid).entries) + ratio * np.kron(
+            oscillator_p_elements(levels, units).entries, grid_eye)
+        x, y = build_landau_xy(grid, levels, units)
+        assert np.array_equal(x.entries, want_x)
+        assert np.array_equal(y.entries, want_y)
+        dense = want_x @ want_y - want_y @ want_x
+        assert np.allclose(commutator(x, y).entries, dense, rtol=0, atol=1e-13 * np.max(np.abs(dense)))
 
     def test_rejects_undersized_inputs(self):
         with pytest.raises(ValueError, match="levels"):

@@ -19,11 +19,34 @@ from nclandau.projection import (
     sweep,
 )
 from nclandau.spectrum import verify_spectrum
-from nclandau.units import PhysicalUnits, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
 
 from dense import dense_operator
 
 DUMP_OPS = ("a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector")
+NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)
+THREE_UNITS = (NATURAL, NON_NATURAL, PhysicalUnits(e=0.37, B=3.1, c=2.9, hbar=1.7))
+
+
+def score_block(block, cutoffs, keep, units=NATURAL):
+    """The report of one kept-block commutator, scored as ``(block, block)``."""
+    return analyze_projected_commutator(block, block, cutoffs, [keep], units)[0]
+
+
+def sweep_operands(monkeypatch, cutoffs):
+    """The (below, top) pair that sweep hands to the scoring function."""
+    seen = []
+    analyze = projection.analyze_projected_commutator
+    monkeypatch.setattr(projection, "analyze_projected_commutator", lambda *a: seen.append(a) or analyze(*a))
+    sweep(cutoffs)
+    return seen[0][:2]
+
+
+def bumped(op, k, row, size=1e-6):
+    """``op`` plus ``size`` at (row, row+k)."""
+    bump = np.zeros(op.dim)
+    bump[row] = size
+    return op + OperatorMatrix(diagonals={k: bump}, dim=op.dim)
 
 
 class TestProjector:
@@ -94,6 +117,14 @@ class TestProjectedCommutator:
         assert report.top_coefficient == pytest.approx(-6j, abs=1e-12)
         assert report.ok
 
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_kept_block_is_x_and_y_built_on_the_kept_levels(self, keep):
+        # x and y are corner cuts, so the kept block needs no slice of the full basis
+        size = (keep + 1) * 5
+        full, kept = build_xy(Cutoffs(3, 4), NON_NATURAL), build_xy(Cutoffs(keep, 4), NON_NATURAL)
+        for big, small in zip(full, kept):
+            assert np.array_equal(big.entries[:size, :size], small.entries)
+
     def test_requires_degeneracy_interior(self):
         with pytest.raises(ValueError, match="degeneracy"):
             projected_commutator_xy(Cutoffs(2, 0), keep=1)
@@ -154,10 +185,9 @@ class TestProjectedCommutator:
     def test_nonuniform_top_sets_flag_not_exception(self):
         c = Cutoffs(1, 3)
         comm = commutator(*build_xy(c))
-        assert analyze_projected_commutator(comm, c, 1).ok
-        bump = np.zeros(c.dim)
-        bump[flatten(BasisIndex(1, 0), c)] = 1e-6  # simulate an indexing bug
-        report = analyze_projected_commutator(comm + OperatorMatrix(diagonals={0: bump}, dim=c.dim), c, 1)
+        assert score_block(comm, c, 1).ok
+        # simulate an indexing bug
+        report = score_block(bumped(comm, 0, flatten(BasisIndex(1, 0), c)), c, 1)
         assert not report.top_uniform
         assert not report.ok
 
@@ -167,11 +197,53 @@ class TestProjectedCommutator:
         comm = commutator(*build_xy(c))
         for row, k, counted in [((0, 2), 1, False), ((0, 3), 1, False), ((0, 1), 1, True),
                                 ((0, 0), 4, True), ((0, 2), 5, False)]:
-            bump = np.zeros(c.dim)
-            bump[flatten(BasisIndex(*row), c)] = 1e-6
-            report = analyze_projected_commutator(comm + OperatorMatrix(diagonals={k: bump}, dim=c.dim), c, 1)
+            report = score_block(bumped(comm, k, flatten(BasisIndex(*row), c)), c, 1)
             assert (report.max_offtop_residual >= 1e-6) is counted, (row, k)
             assert report.ok is not counted
+
+    def test_commutator_without_a_diagonal_zero_scores(self):
+        c = Cutoffs(2, 3)
+        comm = commutator(*build_xy(c))
+        hollow = OperatorMatrix({k: v for k, v in comm.diagonals.items() if k != 0}, comm.dim)
+        for op in (hollow, OperatorMatrix(diagonals={}, dim=c.dim)):
+            report = score_block(op, c, 2)
+            assert report.top_coefficient == 0 and report.boundary_artifacts == []
+            assert report.top_uniform and not report.ok
+            assert analyze_projected_commutator(op, op, c, range(3))[2] == report
+
+
+class TestSweepSeam:
+    """Sweep scores keep k from the full [x, y] below level k and from the
+    products that skip level k+1 on level k; the block edge moves with k."""
+
+    def test_column_two_levels_up_counts_from_the_keep_that_holds_it(self, monkeypatch):
+        c = Cutoffs(3, 3)
+        below, top = sweep_operands(monkeypatch, c)
+        # level-0 row, column two levels up: inside keep 2's block, outside keep 1's
+        doctored = bumped(below, 2 * c.num_degeneracy, flatten(BasisIndex(0, 1), c))
+        reports = analyze_projected_commutator(doctored, top, c, range(4))
+        assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
+        assert [r.ok for r in reports] == [True, True, False, False]
+
+    def test_bump_on_top_diagonal_moves_the_coefficient_not_the_residual(self, monkeypatch):
+        c = Cutoffs(3, 3)
+        below, top = sweep_operands(monkeypatch, c)
+        clean = analyze_projected_commutator(below, top, c, range(4))
+        shift = np.zeros(c.dim, dtype=complex)
+        shift[2 * c.num_degeneracy : 2 * c.num_degeneracy + c.degeneracy_cutoff] = 1e-3j
+        reports = analyze_projected_commutator(below, top + OperatorMatrix({0: shift}, c.dim), c, range(4))
+        assert reports[2].top_coefficient == pytest.approx(clean[2].top_coefficient + 1e-3j, abs=1e-12)
+        assert reports[2].top_uniform and not reports[2].ok
+        assert [r.max_offtop_residual for r in reports] == [r.max_offtop_residual for r in clean]
+        assert reports[:2] + reports[3:] == clean[:2] + clean[3:]
+
+    def test_bump_below_the_top_level_counts_as_residual(self, monkeypatch):
+        c = Cutoffs(3, 3)
+        below, top = sweep_operands(monkeypatch, c)
+        # a level-1 diagonal element is top for keep 1 (read from `top`), residual from keep 2 on
+        doctored = bumped(below, 0, flatten(BasisIndex(1, 0), c))
+        reports = analyze_projected_commutator(doctored, top, c, range(4))
+        assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
 
 
 def dense_route_report(cutoffs, keep, units):
@@ -182,11 +254,12 @@ def dense_route_report(cutoffs, keep, units):
     p = np.diag((np.arange(cutoffs.dim) < size).astype(float))
     px, py = p @ x @ p, p @ y @ p
     block = (px @ py - py @ px)[:size, :size]
-    return analyze_projected_commutator(dense_operator(block), cutoffs, keep, units)
+    return score_block(dense_operator(block), cutoffs, keep, units)
 
 
-def assert_routes_agree(cutoffs, keep, units):
-    fast = projected_commutator_xy(cutoffs, keep, units)
+def assert_routes_agree(cutoffs, keep, units, fast=None):
+    if fast is None:
+        fast = projected_commutator_xy(cutoffs, keep, units)
     oracle = dense_route_report(cutoffs, keep, units)
     ell2 = magnetic_length(units) ** 2
     scale = 1e-12 * (keep + 1) * ell2
@@ -207,6 +280,15 @@ class TestOffsetRouteMatchesDenseOracle:
     def test_random_cutoffs_and_units(self, data, N, J, e, B, c, hbar):
         keep = data.draw(st.integers(0, N), label="keep")
         assert_routes_agree(Cutoffs(N, J), keep, PhysicalUnits(e=e, B=B, c=c, hbar=hbar))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 6), st.integers(1, 8), st.sampled_from(THREE_UNITS))
+    def test_sweep_equals_commutator_at_every_keep(self, N, J, units):
+        cutoffs = Cutoffs(N, J)
+        for keep, report in enumerate(sweep(cutoffs, units)):
+            # repr writes every float exactly, signed zeros included: bit for bit
+            assert repr(report) == repr(projected_commutator_xy(cutoffs, keep, units))
+            assert_routes_agree(cutoffs, keep, units, fast=report)
 
     @pytest.mark.parametrize("keep", [0, 15, 30])
     def test_thirty_levels(self, keep):
@@ -245,28 +327,46 @@ def closed_form_diagonal(cutoffs, keep, units):
     return np.array([complex(0.0, imag[uj - vn]) for vn in v for uj in u])
 
 
+def rounding_bound(J, keep, units):
+    """The rounding bound of the projection module docstring."""
+    return 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length(units) ** 2
+
+
+UNITS_TWO = pytest.mark.parametrize("units", [NATURAL, NON_NATURAL], ids=["natural", "non-natural"])
+
+
 class TestClosedFormOracle:
     """The ladder route against its exact closed form, at the largest bases."""
 
-    @pytest.mark.parametrize("units", [PhysicalUnits(), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)],
-                             ids=["natural", "non-natural"])
+    @UNITS_TWO
     @pytest.mark.parametrize("N,J,keep", [(127, 127, 127), (127, 127, 40), (2, 5460, 2), (0, 16383, 0)])
     def test_kept_block_and_report(self, N, J, keep, units):
         cutoffs = Cutoffs(N, J)
         exact = closed_form_diagonal(cutoffs, keep, units)
-        # the rounding bound of the projection module docstring
-        bound = 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length(units) ** 2
+        bound = rounding_bound(J, keep, units)
 
-        size = (keep + 1) * cutoffs.num_degeneracy
-        comm = commutator(*(op.leading(size) for op in build_xy(cutoffs, units)))
+        # x and y are corner cuts: the kept block is x and y built on levels 0..keep
+        comm = commutator(*build_xy(Cutoffs(keep, J), units))
         assert np.max(np.abs(comm.diagonals[0] - exact)) <= bound
         for k, values in comm.diagonals.items():
             if k != 0:
                 assert np.max(np.abs(values)) <= bound, k
+        self.assert_report_exact(projected_commutator_xy(cutoffs, keep, units), exact, bound)
 
-        report = projected_commutator_xy(cutoffs, keep, units)
-        assert abs(report.top_coefficient - exact[keep * cutoffs.num_degeneracy]) <= bound
-        edge = [(n, exact[n * cutoffs.num_degeneracy + J]) for n in range(keep + 1)]
+    @UNITS_TWO
+    @pytest.mark.parametrize("N,J", [(127, 127), (2, 5460)])
+    def test_every_keep_of_sweep(self, N, J, units):
+        reports = sweep(Cutoffs(N, J), units)
+        assert [r.keep_levels for r in reports] == list(range(N + 1))
+        for keep, report in enumerate(reports):
+            exact = closed_form_diagonal(Cutoffs(keep, J), keep, units)
+            self.assert_report_exact(report, exact, rounding_bound(J, keep, units))
+
+    @staticmethod
+    def assert_report_exact(report, exact, bound):
+        keep, J = report.keep_levels, report.cutoffs.degeneracy_cutoff
+        assert abs(report.top_coefficient - exact[keep * (J + 1)]) <= bound
+        edge = [(n, exact[n * (J + 1) + J]) for n in range(keep + 1)]
         want = [(n, value) for n, value in edge if value != 0]
         assert [(row.n, row.j, col.n, col.j) for row, col, _ in report.boundary_artifacts] == [
             (n, J, n, J) for n, _ in want
