@@ -221,6 +221,8 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             args.J = args.keep + 3
         if args.J < 1:
             parser.error(f"--J must be >= 1, got {args.J}")
+        if (args.keep + 1) * (args.J + 1) > fock.MAX_DIMENSION:
+            parser.error(f"--J: (--keep + 1) * (--J + 1) exceeds {fock.MAX_DIMENSION}")
 
     if args.command == "dump-matrix":
         if args.op == "projector" and args.keep is None:

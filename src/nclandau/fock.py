@@ -170,10 +170,10 @@ class OperatorMatrix:
         return matmul(self, other)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """The matrix-vector product op·vector."""
-        out = np.zeros(self.dim, dtype=complex)
+        """The product op·vector; a 2-D array is multiplied column by column."""
+        out = np.zeros(np.shape(vector), dtype=complex)
         for k, v in self.diagonals.items():
-            out += v * _shift(vector, k)
+            out += (v * _shift(vector, k).T).T
         return out
 
 

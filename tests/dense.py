@@ -1,12 +1,23 @@
-"""Dense arrays as operators, for tests that state a matrix entry by entry.
+"""Dense constructions the tests compare the package against.
 
 The package builds every operator from its diagonals; tests that compare
-against a dense numpy matrix turn it into an ``OperatorMatrix`` here.
+against a dense numpy matrix turn it into an ``OperatorMatrix`` here. The
+grid route applies its small factors and builds no operator of dimension
+(levels+1)·M; :func:`build_landau_xy` builds x and y on that whole basis,
+as the oracle the route is checked against.
 """
 
 import numpy as np
 
-from nclandau.fock import OperatorMatrix
+from nclandau.fock import MAX_DIMENSION, OperatorMatrix, commutator, identity, kron
+from nclandau.landau_gauge import (
+    KGrid,
+    delta_test_profile,
+    derivative_matrix,
+    oscillator_p_elements,
+    oscillator_x_elements,
+)
+from nclandau.units import NATURAL, PhysicalUnits
 
 
 def dense_operator(entries) -> OperatorMatrix:
@@ -18,3 +29,45 @@ def dense_operator(entries) -> OperatorMatrix:
     diagonals = {k: np.pad(np.diagonal(arr, k), (max(-k, 0), max(k, 0)))
                  for k in range(1 - dim, dim) if np.any(np.diagonal(arr, k))}
     return OperatorMatrix(diagonals=diagonals, dim=dim)
+
+
+def build_landau_xy(
+    grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Coordinate matrices (x, y) on the (level ⊗ grid) basis, levels 0..``levels``.
+
+    x is exactly Hermitian; y is Hermitian except on the rows and columns
+    touched by the one-sided end stencils. The level truncation happens by
+    construction: the matrices simply have no rows beyond n = levels, which
+    is the same corner cut the projection route applies explicitly.
+    """
+    if levels < 0:
+        raise ValueError("levels must be nonnegative")
+    M = grid.size
+    dim = (levels + 1) * M
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
+    ratio = units.c / (units.e * units.B)
+    levels_eye, grid_eye = identity(levels + 1), identity(M)
+    K = OperatorMatrix(diagonals={0: grid.points}, dim=M)
+    x = ratio * kron(levels_eye, K) + kron(oscillator_x_elements(levels, units), grid_eye)
+    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid)) + ratio * kron(
+        oscillator_p_elements(levels, units), grid_eye
+    )
+    return x, y
+
+
+def landau_level_coefficients(grid: KGrid, levels: int, units: PhysicalUnits = NATURAL) -> list:
+    """Per level, the mean over the grid interior of (block·f)/f, the block cut from
+    [x, y] of :func:`build_landau_xy`.
+
+    A flat offset is (level offset)·M + (grid offset) with grid offsets at most
+    2, so for M >= 5 the diagonals of [x, y] with |offset| <= 2 hold exactly the
+    level-diagonal blocks, and one product of them with f tiled over the levels
+    gives every block·f.
+    """
+    comm = commutator(*build_landau_xy(grid, levels, units))
+    blocks = OperatorMatrix({k: v for k, v in comm.diagonals.items() if abs(k) <= 2}, comm.dim)
+    f, inner = delta_test_profile(grid), grid.interior
+    g = blocks.apply(np.tile(f, levels + 1)).reshape(levels + 1, grid.size)
+    return [complex(np.mean(row[inner] / f[inner])) for row in g]

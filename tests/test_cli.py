@@ -202,16 +202,24 @@ def test_undersized_grid_is_usage_error():
     assert "--grid-M" in cp.stderr
 
 
-@pytest.mark.parametrize("args", [
-    "landau-gauge --grid-M 20000",
-    "landau-gauge --keep 3 --grid-M 5000",
-    "crosscheck --keep 3 --grid-M 5000",
+@pytest.mark.parametrize("args,flag", [
+    ("landau-gauge --grid-M 20000", "--grid-M"),
+    ("landau-gauge --keep 3 --grid-M 5000", "--grid-M"),
+    ("crosscheck --keep 3 --grid-M 5000", "--grid-M"),
+    ("crosscheck --keep 3 --J 5000", "--J"),
+    ("crosscheck --keep 3 --J 4096 --grid-M 64", "--J"),
 ])
-def test_oversized_grid_is_usage_error(args):
+def test_oversized_grid_is_usage_error(args, flag):
     cp = run_cli(*args.split())
     assert cp.returncode == 2
-    assert "--grid-M" in cp.stderr and "16384" in cp.stderr
+    assert cp.stderr.splitlines()[-1].startswith("nclandau: error: ")
+    assert flag in cp.stderr and "16384" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+def test_crosscheck_at_the_largest_ladder_basis_runs():
+    cp = run_cli("crosscheck", "--keep", "3", "--J", "4095", "--grid-M", "64", "--output", "csv")
+    assert cp.returncode == 0, cp.stderr
 
 
 def test_bad_units_rejected():
@@ -437,21 +445,21 @@ status: ok
 """),
     ("landau-gauge --keep 0 --grid-M 8,16 --output json", 1,
      """\
-{"keep": 0, "expected": [0, -1], "rows": [{"M": 8, "dk": 2.28571428571429, "keep": 0, "re_coeff": 0, "im_coeff": -0.906612978692374, "abs_error": 0.0933870213076264, "observed_order": null}, {"M": 16, "dk": 1.06666666666667, "keep": 0, "re_coeff": 0, "im_coeff": -1.0170809847979, "abs_error": 0.0170809847979014, "observed_order": 2.22896897781354}], "ok": false}
+{"keep": 0, "expected": [0, -1], "rows": [{"M": 8, "dk": 2.28571428571429, "keep": 0, "re_coeff": 0, "im_coeff": -0.906612978692374, "abs_error": 0.0933870213076263, "observed_order": null}, {"M": 16, "dk": 1.06666666666667, "keep": 0, "re_coeff": 0, "im_coeff": -1.0170809847979, "abs_error": 0.0170809847979019, "observed_order": 2.22896897781351}], "ok": false}
 """),
     ("landau-gauge --keep 0 --grid-M 8,16 --output csv", 1,
      """\
 M,dk,keep,re_coeff,im_coeff,abs_error,observed_order
-8,2.28571428571429,0,0,-0.906612978692374,0.0933870213076264,
-16,1.06666666666667,0,0,-1.0170809847979,0.0170809847979014,2.22896897781354
+8,2.28571428571429,0,0,-0.906612978692374,0.0933870213076263,
+16,1.06666666666667,0,0,-1.0170809847979,0.0170809847979019,2.22896897781351
 """),
     ("landau-gauge --keep 0 --grid-M 8,16 --output table", 1,
      """\
 momentum-grid convergence  keep=0
 M   dk                keep  re_coeff  im_coeff            abs_error           observed_order
 --  ----------------  ----  --------  ------------------  ------------------  ----------------
-8   2.28571428571429  0     0         -0.906612978692374  0.0933870213076264
-16  1.06666666666667  0     0         -1.0170809847979    0.0170809847979014  2.22896897781354
+8   2.28571428571429  0     0         -0.906612978692374  0.0933870213076263
+16  1.06666666666667  0     0         -1.0170809847979    0.0170809847979019  2.22896897781351
 status: FAILED
 """),
     ("crosscheck --keep 0 --J 2 --grid-M 32 --output json", 0,

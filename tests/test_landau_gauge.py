@@ -9,7 +9,6 @@ from numpy.polynomial.hermite import hermgauss, hermval
 from nclandau.fock import Cutoffs, OperatorMatrix, commutator
 from nclandau.landau_gauge import (
     KGrid,
-    build_landau_xy,
     convergence_study,
     delta_test_profile,
     derivative_matrix,
@@ -19,6 +18,11 @@ from nclandau.landau_gauge import (
 )
 from nclandau.projection import projected_commutator_xy
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
+
+from dense import build_landau_xy, landau_level_coefficients
+
+NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)
+THREE_UNITS = (NATURAL, NON_NATURAL, PhysicalUnits(e=0.37, B=3.1, c=2.9, hbar=1.7))
 
 
 # -- independent oracles ----------------------------------------------------
@@ -168,11 +172,13 @@ class TestGrid:
         with pytest.raises(ValueError, match="normal floats"):
             KGrid.centered(256, half_width=half_width)
 
+    @pytest.mark.parametrize("keep", [0, 3])
     @pytest.mark.parametrize("half_width", [1e-150, 1e150])
-    def test_extreme_spans_give_the_default_coefficient(self, half_width):
-        # the test profile scales with the grid, so the coefficient does not depend on the span
-        coefficient = projected_commutator_landau(KGrid.centered(64), 0).top_coefficient
-        scaled = projected_commutator_landau(KGrid.centered(64, half_width=half_width), 0).top_coefficient
+    def test_extreme_spans_give_the_default_coefficient(self, half_width, keep):
+        # the test profile scales with the grid, so the coefficient does not depend on the span;
+        # nor does the rounding, since the route leaves out the cross terms that grow with it
+        coefficient = projected_commutator_landau(KGrid.centered(64), keep).top_coefficient
+        scaled = projected_commutator_landau(KGrid.centered(64, half_width=half_width), keep).top_coefficient
         assert scaled == pytest.approx(coefficient, rel=1e-12)
 
     def test_centered_range(self):
@@ -251,6 +257,8 @@ class TestOperators:
     def test_rejects_undersized_inputs(self):
         with pytest.raises(ValueError, match="levels"):
             build_landau_xy(KGrid.centered(16), -1)
+        with pytest.raises(ValueError, match="dimension"):
+            projected_commutator_landau(KGrid.centered(16), -1)
         for size in (3, 4):
             with pytest.raises(ValueError, match="interior"):
                 projected_commutator_landau(KGrid(size=size, k_min=0.0, dk=0.1), 0)
@@ -339,6 +347,35 @@ class TestCommutatorCoefficients:
         assert abs(grid_value - exact) / abs(exact) <= 0.01
 
 
+def route_bound(grid, keep, units):
+    """Twice the module docstring's rounding bound, 40*eps*(M + keep + 2)*l^2: the
+    route and the build of [x, y] each stay within it of the exact value."""
+    return 2 * 40 * np.finfo(float).eps * (grid.size + keep + 2) * magnetic_length(units) ** 2
+
+
+def assert_route_matches_built_commutator(grid, keep, units, margin=1.0):
+    coefficients = landau_level_coefficients(grid, keep, units)
+    report = projected_commutator_landau(grid, keep, units)
+    bound = route_bound(grid, keep, units) / margin
+    assert abs(report.top_coefficient - coefficients[keep]) <= bound
+    residual = max((abs(c) for c in coefficients[:keep]), default=0.0)
+    assert abs(report.max_offtop_residual - residual) <= bound
+
+
+class TestRouteAgainstBuiltCommutator:
+    """The route against [x, y] built on the whole (levels+1)*M basis by kron."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 7), st.integers(5, 300), st.sampled_from(THREE_UNITS), st.sampled_from([3.0, 8.0]))
+    def test_every_level_within_the_rounding_bound(self, keep, M, units, half_width):
+        assert_route_matches_built_commutator(KGrid.centered(M, units, half_width), keep, units)
+
+    @pytest.mark.parametrize("keep,M", [(0, 16384), (63, 256)])
+    def test_ten_times_under_the_bound_at_the_cap(self, keep, M):
+        assert (keep + 1) * M == 16384
+        assert_route_matches_built_commutator(KGrid.centered(M, NON_NATURAL), keep, NON_NATURAL, margin=10)
+
+
 class TestConvergenceStudy:
     def test_rows_and_order_trend(self):
         rows = convergence_study(0, [32, 64, 128, 256])
@@ -351,12 +388,18 @@ class TestConvergenceStudy:
         assert orders == sorted(orders)  # approaching 2 from below
         assert 1.8 <= orders[-1] <= 2.1
 
-    def test_one_product_per_grid_size(self, monkeypatch):
-        calls = []
-        apply = OperatorMatrix.apply
-        monkeypatch.setattr(OperatorMatrix, "apply", lambda op, v: calls.append(op.dim) or apply(op, v))
+    def test_builds_no_operator_above_its_factors(self, monkeypatch):
+        # the route applies the level and grid factors; nothing of dimension (levels+1)*M
+        dims = []
+        init = OperatorMatrix.__init__
+
+        def recording_init(op, *args, **kwargs):
+            init(op, *args, **kwargs)
+            dims.append(op.dim)
+
+        monkeypatch.setattr(OperatorMatrix, "__init__", recording_init)
         convergence_study(2, [16, 32, 64])
-        assert calls == [3 * 16, 3 * 32, 3 * 64]
+        assert dims and set(dims) <= {3, 16, 32, 64}
 
 
 def test_profile_is_smooth_and_positive():

@@ -9,11 +9,13 @@ which the benchmark's start-up probe times, and which modules each CLI
 command executes; check that the names in every module's ``__all__``
 exist and that every name a module imports is used; and check that the
 benchmark's span tracer still installs on the package, which breaks when
-a name it wraps is deleted.
+a name it wraps is deleted, and that each name it binds still exists.
 """
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -255,3 +257,38 @@ def test_benchmark_spans_install():
     status, layers = json.loads(cp.stdout)
     assert status == 0
     assert {"fock", "ladder", "projection"} <= set(layers)
+
+
+# The src/ names perfbench/spans.py depends on. A rename fails here, named,
+# rather than deep inside the benchmark's trace test.
+SPAN_PARAMETERS = {"convergence_study": ("keep", "sizes"), "projected_commutator_landau": ("grid", "levels")}
+SPAN_DUNDERS = ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__matmul__")
+
+
+def span_layers():
+    spec = importlib.util.spec_from_file_location("spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.LAYERS
+
+
+@pytest.mark.parametrize("function", sorted(SPAN_PARAMETERS))
+def test_span_tracer_binds_these_parameter_names(function):
+    params = inspect.signature(getattr(importlib.import_module("nclandau.landau_gauge"), function)).parameters
+    missing = [name for name in SPAN_PARAMETERS[function] if name not in params]
+    assert missing == [], f"perfbench/spans.py binds landau_gauge.{function} by parameter names {missing}"
+
+
+def test_span_tracer_wraps_operator_dunders_and_reads_dim():
+    from nclandau.fock import OperatorMatrix
+
+    missing = [name for name in SPAN_DUNDERS if name not in vars(OperatorMatrix)]
+    assert missing == [], f"perfbench/spans.py wraps OperatorMatrix.{missing}"
+    assert "dim" in OperatorMatrix.__slots__, "perfbench/spans.py reads OperatorMatrix.dim after __init__"
+    assert OperatorMatrix({}, 3).dim == 3
+
+
+@pytest.mark.parametrize("layer", span_layers())
+def test_span_tracer_layers_are_modules(layer):
+    assert importlib.util.find_spec(f"nclandau.{layer}") is not None, f"perfbench/spans.py imports nclandau.{layer}"
+    importlib.import_module(f"nclandau.{layer}")
