@@ -12,10 +12,10 @@ effects computed elsewhere in the package follow from that convention.
 
 Every operator the package needs shifts each index by at most one or two,
 so :class:`OperatorMatrix` stores only its few nonzero diagonals: sums,
-products, daggers, tensor products and matrix-vector products all cost
-O(d) per diagonal pair where dense products cost O(d^3). The dense matrix
-is built only on request (``entries``), for the tests; ``dump-matrix``
-writes its JSON entries straight from the diagonals (:func:`to_json_dict`).
+products, daggers and matrix-vector products all cost O(d) per diagonal
+pair where dense products cost O(d^3). The dense matrix is built only on
+request (``entries``), for the tests; ``dump-matrix`` writes its JSON
+entries straight from the diagonals (:func:`to_json_dict`).
 """
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ __all__ = [
     "OperatorMatrix",
     "flatten",
     "annihilation_matrix",
-    "identity",
     "dagger",
     "matmul",
     "commutator",
-    "kron",
     "to_json_dict",
 ]
 
@@ -115,8 +113,6 @@ class OperatorMatrix:
     def __init__(self, diagonals: dict, dim: int):
         if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
-        if dim > MAX_DIMENSION:
-            raise ValueError(f"dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
         stored = {}
         for k, v in diagonals.items():
             v = np.array(v, dtype=complex)
@@ -205,11 +201,6 @@ def annihilation_matrix(dim: int) -> OperatorMatrix:
     return OperatorMatrix(diagonals=diagonals, dim=dim)
 
 
-def identity(dim: int) -> OperatorMatrix:
-    # np.arange takes any dim, so a bad one reaches the constructor's check.
-    return OperatorMatrix(diagonals={0: np.ones_like(np.arange(dim), dtype=float)}, dim=dim)
-
-
 def dagger(op: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose: offset k becomes offset -k."""
     diagonals = {-k: _shift(v, -k).conj() for k, v in op.diagonals.items()}
@@ -231,23 +222,6 @@ def matmul(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """a.b - b.a."""
     return matmul(a, b) - matmul(b, a)
-
-
-def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Tensor product with ``a`` on the outer (level) factor.
-
-    The composite entry at ((n, j), (n', j')) is a[n, n'] * b[j, j'], which
-    is consistent with the n-major flattening used by :func:`flatten`: the
-    pair of offsets (ka, kb) lands on the flat offset ka * b.dim + kb. Where
-    n + ka or j + kb leaves its factor's basis the factor's slot holds zero,
-    so pairs that share a flat offset fill disjoint rows.
-    """
-    diagonals: dict = {}
-    for ka, va in a.diagonals.items():
-        for kb, vb in b.diagonals.items():
-            k = ka * b.dim + kb
-            diagonals[k] = diagonals.get(k, 0) + np.repeat(va, b.dim) * np.tile(vb, a.dim)
-    return OperatorMatrix(diagonals=diagonals, dim=a.dim * b.dim)
 
 
 def to_json_dict(op: OperatorMatrix) -> dict:

@@ -3,8 +3,8 @@
 Two independent oscillator modes carry the physics: mode ``b`` raises the
 level index n (and hence the energy), mode ``a`` raises the degeneracy
 index j at fixed energy. This assignment is fixed package-wide; every
-constructor here builds on it, so a transposed tensor factor cannot creep
-in silently.
+constructor here builds on :func:`build_a` and :func:`build_b`, so a
+transposed mode cannot creep in silently.
 
 The planar coordinates enter through the combination ``alpha = a + b†``:
 
@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import math
 
-from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, identity, kron, matmul
+import numpy as np
+
+from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, matmul
 from .units import NATURAL, PhysicalUnits, cyclotron_frequency
 
 __all__ = [
@@ -52,19 +54,16 @@ H_FORMS = ("ladder", "quadratic")
 
 
 def build_a(cutoffs: Cutoffs) -> OperatorMatrix:
-    """Degeneracy-mode lowering operator: acts on j, leaves n alone."""
-    return kron(
-        identity(cutoffs.num_levels),
-        annihilation_matrix(cutoffs.num_degeneracy),
-    )
+    """Degeneracy-mode lowering operator: acts on j, leaves n alone; offset +1 (none if J = 0)."""
+    inner = annihilation_matrix(cutoffs.num_degeneracy).diagonals.values()
+    return OperatorMatrix({1: np.tile(v, cutoffs.num_levels) for v in inner}, cutoffs.dim)
 
 
 def build_b(cutoffs: Cutoffs) -> OperatorMatrix:
-    """Level-mode lowering operator: acts on n, leaves j alone."""
-    return kron(
-        annihilation_matrix(cutoffs.num_levels),
-        identity(cutoffs.num_degeneracy),
-    )
+    """Level-mode lowering operator: acts on n, leaves j alone; offset +(J+1) (none if N = 0)."""
+    step = cutoffs.num_degeneracy
+    outer = annihilation_matrix(cutoffs.num_levels).diagonals.values()
+    return OperatorMatrix({step: np.repeat(v, step) for v in outer}, cutoffs.dim)
 
 
 def build_alpha(cutoffs: Cutoffs) -> OperatorMatrix:
@@ -120,8 +119,8 @@ def build_H(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL, form: str = "ladde
     if form == "ladder":
         omega = cyclotron_frequency(units)
         b = build_b(cutoffs)
-        half = identity(cutoffs.dim)
-        return units.hbar * omega * (matmul(dagger(b), b) + 0.5 * half)
+        half = OperatorMatrix({0: np.full(cutoffs.dim, 0.5)}, cutoffs.dim)
+        return units.hbar * omega * (matmul(dagger(b), b) + half)
     if form == "quadratic":
         inverse_2m, spring, half_omega = quadratic_coefficients(units)
         x, y = build_xy(cutoffs, units)

@@ -97,8 +97,8 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
 
     def __new__(cls, size: int, k_min: float, dk: float) -> "KGrid":
         self = super().__new__(cls, size, k_min, dk)
-        if not isinstance(self.size, (int, np.integer)) or self.size < 3:
-            raise ValueError(f"grid needs at least 3 points, got {self.size!r}")
+        if not isinstance(self.size, (int, np.integer)) or self.size < MIN_GRID_SIZE:
+            raise ValueError(f"a nonempty interior needs {MIN_GRID_SIZE} grid points, got {self.size!r}")
         if not (self.dk > 0 and math.isfinite(self.dk)):
             raise ValueError(f"grid spacing must be positive, got {self.dk!r}")
         # delta_test_profile squares offsets up to span/2 and its width; both must stay normal
@@ -200,8 +200,6 @@ def projected_commutator_landau(
     The factors are truncated by construction, so no explicit projector
     appears. Callers judge the coefficients by their own bounds.
     """
-    if grid.size < MIN_GRID_SIZE:
-        raise ValueError(f"need at least {MIN_GRID_SIZE} grid points for a nonempty interior")
     ratio, k, D = units.c / (units.e * units.B), grid.points, derivative_matrix(grid)
     x_osc, p_osc = oscillator_x_elements(levels, units), oscillator_p_elements(levels, units)
     f, inner = delta_test_profile(grid), grid.interior

@@ -72,15 +72,10 @@ def dumps(obj) -> str:
 
 
 def format_cell(value) -> str:
+    """A CSV or table cell: empty for None, a string as is, anything else as its JSON text."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return str(value)
+    return value if isinstance(value, str) else dumps(value)
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

@@ -49,7 +49,7 @@ def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> Spectru
 
     # Assign each eigenvalue to the nearest exact level.
     nearest = np.clip(np.round(eig / gap - 0.5).astype(int), 0, cutoffs.landau_cutoff)
-    table = {n: int(np.sum(nearest == n)) for n in range(cutoffs.num_levels)}
+    table = dict(enumerate(np.bincount(nearest, minlength=cutoffs.num_levels).tolist()))
 
     hl_commutes = not any(np.any(v) for v in commutator(ham, ang).diagonals.values())
 

@@ -2,14 +2,16 @@
 
 The package builds every operator from its diagonals; tests that compare
 against a dense numpy matrix turn it into an ``OperatorMatrix`` here. The
-grid route applies its small factors and builds no operator of dimension
-(levels+1)·M; :func:`build_landau_xy` builds x and y on that whole basis,
-as the oracle the route is checked against.
+package builds no tensor product: the ladder modes are one diagonal each,
+and the grid route applies its small factors and builds no operator of
+dimension (levels+1)·M. :func:`kron` and :func:`identity` build the
+composite operators the tests check those against; :func:`build_landau_xy`
+builds x and y on the whole grid basis, as the oracle of the grid route.
 """
 
 import numpy as np
 
-from nclandau.fock import MAX_DIMENSION, OperatorMatrix, commutator, identity, kron
+from nclandau.fock import OperatorMatrix, commutator
 from nclandau.landau_gauge import (
     KGrid,
     delta_test_profile,
@@ -31,6 +33,28 @@ def dense_operator(entries) -> OperatorMatrix:
     return OperatorMatrix(diagonals=diagonals, dim=dim)
 
 
+def identity(dim: int) -> OperatorMatrix:
+    # np.arange takes any dim, so a bad one reaches the constructor's check.
+    return OperatorMatrix(diagonals={0: np.ones_like(np.arange(dim), dtype=float)}, dim=dim)
+
+
+def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """Tensor product with ``a`` on the outer (level) factor.
+
+    The composite entry at ((n, j), (n', j')) is a[n, n'] * b[j, j'], which
+    is consistent with the n-major flattening of ``fock.flatten``: the pair
+    of offsets (ka, kb) lands on the flat offset ka * b.dim + kb. Where
+    n + ka or j + kb leaves its factor's basis the factor's slot holds zero,
+    so pairs that share a flat offset fill disjoint rows.
+    """
+    diagonals: dict = {}
+    for ka, va in a.diagonals.items():
+        for kb, vb in b.diagonals.items():
+            k = ka * b.dim + kb
+            diagonals[k] = diagonals.get(k, 0) + np.repeat(va, b.dim) * np.tile(vb, a.dim)
+    return OperatorMatrix(diagonals=diagonals, dim=a.dim * b.dim)
+
+
 def build_landau_xy(
     grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -44,9 +68,6 @@ def build_landau_xy(
     if levels < 0:
         raise ValueError("levels must be nonnegative")
     M = grid.size
-    dim = (levels + 1) * M
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"composite dimension {dim} exceeds the supported maximum {MAX_DIMENSION}")
     ratio = units.c / (units.e * units.B)
     levels_eye, grid_eye = identity(levels + 1), identity(M)
     K = OperatorMatrix(diagonals={0: grid.points}, dim=M)

@@ -11,14 +11,12 @@ from nclandau.fock import (
     commutator,
     dagger,
     flatten,
-    identity,
-    kron,
     matmul,
     to_json_dict,
 )
 from nclandau.serialize import dumps
 
-from dense import dense_operator
+from dense import dense_operator, identity, kron
 
 
 def random_operator(rng, dim):

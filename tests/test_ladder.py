@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclandau.fock import Cutoffs, commutator, dagger, matmul
+from nclandau.fock import Cutoffs, annihilation_matrix, commutator, dagger, matmul
 from nclandau.ladder import (
     build_H,
     build_L,
@@ -14,7 +14,9 @@ from nclandau.ladder import (
     build_xy,
     interior_slice,
 )
-from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length
+
+from dense import identity, kron
 
 HBAR = 1.0  # natural units throughout unless a test says otherwise
 
@@ -61,6 +63,32 @@ class TestModeAssignment:
         expect_b = np.kron(np.diag([1.0] * N + [-float(N)]), np.eye(J + 1))
         assert np.allclose(ca, expect_a, rtol=0, atol=1e-12)
         assert np.allclose(cb, expect_b, rtol=0, atol=1e-12)
+
+
+def same_bits(got, want) -> bool:
+    """Same offsets in the same order, and the same bits on each diagonal."""
+    return list(got.diagonals) == list(want.diagonals) and all(
+        np.array_equal(got.diagonals[k].view(np.uint64), v.view(np.uint64)) for k, v in want.diagonals.items())
+
+
+class TestDirectBuilds:
+    """The one-diagonal builds against the tensor products they replace.
+
+    Offset order counts: sums keep first-appearance order, which fixes the
+    summation order of every later product.
+    """
+
+    @pytest.mark.parametrize("units", [NATURAL, PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2.0)])
+    @pytest.mark.parametrize("N,J", [(0, 0), (0, 3), (3, 0), (1, 1), (6, 9)])
+    def test_match_the_kron_construction_bit_for_bit(self, N, J, units):
+        c = Cutoffs(N, J)
+        a = kron(identity(N + 1), annihilation_matrix(J + 1))
+        b = kron(annihilation_matrix(N + 1), identity(J + 1))
+        H = units.hbar * cyclotron_frequency(units) * (matmul(dagger(b), b) + 0.5 * identity(c.dim))
+        assert same_bits(build_a(c), a)
+        assert same_bits(build_b(c), b)
+        assert same_bits(build_alpha(c), a + dagger(b))
+        assert same_bits(build_H(c, units, form="ladder"), H)
 
 
 class TestAlpha:

@@ -7,7 +7,8 @@ product silently running on one thread; the others check the policy in
 fresh interpreters. Further tests pin what ``import nclandau`` loads,
 which the benchmark's start-up probe times, and which modules each CLI
 command executes; check that the names in every module's ``__all__``
-exist and that every name a module imports is used; and check that the
+exist and are read by the package or imported by the acceptance gate, and
+that every name a module imports is used; and check that the
 benchmark's span tracer still installs on the package, which breaks when
 a name it wraps is deleted, and that each name it binds still exists.
 """
@@ -235,6 +236,64 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.sta
 def test_all_names_exist(name):
     module = importlib.import_module(f"nclandau.{name}")
     assert [item for item in module.__all__ if not hasattr(module, item)] == []
+
+
+def defined_names(statement: ast.stmt) -> set[str]:
+    """The names a top-level statement binds by ``def``, ``class`` or assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = statement.targets if isinstance(statement, ast.Assign) else [getattr(statement, "target", None)]
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def unread_exports(sources: dict[str, str], kept: set[str]) -> list[str]:
+    """``module.name`` for each name in a module's ``__all__`` that no module reads, sorted.
+
+    ``sources`` maps module names to their text. A read is a bare name, or an
+    attribute of one of those modules (``fock.Cutoffs``), loaded in any
+    top-level statement but the one that defines the name. Names in ``kept``
+    count as read.
+    """
+    statements, exports = [], []  # statements: (module, names defined, names loaded)
+    for module, source in sources.items():
+        for statement in ast.parse(source).body:
+            defines = defined_names(statement)
+            if defines == {"__all__"}:
+                exports += [(module, name) for name in ast.literal_eval(statement.value)]
+            loads = {node.id for node in ast.walk(statement)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            loads |= {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in sources}
+            statements.append((module, defines, loads))
+    return sorted(f"{module}.{name}" for module, name in exports if name not in kept and not any(
+        name in loads and not (where == module and name in defines) for where, defines, loads in statements))
+
+
+@pytest.mark.parametrize("sources, unread", [
+    ({"m": "__all__ = ['f']\ndef f():\n    return f()"}, ["m.f"]),
+    ({"m": "__all__ = ['f', 'g']\ndef f():\n    pass\ndef g():\n    return f()"}, ["m.g"]),
+    ({"m": "__all__ = ['X']\nX = 1", "n": "from . import m\nm.X"}, []),
+    ({"m": "__all__ = ['X']\nX = 1", "n": "from .m import X\nprint(X)"}, []),
+    ({"m": "__all__ = ['X']\nX = 1", "n": "from .m import X"}, ["m.X"]),
+    ({"m": "__all__ = ['X']\nX: int = 1", "n": "import numpy as np\nnp.X"}, ["m.X"]),
+    ({"m": "__all__ = ['C']\nclass C:\n    def f(self) -> C:\n        return C()"}, ["m.C"]),
+])
+def test_unread_exports_are_found(sources, unread):
+    assert unread_exports(sources, set()) == unread
+
+
+def acceptance_imports() -> set[str]:
+    tree = ast.parse((PACKAGE.parent.parent / "tests" / "test_acceptance.py").read_text())
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nclandau")
+            for alias in node.names}
+
+
+def test_every_export_is_read_or_gated():
+    # The dead-code rule: a name the package exports is used by the package, or
+    # by the acceptance gate; anything else belongs in the tests that use it.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_exports(sources, acceptance_imports()) == []
 
 
 SPAN_PROBE = """

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclandau import cli, fock, projection
-from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten, identity
+from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
 from nclandau.ladder import build_alpha, build_xy
 from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
 from nclandau.projection import (
@@ -21,7 +21,7 @@ from nclandau.projection import (
 from nclandau.spectrum import verify_spectrum
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
 
-from dense import dense_operator
+from dense import dense_operator, identity
 
 DUMP_OPS = ("a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector")
 NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)

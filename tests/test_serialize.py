@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nclandau.fock import OperatorMatrix, to_json_dict
-from nclandau.serialize import dumps, format_float
+from nclandau.serialize import dumps, format_cell, format_float
 
 
 def reference(value) -> str:
@@ -43,3 +43,11 @@ def test_non_finite_raises(bad):
     with pytest.raises(ValueError, match="non-finite"):
         dumps({"entries": [[1.0, 2.0], [bad, 0.0]]})
 
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""), ("keep", "keep"), (True, "true"), (False, "false"), (3, "3"), (np.int64(-2), "-2"),
+    (0.1, "0.1"), (-0.0, "-0"), (np.float64(1e300), "1e+300"), (2.5e-7, "2.5e-07"),
+])
+def test_cells_use_the_json_scalar_encoding(value, cell):
+    assert format_cell(value) == cell
