@@ -32,6 +32,7 @@ import argparse
 import atexit
 import importlib.util
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, expected_top_coefficient
+from .units import PhysicalUnits, expected_top_coefficient, level_spacing
 
 
 def _lazy(name: str):
@@ -165,9 +166,8 @@ def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str, keep: int) -> 
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         parser.error(f"--grid-M: expected comma-separated integers, got {text!r}")
-    # coefficient extraction needs a nonempty grid interior
-    if not sizes or any(size < landau_gauge.MIN_GRID_SIZE for size in sizes):
-        parser.error(f"--grid-M: grid sizes must be >= {landau_gauge.MIN_GRID_SIZE}, got {text!r}")
+    if not sizes:
+        parser.error(f"--grid-M: expected at least one grid size, got {text!r}")
     if (keep + 1) * max(sizes) > fock.MAX_DIMENSION:
         parser.error(f"--grid-M: (--keep + 1) * {max(sizes)} exceeds {fock.MAX_DIMENSION}")
     return sizes
@@ -197,6 +197,10 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
+        # [H, L] multiplies H's entries, up to hbar omega (N+1), by L's, up to hbar max(N, J)
+        if args.command == "spectrum" and max(args.N, args.J) < fock.MAX_DIMENSION:  # else Cutoffs rejects
+            if level_spacing(args.units) * (args.N + 1) * (args.units.hbar * max(args.N, args.J)) == math.inf:
+                parser.error("--N, --J: hbar*omega*(N+1) * hbar*max(N, J) overflows in these units")
 
     if args.command in ("commutator", "dump-matrix"):
         if args.keep is not None and not 0 <= args.keep <= args.N:
@@ -208,11 +212,14 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         if args.k_range is None:
             args.k_range = landau_gauge.DEFAULT_HALF_WIDTH
         args.grid_sizes = _parse_grid_sizes(parser, args.grid_M, args.keep)
-        for size in args.grid_sizes:  # KGrid rejects a range it cannot hold in normal floats
+        for size in args.grid_sizes:  # KGrid rejects too few points and a range outside the normal floats
             try:
                 landau_gauge.KGrid.centered(size, args.units, args.k_range)
             except ValueError as exc:
-                parser.error(f"--k-range {args.k_range!r} in these units: {exc}")
+                parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
+        # The interior mean sums under M coefficients, each below (keep+2) ell^2 (landau_gauge docstring)
+        if 2 * max(args.grid_sizes) * abs(expected_top_coefficient(args.keep, args.units)) == math.inf:
+            parser.error("--keep, --grid-M: 2 * (keep+1) * M * hbar*c/(e*B) overflows in these units")
 
     if args.command == "crosscheck":
         if len(args.grid_sizes) != 1:
@@ -280,10 +287,10 @@ COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
 
 
 def _commutator_payload(r: projection.CommutatorReport) -> dict:
-    """The JSON object of one ladder-route ``CommutatorReport``."""
-    artifacts = [{"row": [row.n, row.j], "col": [col.n, col.j], "value": _pair(value)}
-                 for row, col, value in r.boundary_artifacts]
-    return {"N": r.cutoffs.landau_cutoff, "J": r.cutoffs.degeneracy_cutoff, "keep": r.keep_levels,
+    """The JSON object of one ladder-route ``CommutatorReport``; each artifact sits at (n, J)."""
+    J = r.cutoffs.degeneracy_cutoff
+    artifacts = [{"row": [n, J], "col": [n, J], "value": _pair(value)} for n, value in r.boundary_artifacts]
+    return {"N": r.cutoffs.landau_cutoff, "J": J, "keep": r.keep_levels,
             "top_coefficient": _pair(r.top_coefficient), "max_offtop_residual": r.max_offtop_residual,
             "boundary_artifacts": artifacts, "ok": r.ok}
 

@@ -133,7 +133,7 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
             raise ValueError("half_width must be positive")
         scale = units.e * units.B * magnetic_length(units) / units.c
         k_max = half_width * scale
-        return cls(size=size, k_min=-k_max, dk=2.0 * k_max / (size - 1))
+        return cls(size=size, k_min=-k_max, dk=2.0 * k_max / max(size - 1, 1))  # __new__ rejects size 1
 
 
 def oscillator_x_elements(nmax: int, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
@@ -186,8 +186,6 @@ class GridCommutatorReport(NamedTuple):
     magnitude over the lower levels (all vanish at the same O(dk²) order).
     """
 
-    grid: KGrid
-    levels: int
     top_coefficient: complex
     max_offtop_residual: float
 
@@ -213,9 +211,7 @@ def projected_commutator_landau(
     g += bracket(x_osc.apply, lambda V: ratio * p_osc.apply(V))
     per_level = [complex(np.mean(row[inner] / f[inner])) for row in g]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
-    return GridCommutatorReport(
-        grid=grid, levels=levels, top_coefficient=per_level[levels], max_offtop_residual=float(residual)
-    )
+    return GridCommutatorReport(top_coefficient=per_level[levels], max_offtop_residual=float(residual))
 
 
 class ConvergenceRow(NamedTuple):

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, matmul
+from .fock import Cutoffs, OperatorMatrix, commutator, matmul
 from .ladder import build_xy
 from .units import NATURAL, PhysicalUnits, expected_top_coefficient, magnetic_length
 
@@ -60,11 +60,11 @@ class CommutatorReport(NamedTuple):
     kept level (interior j only); it scales with ell^2 = hbar c / eB, so in
     natural units it should be -i (keep+1). ``max_offtop_residual`` is the
     largest magnitude found anywhere else in the interior of the kept
-    block and should vanish. ``boundary_artifacts`` lists the degeneracy-
-    boundary elements excluded from both. ``top_uniform`` is cleared when
-    the top diagonal is not constant across interior j, which signals an
-    indexing bug rather than physics; it is a flag rather than an
-    exception so sweeps always complete and emit diagnostics.
+    block and should vanish. ``boundary_artifacts`` holds ``(n, value)``
+    for each (n, J) diagonal element excluded from both. ``top_uniform`` is
+    cleared when the top diagonal is not constant across interior j, which
+    signals an indexing bug rather than physics; it is a flag rather than
+    an exception so sweeps always complete and emit diagnostics.
     """
 
     cutoffs: Cutoffs
@@ -155,8 +155,7 @@ def analyze_projected_commutator(
         rounding = DEFAULT_TOLERANCE * (keep + J + 2) * ell2
         top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
         edge = enumerate(edges[:keep] + [complex(top_diag[keep * num_j + J])])
-        artifacts = [(BasisIndex(n, J), BasisIndex(n, J), z)
-                     for n, z in edge if abs(z) > DEFAULT_TOLERANCE * ell2]
+        artifacts = [(n, z) for n, z in edge if abs(z) > DEFAULT_TOLERANCE * ell2]
         expected = expected_top_coefficient(keep, units)
         close = abs(top_coefficient - expected) <= DEFAULT_TOLERANCE * abs(expected)
         ok = top_uniform and residual <= rounding and close

@@ -19,7 +19,6 @@ TOLERANCE = 1e-12
 class SpectrumReport(NamedTuple):
     """Eigenvalues of the level Hamiltonian against the exact ladder values."""
 
-    cutoffs: Cutoffs
     eigenvalues: list[float]
     expected: list[float]
     max_abs_error: float
@@ -59,7 +58,6 @@ def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> Spectru
         and hl_commutes
     )
     return SpectrumReport(
-        cutoffs=cutoffs,
         eigenvalues=[float(v) for v in eig],
         expected=[float(v) for v in expected],
         max_abs_error=max_abs_error,

@@ -197,9 +197,17 @@ def test_degenerate_cutoff_is_usage_error():
 
 
 def test_undersized_grid_is_usage_error():
+    # KGrid checks the smallest size; the message names the size and the range it was built with
     cp = run_cli("landau-gauge", "--grid-M", "3,4")
     assert cp.returncode == 2
-    assert "--grid-M" in cp.stderr
+    assert "--grid-M 3 with --k-range 8.0" in cp.stderr
+    assert "nonempty interior needs 5" in cp.stderr and "Traceback" not in cp.stderr
+
+
+def test_empty_grid_list_is_usage_error():
+    cp = run_cli("landau-gauge", "--grid-M", ",")
+    assert cp.returncode == 2
+    assert "--grid-M: expected at least one grid size" in cp.stderr
 
 
 @pytest.mark.parametrize("args,flag", [
@@ -271,6 +279,39 @@ def test_subnormal_level_spacing_passes():
     cp = run_cli("spectrum", "--B", "1e-310", "--output", "json")
     assert cp.returncode == 0, cp.stderr
     assert json.loads(cp.stdout)["ok"] is True
+
+
+# Where [H, L] or the grid route's sums would overflow, the input is a usage error
+# (cli.config_from_args); each bound is paired with the nearest case that passes.
+OVERFLOW_BOUNDS = [
+    ("spectrum --hbar 1e160", 2),
+    ("spectrum --hbar 2.2e153", 2),  # hbar*omega*(N+1) * hbar*max(N, J) = 40 hbar^2
+    ("spectrum --hbar 2.1e153", 0),
+    ("spectrum --hbar 1e154 --N 40 --J 40", 2),
+    ("spectrum --hbar 3.4e152 --N 40 --J 40", 2),  # 41 * 40 hbar^2
+    ("spectrum --hbar 3.3e152 --N 40 --J 40", 0),
+    ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 18", 2),  # L's entries overflow on their own
+    ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 17", 0),
+    ("landau-gauge --keep 0 --hbar 1e306", 2),
+    ("landau-gauge --keep 0 --hbar 3.6e305", 2),  # 2 * (keep+1) * M * ell^2, M = 256
+    ("landau-gauge --keep 0 --hbar 3.5e305", 0),
+    ("landau-gauge --keep 0 --hbar 1e305", 0),
+    ("crosscheck --keep 2 --hbar 1e306", 2),
+    ("crosscheck --keep 2 --hbar 2.4e305", 2),  # M = 128
+    ("crosscheck --keep 2 --hbar 2.3e305", 0),
+]
+
+
+@pytest.mark.parametrize("args,status", OVERFLOW_BOUNDS, ids=[case[0] for case in OVERFLOW_BOUNDS])
+def test_overflowing_route_is_usage_error(args, status):
+    cp = run_cli(*args.split(), "--output", "json")
+    assert cp.returncode == status, cp.stderr
+    if status == 2:
+        assert cp.stdout == "" and "Traceback" not in cp.stderr
+        assert cp.stderr.count("nclandau: error:") == 1
+        assert cp.stderr.splitlines()[-1].endswith("overflows in these units")
+    else:
+        assert json.loads(cp.stdout)["ok"] is True
 
 
 @pytest.mark.parametrize("command,value", [
@@ -675,6 +716,15 @@ def test_entry_keeps_the_known_traceback():
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_commutator_schema_is_the_real_output():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Output schemas", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cp = run_cli("commutator", "--N", "1", "--J", "3", "--keep", "1", "--output", "json")
+    assert cp.returncode == 0, cp.stderr
+    assert json.loads(block) == json.loads(cp.stdout)
 
 
 def main_block_calls(path: Path) -> set[str]:

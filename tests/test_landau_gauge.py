@@ -159,6 +159,9 @@ class TestGrid:
             KGrid(size=8, k_min=0.0, dk=0.0)
         with pytest.raises(ValueError, match="half_width"):
             KGrid.centered(16, half_width=0.0)
+        for size in (-3, 0, 1, 4):  # the size is checked before the spacing it divides by
+            with pytest.raises(ValueError, match="nonempty interior needs 5"):
+                KGrid.centered(size)
 
     def test_grid_is_a_read_only_value(self):
         grid = KGrid(size=9, k_min=-2.0, dk=0.5)
@@ -320,6 +323,10 @@ class TestCommutatorCoefficients:
         report = projected_commutator_landau(grid, 2)
         assert 0 < report.max_offtop_residual < 2 * grid.dk**2
 
+    def test_report_holds_only_the_two_numbers(self):
+        report = projected_commutator_landau(KGrid.centered(32), 1)
+        assert report._fields == ("top_coefficient", "max_offtop_residual")
+
     def test_level_blocks_do_not_mix(self):
         grid = KGrid.centered(32)
         x, y = build_landau_xy(grid, 2)
@@ -330,12 +337,6 @@ class TestCommutatorCoefficients:
                 if n != n2:
                     block = cm[n * M : (n + 1) * M, n2 * M : (n2 + 1) * M]
                     assert np.max(np.abs(block)) < 1e-12
-
-    def test_report_carries_grid_and_levels(self):
-        grid = KGrid.centered(32)
-        report = projected_commutator_landau(grid, 1)
-        assert report.grid == grid
-        assert report.levels == 1
 
     @pytest.mark.parametrize("keep", [0, 1, 2, 3, 4])
     def test_cross_gauge_agreement(self, keep):

@@ -177,10 +177,19 @@ class TestProjectedCommutator:
         # -i(keep-J) ell^2 at the corner
         keep, J = 2, 4
         report = projected_commutator_xy(Cutoffs(3, J), keep=keep)
-        artifacts = {(row.n, row.j): value for row, _, value in report.boundary_artifacts}
+        artifacts = dict(report.boundary_artifacts)
         for n in range(keep):
-            assert artifacts[(n, J)] == pytest.approx(1j * (J + 1), abs=1e-12)
-        assert artifacts[(keep, J)] == pytest.approx(-1j * (keep - J), abs=1e-12)
+            assert artifacts[n] == pytest.approx(1j * (J + 1), abs=1e-12)
+        assert artifacts[keep] == pytest.approx(-1j * (keep - J), abs=1e-12)
+
+    def test_boundary_artifacts_are_level_value_pairs(self):
+        # each artifact is the diagonal element at (n, J), named by its level n alone
+        assert "BasisIndex" not in vars(projection)
+        report = projected_commutator_xy(Cutoffs(1, 3), keep=1)
+        assert [type(n) for n, _ in report.boundary_artifacts] == [int, int]
+        assert [type(z) for _, z in report.boundary_artifacts] == [complex, complex]
+        assert [n for n, _ in report.boundary_artifacts] == [0, 1]
+        assert [z for _, z in report.boundary_artifacts] == pytest.approx([4j, 2j], abs=1e-12)
 
     def test_nonuniform_top_sets_flag_not_exception(self):
         c = Cutoffs(1, 3)
@@ -267,8 +276,8 @@ def assert_routes_agree(cutoffs, keep, units, fast=None):
     assert abs(fast.top_coefficient - oracle.top_coefficient) <= scale
     assert fast.max_offtop_residual <= 1e-12 * ell2
     assert oracle.max_offtop_residual <= 1e-12 * ell2
-    assert [a[:2] for a in fast.boundary_artifacts] == [a[:2] for a in oracle.boundary_artifacts]
-    for (_, _, got), (_, _, want) in zip(fast.boundary_artifacts, oracle.boundary_artifacts):
+    assert [n for n, _ in fast.boundary_artifacts] == [n for n, _ in oracle.boundary_artifacts]
+    for (_, got), (_, want) in zip(fast.boundary_artifacts, oracle.boundary_artifacts):
         assert abs(got - want) <= scale
 
 
@@ -368,10 +377,8 @@ class TestClosedFormOracle:
         assert abs(report.top_coefficient - exact[keep * (J + 1)]) <= bound
         edge = [(n, exact[n * (J + 1) + J]) for n in range(keep + 1)]
         want = [(n, value) for n, value in edge if value != 0]
-        assert [(row.n, row.j, col.n, col.j) for row, col, _ in report.boundary_artifacts] == [
-            (n, J, n, J) for n, _ in want
-        ]
-        for (_, _, got), (_, value) in zip(report.boundary_artifacts, want):
+        assert [n for n, _ in report.boundary_artifacts] == [n for n, _ in want]
+        for (_, got), (_, value) in zip(report.boundary_artifacts, want):
             assert abs(got - value) <= bound
 
 

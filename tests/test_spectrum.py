@@ -51,5 +51,8 @@ class TestVerifySpectrum:
         report = verify_spectrum(Cutoffs(N, J), units)
         assert np.allclose(report.eigenvalues, np.linalg.eigvalsh(dense), rtol=1e-15, atol=0)
 
+    def test_report_leaves_the_cutoffs_to_the_caller(self):
+        assert "cutoffs" not in verify_spectrum(Cutoffs(1, 1))._fields
+
     def test_hl_commute_flag(self):
         assert verify_spectrum(Cutoffs(4, 3)).hl_commutes
