@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, expected_top_coefficient, level_spacing
+from .units import PhysicalUnits, expected_top_coefficient, level_spacing, magnetic_length
 
 
 def _lazy(name: str):
@@ -197,10 +197,12 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
-        # [H, L] multiplies H's entries, up to hbar omega (N+1), by L's, up to hbar max(N, J)
-        if args.command == "spectrum" and max(args.N, args.J) < fock.MAX_DIMENSION:  # else Cutoffs rejects
-            if level_spacing(args.units) * (args.N + 1) * (args.units.hbar * max(args.N, args.J)) == math.inf:
-                parser.error("--N, --J: hbar*omega*(N+1) * hbar*max(N, J) overflows in these units")
+        # The ladder-form H's entries reach hbar omega (N+1/2), L's hbar max(N, J); [H, L] multiplies them
+        if max(args.N, args.J) < fock.MAX_DIMENSION:  # else Cutoffs rejects
+            H, L = level_spacing(args.units) * (args.N + 0.5), args.units.hbar * max(args.N, args.J)
+            largest = {"spectrum": H * L, "L": L, "H": H if getattr(args, "form", None) == "ladder" else 0.0}
+            if largest.get(getattr(args, "op", args.command)) == math.inf:
+                parser.error("--N, --J: the largest entry of H, L or [H, L] overflows in these units")
 
     if args.command in ("commutator", "dump-matrix"):
         if args.keep is not None and not 0 <= args.keep <= args.N:
@@ -217,9 +219,8 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 landau_gauge.KGrid.centered(size, args.units, args.k_range)
             except ValueError as exc:
                 parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
-        # The interior mean sums under M coefficients, each below (keep+2) ell^2 (landau_gauge docstring)
-        if 2 * max(args.grid_sizes) * abs(expected_top_coefficient(args.keep, args.units)) == math.inf:
-            parser.error("--keep, --grid-M: 2 * (keep+1) * M * hbar*c/(e*B) overflows in these units")
+        if 2 * (args.keep + 2) * magnetic_length(args.units) ** 2 == math.inf:  # landau_gauge, "Overflow"
+            parser.error("--keep: 2 * (keep+2) * hbar*c/(e*B) overflows in these units")
 
     if args.command == "crosscheck":
         if len(args.grid_sizes) != 1:
@@ -230,6 +231,9 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be >= 1, got {args.J}")
         if (args.keep + 1) * (args.J + 1) > fock.MAX_DIMENSION:
             parser.error(f"--J: (--keep + 1) * (--J + 1) exceeds {fock.MAX_DIMENSION}")
+        # Ladder route: [x, y] terms below (keep+J+2) ell^2, a mean over J entries of (keep+1) ell^2
+        if (args.keep + 1) * (args.J + 2) * magnetic_length(args.units) ** 2 == math.inf:
+            parser.error("--J: the ladder route's (keep+1) * (J+2) * hbar*c/(e*B) overflows in these units")
 
     if args.command == "dump-matrix":
         if args.op == "projector" and args.keep is None:

@@ -35,18 +35,25 @@ and would leave nothing to converge.)
 
 Why it agrees with [x, y]. x̃ and p̃ act on the levels, K and d/dk on the
 grid, so the cross terms commute exactly and [x, y] = [(c/eB) K, i hbar d/dk]
-⊗ 1 + 1 ⊗ [x̃, (c/eB) p̃], whose level factor is diagonal. Both factors act on
-f tiled as a (levels+1, M) array, the grid one along rows and the level one
-across them, so one pass gives every level's block·f and no operator of
-dimension (levels+1)M is built. Leaving out the cross terms, which grow as
-the half-width h and as 1/h, keeps the rounding free of h.
+⊗ 1 + 1 ⊗ [x̃, (c/eB) p̃]. K·d/dk is dimensionless; x̃ = ℓx̂, (c/eB) p̃ = ℓp̂
+with x̂, p̂ the ℓ = 1 matrices (m cancels), so this is ℓ² = hbar c/eB times
+i[K, d/dk] ⊗ 1 + 1 ⊗ [x̂, p̂], whose level factor is diagonal. The route adds
+i[K, d/dk]·f to each row of [x̂, p̂]·F, F being f tiled as a (levels+1, M)
+array, and scales each level's interior mean by ℓ² once; it builds no operator
+of dimension (levels+1)M. Leaving out the cross terms, which grow as the
+half-width h and as 1/h, keeps the rounding free of h.
 
-Rounding, in units of eps·ℓ² at an interior point i: the grid factor
-subtracts two terms of at most (M-1)/4·(f_{i-1} + f_{i+1}) each (|(c/eB) k|
-<= hℓ times hbar/2dk = (M-1)ℓ/4h), seven roundings deep; the level factor two
-of at most 2(keep+1)·f_i, six deep. Interior neighbours of f differ by less
-than 2x, and the mean adds log2(M) + 1 roundings of at most keep+1. So every
-coefficient is within 14(M-1) + 39(keep+1) <= 40(M + keep + 2) of exact.
+Rounding, in units of eps·ℓ² at an interior point i: the grid factor subtracts
+two terms of at most (M-1)/4·(f_{i-1} + f_{i+1}) each (|k|/2dk <= (M-1)/4),
+five roundings deep; the level factor two of at most 2(keep+1)·f_i, five deep.
+Interior neighbours of f differ by less than 2x, the mean adds log2(M) + 1
+roundings of at most keep+1, and ℓ² and the scaling six more. So every
+coefficient is within 10(M-1) + 41(keep+1) <= 40(M + keep + 2) of exact.
+
+Overflow: each block·f / f before the scaling is a pure number below keep+2,
+as (f_{i-1} + f_{i+1})/2f_i < 1.15 for every M and [x̂, p̂] is -i·keep on the
+top level and i below. So the route forms nothing above (keep+2)ℓ², and a
+row's error or a relative difference's numerator stays under 2(keep+2)ℓ².
 
 Grid edges use one-sided second-order stencils purely to keep matrices
 square; all extracted quantities ignore points within two steps of an
@@ -198,18 +205,12 @@ def projected_commutator_landau(
     The factors are truncated by construction, so no explicit projector
     appears. Callers judge the coefficients by their own bounds.
     """
-    ratio, k, D = units.c / (units.e * units.B), grid.points, derivative_matrix(grid)
-    x_osc, p_osc = oscillator_x_elements(levels, units), oscillator_p_elements(levels, units)
-    f, inner = delta_test_profile(grid), grid.interior
-    F = np.tile(f, (levels + 1, 1))  # one row per level
-
-    def bracket(a, b):  # [a, b]·F
-        return a(b(F)) - b(a(F))
-
-    # [x, y]·F without the cross terms, which commute exactly (module docstring)
-    g = bracket(lambda V: ratio * V * k, lambda V: (1j * units.hbar) * D.apply(V.T).T)
-    g += bracket(x_osc.apply, lambda V: ratio * p_osc.apply(V))
-    per_level = [complex(np.mean(row[inner] / f[inner])) for row in g]
+    k, D, f, inner = grid.points, derivative_matrix(grid), delta_test_profile(grid), grid.interior
+    x, p, F = oscillator_x_elements(levels), oscillator_p_elements(levels), np.tile(f, (levels + 1, 1))
+    # [x, y]·F / ℓ² without the cross terms (module docstring): i[K, d/dk]·f plus each row of [x̂, p̂]·F
+    g = 1j * (k * D.apply(f) - D.apply(k * f)) + (x.apply(p.apply(F)) - p.apply(x.apply(F)))
+    ell2 = magnetic_length(units) ** 2  # as in units.expected_top_coefficient
+    per_level = [ell2 * complex(np.mean(row[inner] / f[inner])) for row in g]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     return GridCommutatorReport(top_coefficient=per_level[levels], max_offtop_residual=float(residual))
 

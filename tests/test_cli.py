@@ -1,6 +1,9 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +12,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, env_extra=None):
@@ -281,24 +286,33 @@ def test_subnormal_level_spacing_passes():
     assert json.loads(cp.stdout)["ok"] is True
 
 
-# Where [H, L] or the grid route's sums would overflow, the input is a usage error
+# Where H, L, [H, L] or a route's values would overflow, the input is a usage error
 # (cli.config_from_args); each bound is paired with the nearest case that passes.
+# A --k-range of 1 keeps the grid span inside the floats up to the route's own bound.
 OVERFLOW_BOUNDS = [
     ("spectrum --hbar 1e160", 2),
-    ("spectrum --hbar 2.2e153", 2),  # hbar*omega*(N+1) * hbar*max(N, J) = 40 hbar^2
-    ("spectrum --hbar 2.1e153", 0),
+    ("spectrum --hbar 2.24e153", 2),  # hbar*omega*(N+1/2) * hbar*max(N, J) = 36 hbar^2
+    ("spectrum --hbar 2.23e153", 0),
     ("spectrum --hbar 1e154 --N 40 --J 40", 2),
-    ("spectrum --hbar 3.4e152 --N 40 --J 40", 2),  # 41 * 40 hbar^2
-    ("spectrum --hbar 3.3e152 --N 40 --J 40", 0),
+    ("spectrum --hbar 3.34e152 --N 40 --J 40", 2),  # 40.5 * 40 hbar^2
+    ("spectrum --hbar 3.33e152 --N 40 --J 40", 0),
     ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 18", 2),  # L's entries overflow on their own
     ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 17", 0),
-    ("landau-gauge --keep 0 --hbar 1e306", 2),
-    ("landau-gauge --keep 0 --hbar 3.6e305", 2),  # 2 * (keep+1) * M * ell^2, M = 256
-    ("landau-gauge --keep 0 --hbar 3.5e305", 0),
-    ("landau-gauge --keep 0 --hbar 1e305", 0),
-    ("crosscheck --keep 2 --hbar 1e306", 2),
-    ("crosscheck --keep 2 --hbar 2.4e305", 2),  # M = 128
-    ("crosscheck --keep 2 --hbar 2.3e305", 0),
+    ("dump-matrix --op H --N 100 --J 1 --hbar 1e307", 2),  # hbar*omega*(N+1/2), ladder form
+    ("dump-matrix --op H --N 100 --J 1 --hbar 1.7e306", 0),
+    ("dump-matrix --op L --N 100 --J 1 --hbar 1e307", 2),  # hbar*max(N, J)
+    ("dump-matrix --op L --N 100 --J 1 --hbar 1.7e306", 0),
+    ("landau-gauge --keep 0 --k-range 1 --hbar 1e308", 2),
+    ("landau-gauge --keep 0 --k-range 1 --hbar 4.5e307", 2),  # 2 * (keep+2) * ell^2
+    ("landau-gauge --keep 0 --k-range 1 --hbar 4.4e307", 0),
+    ("landau-gauge --keep 0 --hbar 1e306", 0),
+    ("crosscheck --keep 0 --J 1 --k-range 1 --hbar 4.5e307", 2),  # the grid route's bound
+    ("crosscheck --keep 0 --J 1 --k-range 1 --hbar 4.4e307", 0),
+    ("crosscheck --keep 0 --J 4000 --grid-M 5 --hbar 1e305", 2),
+    ("crosscheck --keep 0 --J 4000 --grid-M 64 --hbar 4.5e304", 2),  # ladder: (keep+1) * (J+2) * ell^2
+    ("crosscheck --keep 0 --J 4000 --grid-M 64 --hbar 4.4e304", 0),
+    ("crosscheck --keep 2 --k-range 1 --hbar 8.6e306", 2),  # J = 5: 21 ell^2
+    ("crosscheck --keep 2 --k-range 1 --hbar 8.5e306", 0),
 ]
 
 
@@ -311,7 +325,90 @@ def test_overflowing_route_is_usage_error(args, status):
         assert cp.stderr.count("nclandau: error:") == 1
         assert cp.stderr.splitlines()[-1].endswith("overflows in these units")
     else:
-        assert json.loads(cp.stdout)["ok"] is True
+        report = json.loads(cp.stdout)
+        assert report["dim"] == 202 if args.startswith("dump-matrix") else report["ok"] is True
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in this process: its status (a usage error's too) and its stdout."""
+    from nclandau import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue()
+
+
+UNIT_FLAGS = ("--e", "--B", "--c", "--hbar", "--m")
+
+
+def natural_twin(argv):
+    """``argv`` without its unit flags and --k-range: the same run in natural units on the default grid."""
+    dropped = (*UNIT_FLAGS, "--k-range")
+    pairs = [(flag, value) for flag, value in zip(argv[1::2], argv[2::2]) if flag not in dropped]
+    return argv[:1] + [item for pair in pairs for item in pair]
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda power: 10.0**power)
+
+
+@st.composite
+def grid_argv(draw):
+    command = draw(st.sampled_from(["landau-gauge", "crosscheck"]))
+    sizes = draw(st.lists(st.integers(5, 600), min_size=1, max_size=1 if command == "crosscheck" else 4))
+    argv = [command, "--keep", str(draw(st.integers(0, 6))), "--grid-M", ",".join(map(str, sizes))]
+    if command == "crosscheck" and draw(st.booleans()):
+        argv += ["--J", str(draw(st.integers(0, 4100)))]
+    for flag in UNIT_FLAGS:
+        value = draw(st.none() | log_uniform(1e-320, 1e308))
+        argv += [] if value is None else [flag, repr(value)]
+    k_range = draw(st.none() | log_uniform(1e-300, 1e300))
+    argv += [] if k_range is None else ["--k-range", repr(k_range)]
+    return argv + ["--output", draw(st.sampled_from(["json", "csv", "table"]))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grid_argv())
+def test_grid_commands_keep_the_exit_contract_in_any_units(argv):
+    # the grid route forms pure numbers and scales by ell^2 once, so no unit system changes a verdict
+    status, _ = run_main(argv)
+    assert status in (0, 1, 2)
+    if status != 2:
+        assert status == run_main(natural_twin(argv))[0]
+
+
+# Units in which c/eB or hbar lies far outside the float range that ell^2 = hbar c/eB keeps to.
+UNIT_EXTREMES = [
+    "landau-gauge --B 1e215",
+    "landau-gauge --c 1e-220",
+    "landau-gauge --e 1e-150 --c 1e150",
+    "landau-gauge --hbar 1e300 --k-range 1e-200",
+    "crosscheck --hbar 1e300 --k-range 1e-200",
+    "crosscheck --keep 2 --grid-M 128 --B 1.14e+238",
+]
+
+
+@pytest.mark.parametrize("args", UNIT_EXTREMES)
+def test_extreme_units_give_the_natural_digits_times_ell_squared(args):
+    from nclandau.units import PhysicalUnits, magnetic_length
+
+    argv = [*args.split(), "--output", "json"]
+    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
+    assert status == natural_status == 0
+    got, natural = json.loads(text), json.loads(natural_text)
+    units = {flag[2:]: float(value) for flag, value in zip(argv[1::2], argv[2::2]) if flag in UNIT_FLAGS}
+    ell2 = magnetic_length(PhysicalUnits(**units)) ** 2
+    if argv[0] == "landau-gauge":
+        for row, natural_row in zip(got["rows"], natural["rows"], strict=True):
+            assert row["im_coeff"] == pytest.approx(natural_row["im_coeff"] * ell2, rel=1e-13)
+            assert row["abs_error"] == pytest.approx(natural_row["abs_error"] * ell2, rel=1e-9)
+    else:
+        assert got["landau_gauge"][1] == pytest.approx(natural["landau_gauge"][1] * ell2, rel=1e-13)
+        assert got["relative_difference"] == pytest.approx(natural["relative_difference"], rel=1e-9)
 
 
 @pytest.mark.parametrize("command,value", [

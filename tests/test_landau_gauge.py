@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -375,6 +377,37 @@ class TestRouteAgainstBuiltCommutator:
         assert_route_matches_built_commutator(KGrid.centered(M, NON_NATURAL), keep, NON_NATURAL, margin=10)
 
 
+EXTREME_UNITS = [
+    PhysicalUnits(B=1e215), PhysicalUnits(c=1e-220), PhysicalUnits(e=1e-150, c=1e150),
+    PhysicalUnits(hbar=1e306), PhysicalUnits(m=1e300), PhysicalUnits(hbar=1e-150, m=1e-150), NON_NATURAL,
+]
+
+
+class TestUnitFreeRoute:
+    """Every term of [x, y] is ell^2 times a pure number; the route scales by ell^2 once."""
+
+    @pytest.mark.parametrize("units", EXTREME_UNITS)
+    @pytest.mark.parametrize("keep", [0, 3])
+    def test_coefficients_are_the_natural_ones_times_ell_squared(self, units, keep):
+        ell2 = magnetic_length(units) ** 2
+        natural = projected_commutator_landau(KGrid.centered(64), keep)
+        scaled = projected_commutator_landau(KGrid.centered(64, units), keep, units)
+        assert scaled.top_coefficient == pytest.approx(natural.top_coefficient * ell2, rel=1e-13)
+        assert scaled.max_offtop_residual == pytest.approx(natural.max_offtop_residual * ell2, rel=1e-9)
+
+    def test_reads_units_only_through_the_magnetic_length(self):
+        route = ast.parse(inspect.getsource(projected_commutator_landau)).body[0]
+        calls = [node for node in ast.walk(route) if isinstance(node, ast.Call)]
+        ell = {id(call.args[0]) for call in calls if ast.unparse(call.func) == "magnetic_length"}
+        body = [node for stmt in route.body for node in ast.walk(stmt)]  # the signature left out
+        units = [node for node in body if isinstance(node, ast.Name) and node.id == "units"]
+        assert units and all(id(node) in ell for node in units)
+        builders = [call for call in calls if ast.unparse(call.func).startswith("oscillator_")]
+        assert len(builders) == 2 and all(len(call.args) == 1 and not call.keywords for call in builders)
+        # the grid factor acts on the 1-D profile, with no transpose round trip over the levels
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "T" for node in ast.walk(route))
+
+
 class TestConvergenceStudy:
     def test_rows_and_order_trend(self):
         rows = convergence_study(0, [32, 64, 128, 256])
@@ -386,6 +419,11 @@ class TestConvergenceStudy:
         assert all(o is not None for o in orders)
         assert orders == sorted(orders)  # approaching 2 from below
         assert 1.8 <= orders[-1] <= 2.1
+
+    def test_large_hbar_converges_as_in_natural_units(self):
+        rows = convergence_study(0, [32, 64, 128, 256], PhysicalUnits(hbar=1e306))
+        assert rows[-1].coefficient == pytest.approx(-1.00019886846577e306j, rel=1e-13)
+        assert rows[-1].observed_order == pytest.approx(1.93, abs=0.01)
 
     def test_builds_no_operator_above_its_factors(self, monkeypatch):
         # the route applies the level and grid factors; nothing of dimension (levels+1)*M
