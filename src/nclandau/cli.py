@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, expected_top_coefficient, level_spacing, magnetic_length
+from .units import PhysicalUnits, expected_top_coefficient, level_spacing, magnetic_length_squared
 
 
 def _lazy(name: str):
@@ -197,10 +197,15 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
-        # The ladder-form H's entries reach hbar omega (N+1/2), L's hbar max(N, J); [H, L] multiplies them
+        # Largest entries: the ladder-form H's hbar omega (N+1/2), L's hbar max(N, J), [H, L] their product. The
+        # quadratic form's x² + y², px² + py² are ell^2, hbar eB/4c times alpha alpha† + alpha† alpha, whose
+        # largest entry is top, and its terms of H stay below top hbar omega.
         if max(args.N, args.J) < fock.MAX_DIMENSION:  # else Cutoffs rejects
-            H, L = level_spacing(args.units) * (args.N + 0.5), args.units.hbar * max(args.N, args.J)
-            largest = {"spectrum": H * L, "L": L, "H": H if getattr(args, "form", None) == "ladder" else 0.0}
+            u, top = args.units, max(2 * args.N - 1, args.N) + max(2 * args.J - 1, args.J)
+            H, L = level_spacing(u) * (args.N + 0.5), u.hbar * max(args.N, args.J)
+            if getattr(args, "form", None) == "quadratic":
+                H = max(L, top * max(magnetic_length_squared(u), u.e * u.B * u.hbar / u.c / 4, level_spacing(u)))
+            largest = {"spectrum": H * L, "L": L, "H": H}
             if largest.get(getattr(args, "op", args.command)) == math.inf:
                 parser.error("--N, --J: the largest entry of H, L or [H, L] overflows in these units")
 
@@ -219,7 +224,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 landau_gauge.KGrid.centered(size, args.units, args.k_range)
             except ValueError as exc:
                 parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
-        if 2 * (args.keep + 2) * magnetic_length(args.units) ** 2 == math.inf:  # landau_gauge, "Overflow"
+        if 2 * (args.keep + 2) * magnetic_length_squared(args.units) == math.inf:  # landau_gauge, "Overflow"
             parser.error("--keep: 2 * (keep+2) * hbar*c/(e*B) overflows in these units")
 
     if args.command == "crosscheck":
@@ -231,9 +236,6 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be >= 1, got {args.J}")
         if (args.keep + 1) * (args.J + 1) > fock.MAX_DIMENSION:
             parser.error(f"--J: (--keep + 1) * (--J + 1) exceeds {fock.MAX_DIMENSION}")
-        # Ladder route: [x, y] terms below (keep+J+2) ell^2, a mean over J entries of (keep+1) ell^2
-        if (args.keep + 1) * (args.J + 2) * magnetic_length(args.units) ** 2 == math.inf:
-            parser.error("--J: the ladder route's (keep+1) * (J+2) * hbar*c/(e*B) overflows in these units")
 
     if args.command == "dump-matrix":
         if args.op == "projector" and args.keep is None:

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, matmul
-from .units import NATURAL, PhysicalUnits, cyclotron_frequency
+from .units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
 
 __all__ = [
     "build_a",
@@ -73,7 +73,7 @@ def build_alpha(cutoffs: Cutoffs) -> OperatorMatrix:
 
 def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Planar coordinate matrices (x, y); both exactly Hermitian."""
-    scale = math.sqrt(units.hbar * units.c / (2.0 * units.e * units.B))
+    scale = math.sqrt(magnetic_length_squared(units) / 2.0)
     alpha = build_alpha(cutoffs)
     alpha_dag = dagger(alpha)
     x = scale * (alpha + alpha_dag)

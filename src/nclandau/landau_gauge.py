@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import OperatorMatrix, annihilation_matrix, dagger
-from .units import NATURAL, PhysicalUnits, cyclotron_frequency, expected_top_coefficient, magnetic_length
+from .units import NATURAL, PhysicalUnits, cyclotron_frequency, expected_top_coefficient, magnetic_length_squared
 
 __all__ = [
     "KGrid",
@@ -138,7 +138,7 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
         """
         if half_width <= 0:
             raise ValueError("half_width must be positive")
-        scale = units.e * units.B * magnetic_length(units) / units.c
+        scale = units.e * units.B * math.sqrt(magnetic_length_squared(units)) / units.c
         k_max = half_width * scale
         return cls(size=size, k_min=-k_max, dk=2.0 * k_max / max(size - 1, 1))  # __new__ rejects size 1
 
@@ -209,7 +209,7 @@ def projected_commutator_landau(
     x, p, F = oscillator_x_elements(levels), oscillator_p_elements(levels), np.tile(f, (levels + 1, 1))
     # [x, y]·F / ℓ² without the cross terms (module docstring): i[K, d/dk]·f plus each row of [x̂, p̂]·F
     g = 1j * (k * D.apply(f) - D.apply(k * f)) + (x.apply(p.apply(F)) - p.apply(x.apply(F)))
-    ell2 = magnetic_length(units) ** 2  # as in units.expected_top_coefficient
+    ell2 = magnetic_length_squared(units)
     per_level = [ell2 * complex(np.mean(row[inner] / f[inner])) for row in g]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     return GridCommutatorReport(top_coefficient=per_level[levels], max_offtop_residual=float(residual))

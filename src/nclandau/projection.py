@@ -14,13 +14,16 @@ alone, and :func:`sweep` scores every keep from one full-basis pass.
 :func:`project` (P.op.P, also O(d)) and :func:`full_space_scan` serve the
 tests.
 
-Tolerances. Entries of x and y are ell sqrt(m/2) with m <= max(keep, J), so
-each product term in an entry of [x, y] is below (keep+J+2) ell^2 / 2 and an
-entry sums at most 8 such terms: rounding leaves an error of order
-4 eps (keep+J+2) ell^2, eps ~ 1.1e-16. The off-top residual and the spread
-of the top diagonal are bounded by DEFAULT_TOLERANCE (keep+J+2) ell^2, about
-2000 times that error and never tighter than DEFAULT_TOLERANCE ell^2; the
-top coefficient is judged relative to its expected size.
+Units and tolerances. [x, y] is ell^2 = hbar c / eB times its value at
+ell = 1, so the routes here commute the ell = 1 matrices, score those pure
+numbers against -i (keep+1) and scale each reported value by ell^2 once: no
+intermediate overflows before a reported value, below (N+J+2) ell^2, does.
+Each product term in an entry of [x, y] is below (keep+J+2)/2 and an entry
+sums at most 8, so rounding errs by about 4 eps (keep+J+2), eps ~ 2.2e-16.
+The off-top residual and the top spread are bounded by DEFAULT_TOLERANCE
+(keep+J+2), an artifact is listed above DEFAULT_TOLERANCE, and the top
+coefficient is judged relative to keep+1. The scaling rounds once more: a
+reported r of the pure value z has |r - ell^2 z| <= (eps/2)|ell^2 z| + 2^-1075.
 
 The degeneracy cutoff J is a numerical necessity only: the degeneracy
 direction is physically infinite. Results at j < J are exact because the
@@ -37,7 +40,7 @@ import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, commutator, matmul
 from .ladder import build_xy
-from .units import NATURAL, PhysicalUnits, expected_top_coefficient, magnetic_length
+from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -49,7 +52,7 @@ __all__ = [
     "sweep",
 ]
 
-# Relative tolerance; absolute bounds scale it by ell^2 (see the module docstring).
+# Tolerance on the pure numbers of [x, y] at ell = 1 (see the module docstring).
 DEFAULT_TOLERANCE = 1e-12
 
 
@@ -90,9 +93,7 @@ def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
     return matmul(proj, matmul(op, proj))
 
 
-def projected_commutator_xy(
-    cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL
-) -> CommutatorReport:
+def projected_commutator_xy(cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL) -> CommutatorReport:
     """Commutator of the level-projected coordinates, analyzed and scored.
 
     x and y are corner cuts, so their kept block is x and y built on the
@@ -104,7 +105,7 @@ def projected_commutator_xy(
     """
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
-    block = commutator(*build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff), units))
+    block = commutator(*build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff)))
     return analyze_projected_commutator(block, block, cutoffs, [keep], units)[0]
 
 
@@ -117,13 +118,13 @@ def analyze_projected_commutator(
     rows of ``below`` on the levels under k and from the rows of ``top`` on
     level k, in the block's columns only: :func:`sweep` passes the full
     [x, y] and the products that skip level k+1, and one kept block B scores
-    as ``(B, B)``. Split out so a doctored commutator can be fed through the
-    same analysis in tests; the CLI never calls this directly.
+    as ``(B, B)``; both hold [x, y] at ell = 1, and ``units`` gives the ell^2
+    the report is scaled by. Split out so a doctored commutator can be fed
+    through the same analysis in tests; the CLI never calls this directly.
     """
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
     num_j, J, keeps = cutoffs.num_degeneracy, cutoffs.degeneracy_cutoff, list(keeps)
-    ell2 = magnetic_length(units) ** 2
     j = np.arange(num_j)
 
     def level_rows(op, levels):
@@ -148,25 +149,25 @@ def analyze_projected_commutator(
 
     top_diag = top.diagonals.get(0, np.zeros(top.dim))
     edges = below.diagonals.get(0, np.zeros(below.dim))[J::num_j].tolist()  # (n, J) for each n
+    ell2 = magnetic_length_squared(units)
     reports = []
     for keep, residual in zip(keeps, residuals):
         top_values = top_diag[keep * num_j : keep * num_j + J]
         top_coefficient = complex(np.mean(top_values))
-        rounding = DEFAULT_TOLERANCE * (keep + J + 2) * ell2
+        rounding = DEFAULT_TOLERANCE * (keep + J + 2)
         top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
         edge = enumerate(edges[:keep] + [complex(top_diag[keep * num_j + J])])
-        artifacts = [(n, z) for n, z in edge if abs(z) > DEFAULT_TOLERANCE * ell2]
-        expected = expected_top_coefficient(keep, units)
-        close = abs(top_coefficient - expected) <= DEFAULT_TOLERANCE * abs(expected)
+        # complex parts scaled one by one: ell2 * z multiplies by ell2 + 0j, which can flip a zero's sign
+        artifacts = [(n, complex(ell2 * z.real, ell2 * z.imag)) for n, z in edge if abs(z) > DEFAULT_TOLERANCE]
+        close = abs(top_coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)  # -i (keep+1) at ell = 1
         ok = top_uniform and residual <= rounding and close
-        reports.append(CommutatorReport(cutoffs, keep, top_coefficient, residual, artifacts, top_uniform, ok))
+        top_coefficient = complex(ell2 * top_coefficient.real, ell2 * top_coefficient.imag)
+        reports.append(CommutatorReport(cutoffs, keep, top_coefficient, ell2 * residual, artifacts, top_uniform, ok))
     return reports
 
 
-def full_space_scan(
-    cutoffs: Cutoffs, units: PhysicalUnits = NATURAL
-) -> list[tuple[int, complex]]:
-    """Unprojected [x, y] diagonal on the doubly-interior region.
+def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, complex]]:
+    """Unprojected [x, y] diagonal on the doubly-interior region, at ell = 1.
 
     Returns, for each level n <= N-1, the largest-magnitude diagonal
     element over the interior orbits j <= J-1. All returned values vanish
@@ -176,7 +177,7 @@ def full_space_scan(
     N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
     if N == 0 or J == 0:
         return []
-    diag = commutator(*build_xy(cutoffs, units)).diagonals[0]
+    diag = commutator(*build_xy(cutoffs)).diagonals[0]
     rows = diag.reshape(N + 1, cutoffs.num_degeneracy)[:N, :J]
     return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(rows)]
 
@@ -189,7 +190,7 @@ def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorRe
     rows it is the same products without the terms through level k+1, which
     are the terms of the left factor's +(J+1) diagonal.
     """
-    x, y = build_xy(cutoffs, units)
+    x, y = build_xy(cutoffs)
     up = cutoffs.num_degeneracy
     x_in, y_in = (OperatorMatrix({k: v for k, v in op.diagonals.items() if k != up}, op.dim) for op in (x, y))
     top = matmul(x_in, y) - matmul(y_in, x)

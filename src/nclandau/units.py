@@ -16,7 +16,7 @@ from collections import namedtuple
 __all__ = [
     "PhysicalUnits",
     "NATURAL",
-    "magnetic_length",
+    "magnetic_length_squared",
     "cyclotron_frequency",
     "level_spacing",
     "expected_top_coefficient",
@@ -47,7 +47,7 @@ class PhysicalUnits(namedtuple("PhysicalUnits", "e B c hbar m")):
         for product, value in (("e*B", self.e * self.B), ("m*c", self.m * self.c)):
             if value == 0:
                 raise ValueError(f"{product} underflows to 0")
-        ell2 = self.hbar * self.c / (self.e * self.B)
+        ell2 = magnetic_length_squared(self)
         if not ell2 >= sys.float_info.min:
             cause = "as hbar*c and e*B both overflow" if math.isnan(ell2) else (
                 "underflows below the smallest normal float")
@@ -58,13 +58,9 @@ class PhysicalUnits(namedtuple("PhysicalUnits", "e B c hbar m")):
         return self
 
 
-def magnetic_length(units: PhysicalUnits) -> float:
-    """Length scale ell = sqrt(hbar c / (e B)) of the planar problem.
-
-    ell**2 is the magnitude of the coordinate commutator picked up on the
-    lowest retained level.
-    """
-    return math.sqrt(units.hbar * units.c / (units.e * units.B))
+def magnetic_length_squared(units: PhysicalUnits) -> float:
+    """ell^2 = hbar c / (e B), the one formula; both commutator routes scale their pure numbers by it."""
+    return units.hbar * units.c / (units.e * units.B)
 
 
 def cyclotron_frequency(units: PhysicalUnits) -> float:
@@ -79,7 +75,7 @@ def level_spacing(units: PhysicalUnits) -> float:
 
 def expected_top_coefficient(keep: int, units: PhysicalUnits) -> complex:
     """The paper's result -i (keep+1) ell^2, the commutator on the top kept level."""
-    return -1j * (keep + 1) * magnetic_length(units) ** 2
+    return -1j * (keep + 1) * magnetic_length_squared(units)
 
 
 NATURAL = PhysicalUnits()

@@ -302,17 +302,23 @@ OVERFLOW_BOUNDS = [
     ("dump-matrix --op H --N 100 --J 1 --hbar 1.7e306", 0),
     ("dump-matrix --op L --N 100 --J 1 --hbar 1e307", 2),  # hbar*max(N, J)
     ("dump-matrix --op L --N 100 --J 1 --hbar 1.7e306", 0),
+    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 1e307", 2),
+    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 8.99e305", 2),  # x² + y²: (2N-1 + 2J-1) ell^2
+    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 8.98e305", 0),
     ("landau-gauge --keep 0 --k-range 1 --hbar 1e308", 2),
     ("landau-gauge --keep 0 --k-range 1 --hbar 4.5e307", 2),  # 2 * (keep+2) * ell^2
     ("landau-gauge --keep 0 --k-range 1 --hbar 4.4e307", 0),
     ("landau-gauge --keep 0 --hbar 1e306", 0),
     ("crosscheck --keep 0 --J 1 --k-range 1 --hbar 4.5e307", 2),  # the grid route's bound
     ("crosscheck --keep 0 --J 1 --k-range 1 --hbar 4.4e307", 0),
-    ("crosscheck --keep 0 --J 4000 --grid-M 5 --hbar 1e305", 2),
-    ("crosscheck --keep 0 --J 4000 --grid-M 64 --hbar 4.5e304", 2),  # ladder: (keep+1) * (J+2) * ell^2
+    # The ladder half is unit-free: only the grid route's bound applies, whatever J is.
+    ("crosscheck --keep 0 --J 4000 --grid-M 5 --hbar 1e305", 1),  # the coarse grid fails its report
+    ("crosscheck --keep 0 --J 4000 --grid-M 64 --hbar 4.5e304", 0),
     ("crosscheck --keep 0 --J 4000 --grid-M 64 --hbar 4.4e304", 0),
-    ("crosscheck --keep 2 --k-range 1 --hbar 8.6e306", 2),  # J = 5: 21 ell^2
+    ("crosscheck --keep 2 --k-range 1 --hbar 8.6e306", 0),
     ("crosscheck --keep 2 --k-range 1 --hbar 8.5e306", 0),
+    ("crosscheck --keep 2 --k-range 1 --hbar 2.3e307", 2),  # 2 * (keep+2) * ell^2
+    ("crosscheck --keep 2 --k-range 1 --hbar 2.2e307", 0),
 ]
 
 
@@ -326,7 +332,7 @@ def test_overflowing_route_is_usage_error(args, status):
         assert cp.stderr.splitlines()[-1].endswith("overflows in these units")
     else:
         report = json.loads(cp.stdout)
-        assert report["dim"] == 202 if args.startswith("dump-matrix") else report["ok"] is True
+        assert report["dim"] == 202 if args.startswith("dump-matrix") else report["ok"] is (status == 0)
 
 
 def run_main(argv):
@@ -350,6 +356,11 @@ def natural_twin(argv):
     dropped = (*UNIT_FLAGS, "--k-range")
     pairs = [(flag, value) for flag, value in zip(argv[1::2], argv[2::2]) if flag not in dropped]
     return argv[:1] + [item for pair in pairs for item in pair]
+
+
+def units_of(argv):
+    """The constants that ``argv``'s unit flags set, by name."""
+    return {flag[2:]: float(value) for flag, value in zip(argv[1::2], argv[2::2]) if flag in UNIT_FLAGS}
 
 
 def log_uniform(low, high):
@@ -394,14 +405,13 @@ UNIT_EXTREMES = [
 
 @pytest.mark.parametrize("args", UNIT_EXTREMES)
 def test_extreme_units_give_the_natural_digits_times_ell_squared(args):
-    from nclandau.units import PhysicalUnits, magnetic_length
+    from nclandau.units import PhysicalUnits, magnetic_length_squared
 
     argv = [*args.split(), "--output", "json"]
     (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
     assert status == natural_status == 0
     got, natural = json.loads(text), json.loads(natural_text)
-    units = {flag[2:]: float(value) for flag, value in zip(argv[1::2], argv[2::2]) if flag in UNIT_FLAGS}
-    ell2 = magnetic_length(PhysicalUnits(**units)) ** 2
+    ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
     if argv[0] == "landau-gauge":
         for row, natural_row in zip(got["rows"], natural["rows"], strict=True):
             assert row["im_coeff"] == pytest.approx(natural_row["im_coeff"] * ell2, rel=1e-13)
@@ -409,6 +419,82 @@ def test_extreme_units_give_the_natural_digits_times_ell_squared(args):
     else:
         assert got["landau_gauge"][1] == pytest.approx(natural["landau_gauge"][1] * ell2, rel=1e-13)
         assert got["relative_difference"] == pytest.approx(natural["relative_difference"], rel=1e-9)
+
+
+def ladder_values(report):
+    """The ladder route's printed numbers in a commutator, sweep or crosscheck JSON report, in order."""
+    if "symmetric_gauge" in report:
+        return report["symmetric_gauge"]
+    values = []
+    for r in report.get("reports", [report]):
+        values += [*r["top_coefficient"], r["max_offtop_residual"]]
+        values += [part for artifact in r["boundary_artifacts"] for part in artifact["value"]]
+    return values
+
+
+def assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text):
+    # The route rounds each value once when it scales by ell^2 (projection module docstring), this
+    # test once more, and each side prints 15 digits (5e-15 relative): 1.1e-14 in all, or 1e-323 subnormal.
+    got, natural = json.loads(text), json.loads(natural_text)
+    assert got["ok"] == natural["ok"]
+    for value, natural_value in zip(ladder_values(got), ladder_values(natural), strict=True):
+        assert abs(value - ell2 * natural_value) <= 1.1e-14 * abs(ell2 * natural_value) + 1e-323
+
+
+@st.composite
+def ladder_argv(draw):
+    command = draw(st.sampled_from(["commutator", "sweep", "crosscheck"]))
+    if command == "crosscheck":
+        argv = [command, "--keep", str(draw(st.integers(0, 6))), "--grid-M", str(draw(st.integers(5, 300)))]
+        argv += ["--J", str(draw(st.integers(1, 200)))] if draw(st.booleans()) else []
+    else:
+        N = draw(st.integers(0, 8))
+        argv = [command, "--N", str(N), "--J", str(draw(st.integers(1, 60)))]
+        argv += ["--keep", str(draw(st.integers(0, N)))] if command == "commutator" and draw(st.booleans()) else []
+    for flag in UNIT_FLAGS:
+        value = draw(st.none() | log_uniform(1e-320, 1e308))
+        argv += [] if value is None else [flag, repr(value)]
+    return argv + ["--output", "json"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ladder_argv())
+def test_ladder_commands_give_the_natural_digits_times_ell_squared_in_any_units(argv):
+    # the ladder route scores pure numbers and scales its report by ell^2 once
+    from nclandau.units import PhysicalUnits, magnetic_length_squared
+
+    try:
+        ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
+    except ValueError:
+        assert run_main(argv) == (2, "")
+        return
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    N = int(flags.get("--N", flags.get("--keep")))
+    J = int(flags.get("--J", N + 3))
+    if argv[0] != "crosscheck" and (N + J + 2) * ell2 == math.inf:
+        return  # a reported value may overflow: the open ell^2 (N+J+2) bound
+    status, text = run_main(argv)
+    if argv[0] == "crosscheck" and status == 2:
+        return  # the grid route's own bounds, held by the grid property
+    natural_status, natural_text = run_main(natural_twin(argv))
+    assert status == natural_status
+    assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text)
+
+
+@pytest.mark.parametrize("args", [
+    "commutator --N 3 --J 50 --hbar 1.5e306",
+    "sweep --N 3 --J 50 --hbar 1.5e306",
+    "sweep --hbar 1e307",
+])
+def test_ladder_values_near_the_float_range_give_the_natural_digits_times_ell_squared(args):
+    # no intermediate of the ladder route is larger than its largest reported value
+    from nclandau.units import PhysicalUnits, magnetic_length_squared
+
+    argv = [*args.split(), "--output", "json"]
+    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
+    assert status == natural_status == 0
+    ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
+    assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text)
 
 
 @pytest.mark.parametrize("command,value", [

@@ -14,7 +14,7 @@ from nclandau.ladder import (
     build_xy,
     interior_slice,
 )
-from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
 
 from dense import identity, kron
 
@@ -151,7 +151,7 @@ class TestCoordinates:
         x, y = build_xy(c, u)
         alpha = build_alpha(c)
         lhs = commutator(x, y).entries
-        rhs = -1j * magnetic_length(u) ** 2 * commutator(alpha, dagger(alpha)).entries
+        rhs = -1j * magnetic_length_squared(u) * commutator(alpha, dagger(alpha)).entries
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 

@@ -19,7 +19,7 @@ from nclandau.landau_gauge import (
     projected_commutator_landau,
 )
 from nclandau.projection import projected_commutator_xy
-from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 from dense import build_landau_xy, landau_level_coefficients
 
@@ -314,7 +314,7 @@ class TestCommutatorCoefficients:
     def test_matches_dense_block_times_profile(self, levels, M, units):
         grid = KGrid.centered(M, units)
         means = [np.mean(level) for level in dense_level_coefficients(grid, levels, units)]
-        scale = (levels + 1) * magnetic_length(units) ** 2
+        scale = (levels + 1) * magnetic_length_squared(units)
         report = projected_commutator_landau(grid, levels, units)
         assert abs(report.top_coefficient - means[levels]) <= 1e-12 * scale
         residual = max((abs(mean) for mean in means[:levels]), default=0.0)
@@ -351,7 +351,7 @@ class TestCommutatorCoefficients:
 def route_bound(grid, keep, units):
     """Twice the module docstring's rounding bound, 40*eps*(M + keep + 2)*l^2: the
     route and the build of [x, y] each stay within it of the exact value."""
-    return 2 * 40 * np.finfo(float).eps * (grid.size + keep + 2) * magnetic_length(units) ** 2
+    return 2 * 40 * np.finfo(float).eps * (grid.size + keep + 2) * magnetic_length_squared(units)
 
 
 def assert_route_matches_built_commutator(grid, keep, units, margin=1.0):
@@ -389,7 +389,7 @@ class TestUnitFreeRoute:
     @pytest.mark.parametrize("units", EXTREME_UNITS)
     @pytest.mark.parametrize("keep", [0, 3])
     def test_coefficients_are_the_natural_ones_times_ell_squared(self, units, keep):
-        ell2 = magnetic_length(units) ** 2
+        ell2 = magnetic_length_squared(units)
         natural = projected_commutator_landau(KGrid.centered(64), keep)
         scaled = projected_commutator_landau(KGrid.centered(64, units), keep, units)
         assert scaled.top_coefficient == pytest.approx(natural.top_coefficient * ell2, rel=1e-13)
@@ -398,7 +398,7 @@ class TestUnitFreeRoute:
     def test_reads_units_only_through_the_magnetic_length(self):
         route = ast.parse(inspect.getsource(projected_commutator_landau)).body[0]
         calls = [node for node in ast.walk(route) if isinstance(node, ast.Call)]
-        ell = {id(call.args[0]) for call in calls if ast.unparse(call.func) == "magnetic_length"}
+        ell = {id(call.args[0]) for call in calls if ast.unparse(call.func) == "magnetic_length_squared"}
         body = [node for stmt in route.body for node in ast.walk(stmt)]  # the signature left out
         units = [node for node in body if isinstance(node, ast.Name) and node.id == "units"]
         assert units and all(id(node) in ell for node in units)

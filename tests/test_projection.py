@@ -1,4 +1,7 @@
+import ast
+import inspect
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +22,7 @@ from nclandau.projection import (
     sweep,
 )
 from nclandau.spectrum import verify_spectrum
-from nclandau.units import NATURAL, PhysicalUnits, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 from dense import dense_operator, identity
 
@@ -256,13 +259,14 @@ class TestSweepSeam:
 
 
 def dense_route_report(cutoffs, keep, units):
-    """The dense oracle: P x P and P y P commuted as full numpy matrices, with
-    the kept block fed through the production analysis."""
+    """The dense oracle: P x P and P y P built in ``units`` and commuted as full
+    numpy matrices, with the kept block over ell^2 fed through the production
+    analysis, which reads pure numbers and scales its report by ell^2."""
     x, y = (op.entries for op in build_xy(cutoffs, units))
     size = (keep + 1) * cutoffs.num_degeneracy
     p = np.diag((np.arange(cutoffs.dim) < size).astype(float))
     px, py = p @ x @ p, p @ y @ p
-    block = (px @ py - py @ px)[:size, :size]
+    block = (px @ py - py @ px)[:size, :size] / magnetic_length_squared(units)
     return score_block(dense_operator(block), cutoffs, keep, units)
 
 
@@ -270,7 +274,7 @@ def assert_routes_agree(cutoffs, keep, units, fast=None):
     if fast is None:
         fast = projected_commutator_xy(cutoffs, keep, units)
     oracle = dense_route_report(cutoffs, keep, units)
-    ell2 = magnetic_length(units) ** 2
+    ell2 = magnetic_length_squared(units)
     scale = 1e-12 * (keep + 1) * ell2
     assert (fast.ok, fast.top_uniform) == (oracle.ok, oracle.top_uniform)
     assert abs(fast.top_coefficient - oracle.top_coefficient) <= scale
@@ -338,7 +342,7 @@ def closed_form_diagonal(cutoffs, keep, units):
 
 def rounding_bound(J, keep, units):
     """The rounding bound of the projection module docstring."""
-    return 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length(units) ** 2
+    return 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length_squared(units)
 
 
 UNITS_TWO = pytest.mark.parametrize("units", [NATURAL, NON_NATURAL], ids=["natural", "non-natural"])
@@ -455,7 +459,50 @@ class TestSweep:
     def test_physical_units_scaling_of_report(self):
         u = PhysicalUnits(e=1, B=2, c=1, hbar=1)
         reports = sweep(Cutoffs(3, 6), u)
-        ell2 = magnetic_length(u) ** 2
+        ell2 = magnetic_length_squared(u)
         assert ell2 == pytest.approx(0.5, rel=1e-15)
         for keep, report in enumerate(reports):
             assert report.top_coefficient == pytest.approx(-1j * (keep + 1) * ell2, abs=1e-12)
+
+
+# Units whose ell^2 lies near either end of the float range, or makes the residual subnormal.
+EXTREME_UNITS = [
+    PhysicalUnits(hbar=1e306), PhysicalUnits(B=1e-300), PhysicalUnits(hbar=1e-300, m=1e-10),
+    PhysicalUnits(hbar=sys.float_info.min), PhysicalUnits(e=1e-150, c=1e150), NON_NATURAL,
+]
+
+
+class TestUnitFreeRoute:
+    """The ladder route commutes x and y at ell = 1, scores the pure numbers and scales by ell^2 once."""
+
+    @pytest.mark.parametrize("units", EXTREME_UNITS)
+    def test_reports_are_the_natural_ones_times_ell_squared(self, units):
+        # each value rounds once in the route and once in ell2 * natural here (module docstring)
+        ell2, eps = magnetic_length_squared(units), np.finfo(float).eps
+        for got, natural in zip(sweep(Cutoffs(3, 50), units), sweep(Cutoffs(3, 50)), strict=True):
+            assert (got.ok, got.top_uniform) == (natural.ok, natural.top_uniform) == (True, True)
+            pairs = [(got.top_coefficient, natural.top_coefficient)]
+            pairs += [(got.max_offtop_residual, natural.max_offtop_residual)]
+            pairs += list(zip(dict(got.boundary_artifacts).values(), dict(natural.boundary_artifacts).values(),
+                              strict=True))
+            for value, natural_value in pairs:
+                assert abs(value - ell2 * natural_value) <= eps * abs(ell2 * natural_value) + 2.0**-1073
+
+    def test_reads_units_only_through_the_one_ell_squared_scale(self):
+        module = ast.parse(inspect.getsource(projection))
+        calls = [node for node in ast.walk(module) if isinstance(node, ast.Call)]
+        scale = [call for call in calls if ast.unparse(call.func) == "magnetic_length_squared"]
+        handed_on = [call for call in calls if ast.unparse(call.func) == "analyze_projected_commutator"]
+        allowed = {id(arg) for call in scale + handed_on for arg in call.args}
+        bodies = [node for function in module.body if isinstance(function, ast.FunctionDef)
+                  for stmt in function.body for node in ast.walk(stmt)]  # signatures left out
+        units = [node for node in bodies if isinstance(node, ast.Name) and node.id == "units"]
+        assert len(scale) == 1 and units and all(id(node) in allowed for node in units)
+        # x and y are built at ell = 1, and ell^2 is read only where a report value is made
+        builders = [call for call in calls if ast.unparse(call.func) == "build_xy"]
+        assert len(builders) == 3 and all(len(call.args) == 1 and not call.keywords for call in builders)
+        made = {id(node) for call in calls if ast.unparse(call.func) in ("complex", "CommutatorReport")
+                for node in ast.walk(call)}
+        reads = [node for node in ast.walk(module) if isinstance(node, ast.Name) and node.id == "ell2"
+                 and isinstance(node.ctx, ast.Load)]
+        assert len(reads) == 5 and all(id(node) in made for node in reads)

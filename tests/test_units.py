@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length
+from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared
 
 
 def test_natural_units_scales():
-    assert magnetic_length(NATURAL) == 1.0
+    assert magnetic_length_squared(NATURAL) == 1.0
     assert cyclotron_frequency(NATURAL) == 1.0
 
 
 def test_magnetic_length_quarter_field():
-    assert magnetic_length(PhysicalUnits(e=1, B=4, c=1, hbar=1)) == 0.5
+    assert magnetic_length_squared(PhysicalUnits(e=1, B=4, c=1, hbar=1)) == 0.25
 
 
 def test_magnetic_length_generic():
-    # direct arithmetic: sqrt(hbar*c/(e*B)) = sqrt(7*5/(2*3))
+    # direct arithmetic: hbar*c/(e*B) = 7*5/(2*3)
     u = PhysicalUnits(e=2, B=3, c=5, hbar=7, m=1)
-    assert magnetic_length(u) == pytest.approx(math.sqrt(35.0 / 6.0), abs=1e-15)
+    assert magnetic_length_squared(u) == 35.0 / 6.0
 
 
 def test_cyclotron_frequency_values():
@@ -103,7 +103,7 @@ def test_accepts_subnormal_level_spacing():
 
 
 def test_accepts_smallest_normal_magnetic_length():
-    assert magnetic_length(PhysicalUnits(hbar=sys.float_info.min)) ** 2 == sys.float_info.min
+    assert magnetic_length_squared(PhysicalUnits(hbar=sys.float_info.min)) == sys.float_info.min
 
 
 def test_scale_identities_random_units():
@@ -112,7 +112,7 @@ def test_scale_identities_random_units():
     for _ in range(50):
         e, B, c, hbar, m = np.exp(rng.uniform(-3, 3, size=5))
         u = PhysicalUnits(e=e, B=B, c=c, hbar=hbar, m=m)
-        ell2 = magnetic_length(u) ** 2
+        ell2 = magnetic_length_squared(u)
         assert ell2 * (e * B) == pytest.approx(hbar * c, rel=1e-15)
         assert ell2 * cyclotron_frequency(u) * m == pytest.approx(hbar, rel=1e-15)
         assert level_spacing(u) == pytest.approx(hbar * e * B / (m * c), rel=1e-15)
