@@ -204,7 +204,8 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             u, top = args.units, max(2 * args.N - 1, args.N) + max(2 * args.J - 1, args.J)
             H, L = level_spacing(u) * (args.N + 0.5), u.hbar * max(args.N, args.J)
             if getattr(args, "form", None) == "quadratic":
-                H = max(L, top * max(magnetic_length_squared(u), u.e * u.B * u.hbar / u.c / 4, level_spacing(u)))
+                p = ladder.momentum_scale(u)  # p*p, not p**2, which raises on overflow
+                H = max(L, top * max(magnetic_length_squared(u), 2 * p * p, level_spacing(u)))
             largest = {"spectrum": H * L, "L": L, "H": H}
             if largest.get(getattr(args, "op", args.command)) == math.inf:
                 parser.error("--N, --J: the largest entry of H, L or [H, L] overflows in these units")

@@ -3,35 +3,36 @@
 Two independent oscillator modes carry the physics: mode ``b`` raises the
 level index n (and hence the energy), mode ``a`` raises the degeneracy
 index j at fixed energy. This assignment is fixed package-wide; every
-constructor here builds on :func:`build_a` and :func:`build_b`, so a
-transposed mode cannot creep in silently.
+constructor here lifts single-mode operators onto the composite basis
+with :func:`lift`, so a transposed mode cannot creep in.
 
 The planar coordinates enter through the combination ``alpha = a + b†``:
 
-    x = sqrt(hbar c / 2 e B) (alpha + alpha†)
-    y = i sqrt(hbar c / 2 e B) (alpha - alpha†)
+    x = sqrt(hbar c / 2 e B) (alpha + alpha†) = 1 ⊗ x_a + x_b ⊗ 1
+    y = i sqrt(hbar c / 2 e B) (alpha - alpha†) = 1 ⊗ y_a + y_b ⊗ 1
 
-so the coordinate commutator is -i (hbar c / e B) [alpha, alpha†] as an
-exact matrix identity at every truncation. The momenta follow by inverting
-the defining mode combinations
+with the pieces of :func:`build_mode_xy`, which commute across modes, so
+[x, y] = 1 ⊗ [x_a, y_a] + [x_b, y_b] ⊗ 1 = -i (hbar c / e B) [alpha, alpha†]
+at every truncation. The projection route commutes the pieces and
+:func:`build_xy` lifts them. The momenta invert the mode combinations
 
     a = (1/2) sqrt(eB/2c hbar) (x - i y) + (i/2) sqrt(2c/eB hbar) (px - i py)
     b = (1/2) sqrt(eB/2c hbar) (x + i y) + (i/2) sqrt(2c/eB hbar) (px + i py)
 
 which gives
 
-    px = -i sqrt(eB hbar / 8c) ((a - a†) + (b - b†))
-    py =   sqrt(eB hbar / 8c) ((a + a†) - (b + b†))
+    px = -i sqrt(hbar e B / 8c) ((a - a†) + (b - b†))
+    py =   sqrt(hbar e B / 8c) ((a + a†) - (b + b†))
 
-The inversion is pinned down operationally by the canonical commutators
-[x, px] = i hbar, [y, py] = i hbar, [x, py] = [y, px] = 0 on interior
-matrix elements (see tests); away from the truncation boundary those hold
-to rounding error.
+The tests pin the inversion down by [x, px] = [y, py] = i hbar and
+[x, py] = [y, px] = 0 on interior matrix elements, away from the truncation
+boundary, where those hold to rounding error.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -42,7 +43,9 @@ __all__ = [
     "build_a",
     "build_b",
     "build_alpha",
+    "build_mode_xy",
     "build_xy",
+    "momentum_scale",
     "build_momenta",
     "build_H",
     "build_L",
@@ -53,17 +56,23 @@ __all__ = [
 H_FORMS = ("ladder", "quadratic")
 
 
+def lift(cutoffs: Cutoffs, on_a: OperatorMatrix | None = None, on_b: OperatorMatrix | None = None) -> OperatorMatrix:
+    """1 ⊗ on_a + on_b ⊗ 1: on_a (J+1 states) tiled, on_b (N+1 states) repeated. The offsets alternate
+    between the modes as in alpha + alpha† = (a + b†) + (a† + b), an order later products sum in."""
+    step = cutoffs.num_degeneracy
+    tiled = [(k, np.tile(v, cutoffs.num_levels)) for k, v in (on_a.diagonals.items() if on_a else ())]
+    repeated = [(k * step, np.repeat(v, step)) for k, v in (on_b.diagonals.items() if on_b else ())]
+    return OperatorMatrix(dict(d for pair in zip_longest(tiled, repeated) for d in pair if d), cutoffs.dim)
+
+
 def build_a(cutoffs: Cutoffs) -> OperatorMatrix:
     """Degeneracy-mode lowering operator: acts on j, leaves n alone; offset +1 (none if J = 0)."""
-    inner = annihilation_matrix(cutoffs.num_degeneracy).diagonals.values()
-    return OperatorMatrix({1: np.tile(v, cutoffs.num_levels) for v in inner}, cutoffs.dim)
+    return lift(cutoffs, on_a=annihilation_matrix(cutoffs.num_degeneracy))
 
 
 def build_b(cutoffs: Cutoffs) -> OperatorMatrix:
     """Level-mode lowering operator: acts on n, leaves j alone; offset +(J+1) (none if N = 0)."""
-    step = cutoffs.num_degeneracy
-    outer = annihilation_matrix(cutoffs.num_levels).diagonals.values()
-    return OperatorMatrix({step: np.repeat(v, step) for v in outer}, cutoffs.dim)
+    return lift(cutoffs, on_b=annihilation_matrix(cutoffs.num_levels))
 
 
 def build_alpha(cutoffs: Cutoffs) -> OperatorMatrix:
@@ -71,21 +80,30 @@ def build_alpha(cutoffs: Cutoffs) -> OperatorMatrix:
     return build_a(cutoffs) + dagger(build_b(cutoffs))
 
 
-def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Planar coordinate matrices (x, y); both exactly Hermitian."""
+def build_mode_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[tuple[OperatorMatrix, OperatorMatrix]]:
+    """The pieces [(x_a, y_a), (x_b, y_b)] of x and y on the J+1 orbits and the N+1 levels:
+    x_a = s (a + a†), y_a = i s (a - a†), x_b = s (b† + b), y_b = i s (b† - b), s = sqrt(hbar c / 2eB)."""
     scale = math.sqrt(magnetic_length_squared(units) / 2.0)
-    alpha = build_alpha(cutoffs)
-    alpha_dag = dagger(alpha)
-    x = scale * (alpha + alpha_dag)
-    y = (1j * scale) * (alpha - alpha_dag)
-    return x, y
+    modes = (annihilation_matrix(cutoffs.num_degeneracy), dagger(annihilation_matrix(cutoffs.num_levels)))
+    return [(scale * (alpha + dagger(alpha)), (1j * scale) * (alpha - dagger(alpha))) for alpha in modes]
+
+
+def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Planar coordinate matrices (x, y), both exactly Hermitian: the pieces of :func:`build_mode_xy`, lifted."""
+    return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, units)))
+
+
+def momentum_scale(units: PhysicalUnits) -> float:
+    """sqrt(hbar e B / 8c) from the mantissas: no product under- or overflows, and where none did, the same bits."""
+    (me, xe), (mb, xb), (mh, xh), (mc, xc) = map(math.frexp, (units.e, units.B, units.hbar, units.c))
+    x = xe + xb + xh - xc - 3
+    return math.ldexp(math.sqrt(math.ldexp(me * mb * mh / mc, x % 2)), x // 2)
 
 
 def build_momenta(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Canonical momentum matrices (px, py); both exactly Hermitian."""
-    scale = math.sqrt(units.e * units.B * units.hbar / (8.0 * units.c))
-    a = build_a(cutoffs)
-    b = build_b(cutoffs)
+    scale = momentum_scale(units)
+    a, b = build_a(cutoffs), build_b(cutoffs)
     a_dag, b_dag = dagger(a), dagger(b)
     # Written with a - a† so the zero real parts of px stay +0, as in a dense sum.
     px = (-1j * scale) * ((a - a_dag) + (b - b_dag))
@@ -95,8 +113,7 @@ def build_momenta(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[Ope
 
 def build_L(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
     """Planar angular momentum, diagonal with entry hbar (j - n) at (n, j)."""
-    a = build_a(cutoffs)
-    b = build_b(cutoffs)
+    a, b = build_a(cutoffs), build_b(cutoffs)
     return units.hbar * (matmul(dagger(a), a) - matmul(dagger(b), b))
 
 

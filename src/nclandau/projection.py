@@ -7,23 +7,33 @@ everywhere except on the diagonal of the topmost kept level, where every
 space the same commutator vanishes on all doubly-interior diagonal
 elements: the noncommutativity lives entirely on the truncation boundary.
 
-The projected commutator works on the operators' diagonals in O(d). x and
-y are corner cuts, so their kept block is x and y built on the kept levels
-alone, and :func:`sweep` scores every keep from one full-basis pass.
-:func:`projector` is the diagonal 0/1 operator ``dump-matrix`` prints;
-:func:`project` (P.op.P, also O(d)) and :func:`full_space_scan` serve the
-tests.
+The route builds no operator on the composite basis. [x, y] =
+1 ⊗ [x_a, y_a] + [x_b, y_b] ⊗ 1 at every truncation (``ladder``), both
+factors diagonal, and x and y are corner cuts, so the kept block's entry at
+(n, j) is [x_a, y_a] at j plus [x_b, y_b], built on levels 0..keep, at n:
+the top coefficient is their mean over j < J at n = keep, the residual the
+largest |sum| over n < keep, j < J (and any off-diagonal entry), artifact n
+their sum at (n, J). :func:`project` (P.op.P) serves the tests.
 
-Units and tolerances. [x, y] is ell^2 = hbar c / eB times its value at
-ell = 1, so the routes here commute the ell = 1 matrices, score those pure
-numbers against -i (keep+1) and scale each reported value by ell^2 once: no
-intermediate overflows before a reported value, below (N+J+2) ell^2, does.
-Each product term in an entry of [x, y] is below (keep+J+2)/2 and an entry
-sums at most 8, so rounding errs by about 4 eps (keep+J+2), eps ~ 2.2e-16.
-The off-top residual and the top spread are bounded by DEFAULT_TOLERANCE
-(keep+J+2), an artifact is listed above DEFAULT_TOLERANCE, and the top
-coefficient is judged relative to keep+1. The scaling rounds once more: a
-reported r of the pure value z has |r - ell^2 z| <= (eps/2)|ell^2 z| + 2^-1075.
+Units and rounding. [x, y] is ell^2 = hbar c / eB times its value at
+ell = 1, so the route scores the ell = 1 pieces against -i (keep+1) and
+scales each reported value z by ell^2 once, within (eps/2)|ell^2 z| +
+2^-1075 (eps = 2^-52): no intermediate overflows before a reported value,
+below (N+J+2) ell^2, does. At ell = 1 and to first order in eps, a product
+term is q_j = fl(p_j^2) = (j+1)/2 (1+σ)^2 (1+θ_j), with p_j =
+fl(fl(sqrt(1/2)) fl(sqrt(j+1))) an entry of x_a, |σ| <= eps/2 and |θ_j| <=
+5 eps/2. [x_a, y_a] is -2i fl(q_j - q_(j-1)), within (5j + 4) eps of -i, at
+j < J and 2i q_(J-1) at J; [x_b, y_b] mirrors it, -2i q_(keep-1) on the top
+level. So each entry, the residual and each artifact err by at most
+5 eps (keep+J+2), the top spread by that plus the top's error, which
+telescopes: the q_j cancel in the mean of [x_a, y_a] over j < J (4 eps);
+the top entry adds 3.5 eps keep, each sum eps/2 (keep+1), numpy's pairwise
+mean (at most 15 + log2 J additions per summand) and its division
+(8 + log2(J)/2) eps (keep+1). So |top + i (keep+1)| <= (13 + log2(J)/2)
+eps (keep+1), under 20 eps (keep+1) at every admitted J. DEFAULT_TOLERANCE
+(keep+J+2) bounds the residual and the top spread, DEFAULT_TOLERANCE
+(keep+1) the top, each over 150 times its bound; an artifact is listed
+above DEFAULT_TOLERANCE.
 
 The degeneracy cutoff J is a numerical necessity only: the degeneracy
 direction is physically infinite. Results at j < J are exact because the
@@ -39,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, commutator, matmul
-from .ladder import build_xy
+from .ladder import build_mode_xy
 from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
@@ -59,15 +69,11 @@ DEFAULT_TOLERANCE = 1e-12
 class CommutatorReport(NamedTuple):
     """Outcome of one projected-commutator computation.
 
-    ``top_coefficient`` is the common diagonal matrix element at the top
-    kept level (interior j only); it scales with ell^2 = hbar c / eB, so in
-    natural units it should be -i (keep+1). ``max_offtop_residual`` is the
-    largest magnitude found anywhere else in the interior of the kept
-    block and should vanish. ``boundary_artifacts`` holds ``(n, value)``
-    for each (n, J) diagonal element excluded from both. ``top_uniform`` is
-    cleared when the top diagonal is not constant across interior j, which
-    signals an indexing bug rather than physics; it is a flag rather than
-    an exception so sweeps always complete and emit diagnostics.
+    ``top_coefficient`` is the top level's diagonal over interior j,
+    -i (keep+1) ell^2; ``max_offtop_residual`` the largest other interior
+    magnitude, which should vanish; ``boundary_artifacts`` each (n, J)
+    diagonal element as ``(n, value)``. ``top_uniform`` is cleared, so
+    sweeps complete, when the top diagonal varies over j: an indexing bug.
     """
 
     cutoffs: Cutoffs
@@ -94,69 +100,50 @@ def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
 
 
 def projected_commutator_xy(cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL) -> CommutatorReport:
-    """Commutator of the level-projected coordinates, analyzed and scored.
+    """Commutator of the level-projected coordinates, scored; requires J >= 1 for an interior in j.
 
-    x and y are corner cuts, so their kept block is x and y built on the
-    lowest ``keep+1`` levels alone, and these are commuted. Requires J >= 1
-    so the degeneracy interior (j <= J-1) is nonempty; J >= 2 gives a
-    sturdier interior. The report's ``ok`` is true when the top diagonal is
-    uniform, equals -i (keep+1) ell^2 to DEFAULT_TOLERANCE relative, and
-    every other interior element vanishes up to rounding.
+    ``ok`` is true when the top diagonal is uniform, equals -i (keep+1) ell^2
+    to DEFAULT_TOLERANCE relative, and every other interior element vanishes.
     """
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
-    block = commutator(*build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff)))
-    return analyze_projected_commutator(block, block, cutoffs, [keep], units)[0]
+    on_a, on_b = (commutator(*pieces) for pieces in build_mode_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff)))
+    return analyze_factors(on_a, on_b, on_b, cutoffs, [keep], units)[0]
 
 
-def analyze_projected_commutator(
-    below: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs, keeps, units: PhysicalUnits = NATURAL
-) -> list[CommutatorReport]:
-    """Score the kept-block commutator of every keep in ``keeps`` (ascending).
+def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs, keeps,
+                    units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
+    """Score the kept block of every keep in ``keeps`` from [x_a, y_a] and [x_b, y_b].
 
-    Keep k's kept block holds levels 0..k. Its commutator is read from the
-    rows of ``below`` on the levels under k and from the rows of ``top`` on
-    level k, in the block's columns only: :func:`sweep` passes the full
-    [x, y] and the products that skip level k+1, and one kept block B scores
-    as ``(B, B)``; both hold [x, y] at ell = 1, and ``units`` gives the ell^2
-    the report is scaled by. Split out so a doctored commutator can be fed
-    through the same analysis in tests; the CLI never calls this directly.
+    ``on_a`` and ``on_b`` hold them at ell = 1 on the J+1 orbits and on
+    levels 0..K >= every keep; level k of ``top`` is keep k's top entry of
+    [x_b, y_b], which one kept block reads from ``on_b``. An off-diagonal
+    entry counts once both its orbits are below J and both its levels kept.
+    Split out so that tests can score doctored factors; the CLI never does.
     """
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
-    num_j, J, keeps = cutoffs.num_degeneracy, cutoffs.degeneracy_cutoff, list(keeps)
-    j = np.arange(num_j)
+    J = cutoffs.degeneracy_cutoff
+    u, v, tops = (op.diagonals.get(0, np.zeros(op.dim)) for op in (on_a, on_b, top))
+    # start[k]: the largest entry that keep k's residual is the first to count
+    start = np.zeros(on_b.dim)
+    start[0] = max([0] + [np.abs(w[: J - max(k, 0)]).max(initial=0) for k, w in on_a.diagonals.items() if k])
+    start[1:] = np.abs(v[:-1, None] + u[:J]).max(axis=1)  # level n's diagonal, from keep n+1 on
+    for k, w in on_b.diagonals.items():
+        if k:  # the entry at (n, n+k), from keep max(n, n+k) on
+            counted = start[max(k, 0) :]
+            np.maximum(counted, np.abs(w[: len(counted)]), out=counted)
+    residuals = np.maximum.accumulate(start)[keeps].tolist()
 
-    def level_rows(op, levels):
-        """|op| on the rows of ``levels`` as (offset k, level, j), the offsets k and the interior (k, j)."""
-        ks = np.array([*op.diagonals, 0])[:, None]  # one zero diagonal, so that every op stacks
-        values = np.stack([*op.diagonals.values(), np.zeros(op.dim)]).reshape(len(ks), -1, num_j)
-        return np.abs(values[:, levels]), ks, (j < J) & ((j + ks) % num_j < J)
-
-    # Elements between two interior (j < J) states, by row level n and column
-    # level n + (j + k) // num_j. One of `below` counts from keep n + max(that
-    # shift, 1) on; first[k] is the largest that starts at keep k. One of `top`
-    # counts at keep n if its column level is <= n, top diagonal left out.
-    rows, ks, interior = level_rows(below, slice(keeps[-1]))
-    start = np.where(interior, np.maximum((j + ks) // num_j, 1), 0)[:, None]
-    first = np.zeros(keeps[-1] + 1)
-    for s in set(start.ravel().tolist()) - {0}:
-        counted = first[s:]
-        np.maximum(counted, np.where(start == s, rows[:, : len(counted)], 0).max(axis=(0, 2)), out=counted)
-    rows, ks, interior = level_rows(top, keeps)
-    top_rest = np.where((interior & (j + ks < num_j) & (ks != 0))[:, None], rows, 0).max(axis=(0, 2))
-    residuals = np.maximum(np.maximum.accumulate(first)[keeps], top_rest).tolist()
-
-    top_diag = top.diagonals.get(0, np.zeros(top.dim))
-    edges = below.diagonals.get(0, np.zeros(below.dim))[J::num_j].tolist()  # (n, J) for each n
+    edges = (u[J] + v).tolist()  # (n, J) for each level n
     ell2 = magnetic_length_squared(units)
     reports = []
     for keep, residual in zip(keeps, residuals):
-        top_values = top_diag[keep * num_j : keep * num_j + J]
+        top_values = u[:J] + tops[keep]
         top_coefficient = complex(np.mean(top_values))
         rounding = DEFAULT_TOLERANCE * (keep + J + 2)
         top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
-        edge = enumerate(edges[:keep] + [complex(top_diag[keep * num_j + J])])
+        edge = enumerate(edges[:keep] + [complex(u[J] + tops[keep])])
         # complex parts scaled one by one: ell2 * z multiplies by ell2 + 0j, which can flip a zero's sign
         artifacts = [(n, complex(ell2 * z.real, ell2 * z.imag)) for n, z in edge if abs(z) > DEFAULT_TOLERANCE]
         close = abs(top_coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)  # -i (keep+1) at ell = 1
@@ -167,31 +154,24 @@ def analyze_projected_commutator(
 
 
 def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, complex]]:
-    """Unprojected [x, y] diagonal on the doubly-interior region, at ell = 1.
-
-    Returns, for each level n <= N-1, the largest-magnitude diagonal
-    element over the interior orbits j <= J-1. All returned values vanish
-    up to rounding: with no level projection the commutator is a pure
-    boundary effect. Empty when N = 0 or J = 0 (no doubly-interior states).
-    """
+    """Unprojected [x, y] diagonal on the doubly-interior region, at ell = 1: for each level n < N the
+    largest-magnitude [x_b, y_b][n] + [x_a, y_a][j] over j < J, all near 0. Empty when N = 0 or J = 0."""
     N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
     if N == 0 or J == 0:
         return []
-    diag = commutator(*build_xy(cutoffs)).diagonals[0]
-    rows = diag.reshape(N + 1, cutoffs.num_degeneracy)[:N, :J]
-    return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(rows)]
+    u, v = (commutator(*pieces).diagonals[0] for pieces in build_mode_xy(cutoffs))
+    return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(v[:N, None] + u[:J])]
 
 
 def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
     """One projected-commutator report per keep = 0..N, in order, from one pass.
 
-    On the rows of the levels under k, keep k's kept-block commutator is the
-    full [x, y]: those rows' products stay inside levels 0..k. On the level-k
-    rows it is the same products without the terms through level k+1, which
-    are the terms of the left factor's +(J+1) diagonal.
+    Below level k, keep k's [x_b, y_b] is that of all N+1 levels bit for
+    bit: those rows' products stay inside levels 0..k. On level k it is the
+    same products without the terms through level k+1, which are the terms
+    of the left factor's +1 diagonal.
     """
-    x, y = build_xy(cutoffs)
-    up = cutoffs.num_degeneracy
-    x_in, y_in = (OperatorMatrix({k: v for k, v in op.diagonals.items() if k != up}, op.dim) for op in (x, y))
-    top = matmul(x_in, y) - matmul(y_in, x)
-    return analyze_projected_commutator(commutator(x, y), top, cutoffs, range(cutoffs.num_levels), units)
+    (x_a, y_a), (x_b, y_b) = build_mode_xy(cutoffs)
+    x_down, y_down = (OperatorMatrix({k: w for k, w in op.diagonals.items() if k < 0}, op.dim) for op in (x_b, y_b))
+    top = matmul(x_down, y_b) - matmul(y_down, x_b)
+    return analyze_factors(commutator(x_a, y_a), commutator(x_b, y_b), top, cutoffs, range(cutoffs.num_levels), units)

@@ -7,11 +7,15 @@ and the grid route applies its small factors and builds no operator of
 dimension (levels+1)·M. :func:`kron` and :func:`identity` build the
 composite operators the tests check those against; :func:`build_landau_xy`
 builds x and y on the whole grid basis, as the oracle of the grid route.
+The ladder route commutes single-mode pieces; :func:`dense_route_report`
+commutes the composite x and y as numpy arrays and scores the kept block
+entry by entry, as its oracle.
 """
 
 import numpy as np
 
-from nclandau.fock import OperatorMatrix, commutator
+from nclandau.fock import Cutoffs, OperatorMatrix, commutator
+from nclandau.ladder import build_xy
 from nclandau.landau_gauge import (
     KGrid,
     delta_test_profile,
@@ -19,7 +23,8 @@ from nclandau.landau_gauge import (
     oscillator_p_elements,
     oscillator_x_elements,
 )
-from nclandau.units import NATURAL, PhysicalUnits
+from nclandau.projection import DEFAULT_TOLERANCE, CommutatorReport
+from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 
 def dense_operator(entries) -> OperatorMatrix:
@@ -92,3 +97,37 @@ def landau_level_coefficients(grid: KGrid, levels: int, units: PhysicalUnits = N
     f, inner = delta_test_profile(grid), grid.interior
     g = blocks.apply(np.tile(f, levels + 1)).reshape(levels + 1, grid.size)
     return [complex(np.mean(row[inner] / f[inner])) for row in g]
+
+
+def dense_route_report(cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
+    """The dense oracle of the ladder route: x and y built in ``units`` on the
+    kept levels (a corner cut is the projection), commuted as numpy arrays,
+    and the kept block over ell^2 scored by :func:`score_dense_block`."""
+    x, y = (op.entries for op in build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff), units))
+    return score_dense_block((x @ y - y @ x) / magnetic_length_squared(units), cutoffs, keep, units)
+
+
+def score_dense_block(block: np.ndarray, cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
+    """The report of a kept-block commutator of pure numbers, read entry by entry.
+
+    The top coefficient is the mean of the top level's diagonal over j < J,
+    the residual the largest other entry between two states with j < J, and
+    the artifacts the (n, J) diagonal entries above DEFAULT_TOLERANCE; each
+    value is scaled by ell^2, and ``ok`` is judged as the package judges it.
+    """
+    J = cutoffs.degeneracy_cutoff
+    n, j = np.divmod(np.arange(len(block)), J + 1)
+    diagonal = np.diag(block)
+    top = diagonal[(n == keep) & (j < J)]
+    coefficient = complex(np.mean(top))
+    rounding = DEFAULT_TOLERANCE * (keep + J + 2)
+    uniform = float(np.max(np.abs(top - coefficient))) <= rounding
+    others = (j < J)[:, None] & (j < J)[None, :] & ~np.diag((n == keep) & (j < J))
+    residual = float(np.max(np.abs(block[others]), initial=0.0))
+    close = abs(coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)
+    ell2 = magnetic_length_squared(units)
+    scale = lambda z: complex(ell2 * z.real, ell2 * z.imag)
+    artifacts = [(level, scale(z)) for level, z in enumerate(diagonal[J :: J + 1].tolist())
+                 if abs(z) > DEFAULT_TOLERANCE]
+    ok = uniform and residual <= rounding and close
+    return CommutatorReport(cutoffs, keep, scale(coefficient), ell2 * residual, artifacts, uniform, ok)

@@ -189,6 +189,31 @@ def test_quadratic_hamiltonian_overflow_raises_in_the_library(units):
             build_H(Cutoffs(2, 2), PhysicalUnits(**constants), form="quadratic")
 
 
+# e*B*hbar = 1e310 overflows, but hbar e B / 8c = 1.25e159 and the quadratic H's entries do not.
+LARGE_PRODUCT_UNITS = "--e 1e200 --B 1e100 --hbar 1e10 --c 1e150"
+
+
+@pytest.mark.parametrize("op", ["px", "py", "H --form quadratic"])
+def test_momentum_scale_needs_no_e_b_hbar_product(op):
+    cp = run_cli("dump-matrix", "--op", *op.split(), "--N", "2", "--J", "2", *LARGE_PRODUCT_UNITS.split())
+    assert cp.returncode == 0, cp.stderr
+    entries = json.loads(cp.stdout)["entries"]
+    assert all(math.isfinite(v) for pair in entries for v in pair)
+    if op == "H --form quadratic":  # hbar omega / 2 at the interior ground state
+        assert entries[0][0] == pytest.approx(5e159, rel=1e-12)
+    else:  # sqrt(hbar e B / 8c) sqrt(2), from the level mode's top entry
+        assert max(abs(v) for pair in entries for v in pair) == pytest.approx(math.sqrt(2.5e159), rel=1e-12)
+
+
+@pytest.mark.parametrize("op", ["px", "py"])
+def test_momentum_scale_needs_no_normal_level_spacing(op):
+    # hbar omega = 1e-310 is subnormal, but hbar e B / 8c = 1.25e-211 is not: the scale keeps every digit
+    cp = run_cli("dump-matrix", "--op", op, "--N", "2", "--J", "2", "--hbar", "1e-10", "--c", "1e200", "--m", "1e100")
+    assert cp.returncode == 0, cp.stderr
+    entries = json.loads(cp.stdout)["entries"]
+    assert abs(max(abs(v) for pair in entries for v in pair) / math.sqrt(2.5e-211) - 1) <= 1e-15
+
+
 def test_keep_exceeding_levels_is_usage_error():
     cp = run_cli("commutator", "--N", "2", "--J", "3", "--keep", "5")
     assert cp.returncode == 2

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from nclandau.ladder import (
     build_momenta,
     build_xy,
     interior_slice,
+    momentum_scale,
 )
 from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
 
@@ -196,6 +199,27 @@ class TestMomenta:
         x, _ = build_xy(c, u)
         px, _ = build_momenta(c, u)
         assert commutator(x, px).entries[0, 0] == pytest.approx(1.5j, abs=1e-12)
+
+    @pytest.mark.parametrize("span", [3, 300])
+    def test_scale_is_exact_to_an_ulp_and_the_plain_formula_where_that_is_normal(self, span):
+        # sqrt(hbar e B / 8c) within 2 eps wherever it is a normal float, whatever its products do
+        normal = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
+        checked = plain = 0
+        for constants in 10.0 ** np.random.default_rng(span).uniform(-span, span, (3000, 5)):
+            e, B, c, hbar, m = map(float, constants)
+            try:
+                units = PhysicalUnits(e=e, B=B, c=c, hbar=hbar, m=m)
+            except ValueError:
+                continue
+            exact = Fraction(hbar) * Fraction(e) * Fraction(B) / (8 * Fraction(c))
+            if not normal[0] <= exact <= normal[1]:
+                continue
+            scale, checked = momentum_scale(units), checked + 1
+            assert abs(Fraction(scale) ** 2 / exact - 1) <= 4 * sys.float_info.epsilon, constants
+            if all(normal[0] <= v <= normal[1] for v in (e * B, e * B * hbar, e * B * hbar / (8.0 * c))):
+                plain += 1
+                assert scale == math.sqrt(e * B * hbar / (8.0 * c)), constants
+        assert checked > 300 and plain > (300 if span == 3 else 0)
 
 
 class TestAngularMomentum:

@@ -8,9 +8,10 @@ fresh interpreters. Further tests pin what ``import nclandau`` loads,
 which the benchmark's start-up probe times, and which modules each CLI
 command executes; check that the names in every module's ``__all__``
 exist and are read by the package or imported by the acceptance gate, and
-that every name a module imports is used; and check that the
-benchmark's span tracer still installs on the package, which breaks when
-a name it wraps is deleted, and that each name it binds still exists.
+that every name a module imports is used; check that ``src/`` keeps to
+its line ceiling; and check that the benchmark's span tracer still
+installs on the package, which breaks when a name it wraps is deleted,
+and that each name it binds still exists.
 """
 
 import ast
@@ -294,6 +295,16 @@ def test_every_export_is_read_or_gated():
     # by the acceptance gate; anything else belongs in the tests that use it.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_exports(sources, acceptance_imports()) == []
+
+
+# The most lines src/nclandau/*.py may hold. The count should go down, not up:
+# lower this when a change shrinks src/, and never raise it.
+SRC_LINE_CEILING = 1597
+
+
+def test_src_keeps_to_its_line_ceiling():
+    lines = sum(len(path.read_text().splitlines()) for path in PACKAGE.glob("*.py"))
+    assert lines <= SRC_LINE_CEILING, f"src/nclandau holds {lines} lines, over its ceiling of {SRC_LINE_CEILING}"
 
 
 SPAN_PROBE = """

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 
 from nclandau import cli, fock, projection
 from nclandau.fock import BasisIndex, Cutoffs, OperatorMatrix, commutator, dagger, flatten
-from nclandau.ladder import build_alpha, build_xy
+from nclandau.ladder import build_alpha, build_mode_xy, build_xy
 from nclandau.landau_gauge import KGrid, convergence_study, projected_commutator_landau
 from nclandau.projection import (
-    analyze_projected_commutator,
+    analyze_factors,
     full_space_scan,
     project,
     projected_commutator_xy,
@@ -24,25 +25,33 @@ from nclandau.projection import (
 from nclandau.spectrum import verify_spectrum
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
 
-from dense import dense_operator, identity
+from dense import dense_route_report, identity
 
 DUMP_OPS = ("a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector")
 NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)
 THREE_UNITS = (NATURAL, NON_NATURAL, PhysicalUnits(e=0.37, B=3.1, c=2.9, hbar=1.7))
 
 
-def score_block(block, cutoffs, keep, units=NATURAL):
-    """The report of one kept-block commutator, scored as ``(block, block)``."""
-    return analyze_projected_commutator(block, block, cutoffs, [keep], units)[0]
+# Units whose ell^2 lies near either end of the float range, or makes the residual subnormal.
+EXTREME_UNITS = [
+    PhysicalUnits(hbar=1e306), PhysicalUnits(B=1e-300), PhysicalUnits(hbar=1e-300, m=1e-10),
+    PhysicalUnits(hbar=sys.float_info.min), PhysicalUnits(e=1e-150, c=1e150), NON_NATURAL,
+]
+EPS = np.finfo(float).eps
 
 
-def sweep_operands(monkeypatch, cutoffs):
-    """The (below, top) pair that sweep hands to the scoring function."""
+def mode_commutators(cutoffs):
+    """[x_a, y_a] on the J+1 orbits and [x_b, y_b] on the N+1 levels, at ell = 1."""
+    return [commutator(*pieces) for pieces in build_mode_xy(cutoffs)]
+
+
+def sweep_factors(monkeypatch, cutoffs):
+    """The (on_a, on_b, top) that sweep hands to the scoring function."""
     seen = []
-    analyze = projection.analyze_projected_commutator
-    monkeypatch.setattr(projection, "analyze_projected_commutator", lambda *a: seen.append(a) or analyze(*a))
+    analyze = projection.analyze_factors
+    monkeypatch.setattr(projection, "analyze_factors", lambda *a: seen.append(a) or analyze(*a))
     sweep(cutoffs)
-    return seen[0][:2]
+    return seen[0][:3]
 
 
 def bumped(op, k, row, size=1e-6):
@@ -194,56 +203,58 @@ class TestProjectedCommutator:
         assert [n for n, _ in report.boundary_artifacts] == [0, 1]
         assert [z for _, z in report.boundary_artifacts] == pytest.approx([4j, 2j], abs=1e-12)
 
+
+class TestDoctoredFactors:
+    """The scorer fed single-mode commutators with one entry bumped, as an indexing bug would."""
+
     def test_nonuniform_top_sets_flag_not_exception(self):
         c = Cutoffs(1, 3)
-        comm = commutator(*build_xy(c))
-        assert score_block(comm, c, 1).ok
-        # simulate an indexing bug
-        report = score_block(bumped(comm, 0, flatten(BasisIndex(1, 0), c)), c, 1)
+        on_a, on_b = mode_commutators(c)
+        assert analyze_factors(on_a, on_b, on_b, c, [1])[0].ok
+        report = analyze_factors(bumped(on_a, 0, 0), on_b, on_b, c, [1])[0]
         assert not report.top_uniform
         assert not report.ok
 
-    def test_residual_reads_only_interior_pairs(self):
-        # an element touching j = J is a boundary artifact, not a residual
+    def test_entry_touching_j_equal_J_is_an_artifact_not_a_residual(self):
         c = Cutoffs(1, 3)
-        comm = commutator(*build_xy(c))
-        for row, k, counted in [((0, 2), 1, False), ((0, 3), 1, False), ((0, 1), 1, True),
-                                ((0, 0), 4, True), ((0, 2), 5, False)]:
-            report = score_block(bumped(comm, k, flatten(BasisIndex(*row), c)), c, 1)
-            assert (report.max_offtop_residual >= 1e-6) is counted, (row, k)
+        on_a, on_b = mode_commutators(c)
+        clean = analyze_factors(on_a, on_b, on_b, c, [1])[0]
+        # (row, offset) of [x_a, y_a], then of [x_b, y_b]; j = 3 = J is the degeneracy edge
+        for factor, row, k, counted in [("a", 2, 1, False), ("a", 3, -1, False), ("a", 1, 1, True),
+                                        ("a", 3, 0, False), ("b", 0, 1, True), ("b", 1, -1, True)]:
+            doctored = (bumped(on_a, k, row), on_b) if factor == "a" else (on_a, bumped(on_b, k, row))
+            report = analyze_factors(*doctored, doctored[1], c, [1])[0]
+            assert (report.max_offtop_residual >= 1e-6) is counted, (factor, row, k)
             assert report.ok is not counted
+        moved = analyze_factors(bumped(on_a, 0, 3), on_b, on_b, c, [1])[0].boundary_artifacts
+        shifts = [z - dict(clean.boundary_artifacts)[n] for n, z in moved]
+        assert shifts == pytest.approx([1e-6, 1e-6], abs=1e-15)
 
-    def test_commutator_without_a_diagonal_zero_scores(self):
+    def test_factors_without_a_diagonal_score(self):
         c = Cutoffs(2, 3)
-        comm = commutator(*build_xy(c))
-        hollow = OperatorMatrix({k: v for k, v in comm.diagonals.items() if k != 0}, comm.dim)
-        for op in (hollow, OperatorMatrix(diagonals={}, dim=c.dim)):
-            report = score_block(op, c, 2)
+        on_a, _ = mode_commutators(c)
+        hollow = OperatorMatrix({k: v for k, v in on_a.diagonals.items() if k != 0}, on_a.dim)
+        empty = OperatorMatrix(diagonals={}, dim=3)
+        for op in (hollow, OperatorMatrix(diagonals={}, dim=on_a.dim)):
+            report = analyze_factors(op, empty, empty, c, [2])[0]
             assert report.top_coefficient == 0 and report.boundary_artifacts == []
             assert report.top_uniform and not report.ok
-            assert analyze_projected_commutator(op, op, c, range(3))[2] == report
+            assert analyze_factors(op, empty, empty, c, range(3))[2] == report
 
-
-class TestSweepSeam:
-    """Sweep scores keep k from the full [x, y] below level k and from the
-    products that skip level k+1 on level k; the block edge moves with k."""
-
-    def test_column_two_levels_up_counts_from_the_keep_that_holds_it(self, monkeypatch):
+    def test_level_entry_counts_from_the_keep_that_holds_both_levels(self, monkeypatch):
         c = Cutoffs(3, 3)
-        below, top = sweep_operands(monkeypatch, c)
-        # level-0 row, column two levels up: inside keep 2's block, outside keep 1's
-        doctored = bumped(below, 2 * c.num_degeneracy, flatten(BasisIndex(0, 1), c))
-        reports = analyze_projected_commutator(doctored, top, c, range(4))
-        assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
-        assert [r.ok for r in reports] == [True, True, False, False]
+        on_a, on_b, top = sweep_factors(monkeypatch, c)
+        # levels 0 and 2: inside keep 2's block, outside keep 1's
+        for k, row in [(2, 0), (-2, 2)]:
+            reports = analyze_factors(on_a, bumped(on_b, k, row), top, c, range(4))
+            assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
+            assert [r.ok for r in reports] == [True, True, False, False]
 
-    def test_bump_on_top_diagonal_moves_the_coefficient_not_the_residual(self, monkeypatch):
+    def test_bump_on_a_top_entry_moves_the_coefficient_not_the_residual(self, monkeypatch):
         c = Cutoffs(3, 3)
-        below, top = sweep_operands(monkeypatch, c)
-        clean = analyze_projected_commutator(below, top, c, range(4))
-        shift = np.zeros(c.dim, dtype=complex)
-        shift[2 * c.num_degeneracy : 2 * c.num_degeneracy + c.degeneracy_cutoff] = 1e-3j
-        reports = analyze_projected_commutator(below, top + OperatorMatrix({0: shift}, c.dim), c, range(4))
+        on_a, on_b, top = sweep_factors(monkeypatch, c)
+        clean = analyze_factors(on_a, on_b, top, c, range(4))
+        reports = analyze_factors(on_a, on_b, top + OperatorMatrix({0: [0, 0, 1e-3j, 0]}, 4), c, range(4))
         assert reports[2].top_coefficient == pytest.approx(clean[2].top_coefficient + 1e-3j, abs=1e-12)
         assert reports[2].top_uniform and not reports[2].ok
         assert [r.max_offtop_residual for r in reports] == [r.max_offtop_residual for r in clean]
@@ -251,48 +262,44 @@ class TestSweepSeam:
 
     def test_bump_below_the_top_level_counts_as_residual(self, monkeypatch):
         c = Cutoffs(3, 3)
-        below, top = sweep_operands(monkeypatch, c)
-        # a level-1 diagonal element is top for keep 1 (read from `top`), residual from keep 2 on
-        doctored = bumped(below, 0, flatten(BasisIndex(1, 0), c))
-        reports = analyze_projected_commutator(doctored, top, c, range(4))
+        on_a, on_b, top = sweep_factors(monkeypatch, c)
+        # level 1 of [x_b, y_b] is top for keep 1 (read from `top`), residual from keep 2 on
+        reports = analyze_factors(on_a, bumped(on_b, 0, 1), top, c, range(4))
         assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
+        assert reports[1] == analyze_factors(on_a, on_b, top, c, [1])[0]
 
 
-def dense_route_report(cutoffs, keep, units):
-    """The dense oracle: P x P and P y P built in ``units`` and commuted as full
-    numpy matrices, with the kept block over ell^2 fed through the production
-    analysis, which reads pure numbers and scales its report by ell^2."""
-    x, y = (op.entries for op in build_xy(cutoffs, units))
-    size = (keep + 1) * cutoffs.num_degeneracy
-    p = np.diag((np.arange(cutoffs.dim) < size).astype(float))
-    px, py = p @ x @ p, p @ y @ p
-    block = (px @ py - py @ px)[:size, :size] / magnetic_length_squared(units)
-    return score_block(dense_operator(block), cutoffs, keep, units)
+def rounding_bounds(J, keep, units):
+    """The entry and top-coefficient bounds of the projection module docstring,
+    5 eps (keep+J+2) and (13 + log2(J)/2) eps (keep+1), times ell^2, each with
+    2 eps of its value more: ell^2 rounds 1.5 eps from hbar c / eB, and the
+    scaling 0.5 eps."""
+    ell2 = magnetic_length_squared(units)
+    return (5 + 2) * EPS * (keep + J + 2) * ell2, (13 + math.log2(J) / 2 + 2) * EPS * (keep + 1) * ell2
 
 
 def assert_routes_agree(cutoffs, keep, units, fast=None):
     if fast is None:
         fast = projected_commutator_xy(cutoffs, keep, units)
     oracle = dense_route_report(cutoffs, keep, units)
-    ell2 = magnetic_length_squared(units)
-    scale = 1e-12 * (keep + 1) * ell2
+    entry, top = rounding_bounds(cutoffs.degeneracy_cutoff, keep, units)
     assert (fast.ok, fast.top_uniform) == (oracle.ok, oracle.top_uniform)
-    assert abs(fast.top_coefficient - oracle.top_coefficient) <= scale
-    assert fast.max_offtop_residual <= 1e-12 * ell2
-    assert oracle.max_offtop_residual <= 1e-12 * ell2
+    assert abs(fast.top_coefficient - oracle.top_coefficient) <= top
+    assert fast.max_offtop_residual <= entry
     assert [n for n, _ in fast.boundary_artifacts] == [n for n, _ in oracle.boundary_artifacts]
     for (_, got), (_, want) in zip(fast.boundary_artifacts, oracle.boundary_artifacts):
-        assert abs(got - want) <= scale
+        assert abs(got - want) <= entry
 
 
-class TestOffsetRouteMatchesDenseOracle:
+class TestFactoredRouteMatchesDenseOracle:
     constant = st.floats(0.5, 2.0)
+    units = st.builds(PhysicalUnits, e=constant, B=constant, c=constant, hbar=constant) | st.sampled_from(EXTREME_UNITS)
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(st.data(), st.integers(0, 12), st.integers(1, 14), constant, constant, constant, constant)
-    def test_random_cutoffs_and_units(self, data, N, J, e, B, c, hbar):
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data(), st.integers(0, 40), st.integers(1, 60), units)
+    def test_random_cutoffs_and_units(self, data, N, J, units):
         keep = data.draw(st.integers(0, N), label="keep")
-        assert_routes_agree(Cutoffs(N, J), keep, PhysicalUnits(e=e, B=B, c=c, hbar=hbar))
+        assert_routes_agree(Cutoffs(N, J), keep, units)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.integers(0, 6), st.integers(1, 8), st.sampled_from(THREE_UNITS))
@@ -324,6 +331,18 @@ class TestOffsetRouteMatchesDenseOracle:
             assert cli.main(argv + ["--keep", "3"] * (op == "projector")) == 0
             assert json.loads(out.read_text())["dim"] == 49
 
+    def test_builds_no_operator_on_the_composite_basis(self, monkeypatch):
+        dims = []
+        init = fock.OperatorMatrix.__init__
+        monkeypatch.setattr(fock.OperatorMatrix, "__init__", lambda op, diagonals, dim: dims.append(dim) or init(
+            op, diagonals, dim))
+        runs = [(Cutoffs(60, 60), lambda c: [projected_commutator_xy(c, keep) for keep in (0, 1, 30, 60)]),
+                (Cutoffs(20, 20), sweep), (Cutoffs(10, 10), full_space_scan)]
+        for cutoffs, run in runs:
+            dims.clear()
+            run(cutoffs)
+            assert dims and max(dims) <= max(cutoffs) + 1, run
+
 
 def closed_form_diagonal(cutoffs, keep, units):
     """The exact kept-block diagonal of [x, y], each entry rounded once from a Fraction.
@@ -340,9 +359,9 @@ def closed_form_diagonal(cutoffs, keep, units):
     return np.array([complex(0.0, imag[uj - vn]) for vn in v for uj in u])
 
 
-def rounding_bound(J, keep, units):
-    """The rounding bound of the projection module docstring."""
-    return 4 * np.finfo(float).eps * (keep + J + 2) * magnetic_length_squared(units)
+def composite_bound(J, keep, units):
+    """4 eps (keep+J+2) ell^2, which holds the composite [x, y] of ``build_xy`` to the closed form."""
+    return 4 * EPS * (keep + J + 2) * magnetic_length_squared(units)
 
 
 UNITS_TWO = pytest.mark.parametrize("units", [NATURAL, NON_NATURAL], ids=["natural", "non-natural"])
@@ -356,15 +375,16 @@ class TestClosedFormOracle:
     def test_kept_block_and_report(self, N, J, keep, units):
         cutoffs = Cutoffs(N, J)
         exact = closed_form_diagonal(cutoffs, keep, units)
-        bound = rounding_bound(J, keep, units)
+        bound = composite_bound(J, keep, units)
 
-        # x and y are corner cuts: the kept block is x and y built on levels 0..keep
+        # the composite x and y (dump-matrix --op xy-commutator): as corner cuts, the kept block is x and y
+        # built on levels 0..keep
         comm = commutator(*build_xy(Cutoffs(keep, J), units))
         assert np.max(np.abs(comm.diagonals[0] - exact)) <= bound
         for k, values in comm.diagonals.items():
             if k != 0:
                 assert np.max(np.abs(values)) <= bound, k
-        self.assert_report_exact(projected_commutator_xy(cutoffs, keep, units), exact, bound)
+        self.assert_report_exact(projected_commutator_xy(cutoffs, keep, units), exact, units)
 
     @UNITS_TWO
     @pytest.mark.parametrize("N,J", [(127, 127), (2, 5460)])
@@ -372,13 +392,27 @@ class TestClosedFormOracle:
         reports = sweep(Cutoffs(N, J), units)
         assert [r.keep_levels for r in reports] == list(range(N + 1))
         for keep, report in enumerate(reports):
-            exact = closed_form_diagonal(Cutoffs(keep, J), keep, units)
-            self.assert_report_exact(report, exact, rounding_bound(J, keep, units))
+            self.assert_report_exact(report, closed_form_diagonal(Cutoffs(keep, J), keep, units), units)
+            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep, units))
+
+    @UNITS_TWO
+    @pytest.mark.parametrize("N,J", [(0, 16383), (2, 5460)])
+    def test_top_coefficient_error_is_well_inside_its_bound(self, N, J, units):
+        # The derived bound, not the fixed DEFAULT_TOLERANCE, at the largest J the cap admits. It is
+        # tight: at keep 2 the top entry -2i q_1 alone errs by about 6 eps of the bound's 64 eps.
+        for keep, report in enumerate(sweep(Cutoffs(N, J), units)):
+            exact = closed_form_diagonal(Cutoffs(keep, J), keep, units)[keep * (J + 1)]
+            _, top = rounding_bounds(J, keep, units)
+            assert abs(report.top_coefficient - exact) <= top / (10 if keep < 2 else 5)
+            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep, units))
 
     @staticmethod
-    def assert_report_exact(report, exact, bound):
+    def assert_report_exact(report, exact, units):
         keep, J = report.keep_levels, report.cutoffs.degeneracy_cutoff
-        assert abs(report.top_coefficient - exact[keep * (J + 1)]) <= bound
+        # the factored report's derived bounds, or the composite's where that is tighter
+        bound, top = (min(b, composite_bound(J, keep, units)) for b in rounding_bounds(J, keep, units))
+        assert abs(report.top_coefficient - exact[keep * (J + 1)]) <= top
+        assert report.max_offtop_residual <= bound
         edge = [(n, exact[n * (J + 1) + J]) for n in range(keep + 1)]
         want = [(n, value) for n, value in edge if value != 0]
         assert [n for n, _ in report.boundary_artifacts] == [n for n, _ in want]
@@ -442,14 +476,6 @@ class TestSweep:
             assert strong.top_coefficient == pytest.approx(0.5 * weak.top_coefficient, rel=1e-14)
             assert strong.ok
 
-    def test_builds_x_and_y_once(self, monkeypatch):
-        calls = []
-        build = projection.build_xy
-        monkeypatch.setattr(projection, "build_xy", lambda *args: calls.append(args) or build(*args))
-        reports = sweep(Cutoffs(6, 6))
-        assert len(calls) == 1
-        assert reports == [projected_commutator_xy(Cutoffs(6, 6), keep) for keep in range(7)]
-
     @pytest.mark.parametrize("keep", [0, 2])
     def test_degeneracy_cutoff_independence(self, keep):
         base = projected_commutator_xy(Cutoffs(keep, keep + 3), keep)
@@ -465,15 +491,8 @@ class TestSweep:
             assert report.top_coefficient == pytest.approx(-1j * (keep + 1) * ell2, abs=1e-12)
 
 
-# Units whose ell^2 lies near either end of the float range, or makes the residual subnormal.
-EXTREME_UNITS = [
-    PhysicalUnits(hbar=1e306), PhysicalUnits(B=1e-300), PhysicalUnits(hbar=1e-300, m=1e-10),
-    PhysicalUnits(hbar=sys.float_info.min), PhysicalUnits(e=1e-150, c=1e150), NON_NATURAL,
-]
-
-
 class TestUnitFreeRoute:
-    """The ladder route commutes x and y at ell = 1, scores the pure numbers and scales by ell^2 once."""
+    """The ladder route commutes the pieces of x and y at ell = 1, scores the pure numbers and scales by ell^2 once."""
 
     @pytest.mark.parametrize("units", EXTREME_UNITS)
     def test_reports_are_the_natural_ones_times_ell_squared(self, units):
@@ -492,14 +511,14 @@ class TestUnitFreeRoute:
         module = ast.parse(inspect.getsource(projection))
         calls = [node for node in ast.walk(module) if isinstance(node, ast.Call)]
         scale = [call for call in calls if ast.unparse(call.func) == "magnetic_length_squared"]
-        handed_on = [call for call in calls if ast.unparse(call.func) == "analyze_projected_commutator"]
+        handed_on = [call for call in calls if ast.unparse(call.func) == "analyze_factors"]
         allowed = {id(arg) for call in scale + handed_on for arg in call.args}
         bodies = [node for function in module.body if isinstance(function, ast.FunctionDef)
                   for stmt in function.body for node in ast.walk(stmt)]  # signatures left out
         units = [node for node in bodies if isinstance(node, ast.Name) and node.id == "units"]
         assert len(scale) == 1 and units and all(id(node) in allowed for node in units)
-        # x and y are built at ell = 1, and ell^2 is read only where a report value is made
-        builders = [call for call in calls if ast.unparse(call.func) == "build_xy"]
+        # the pieces of x and y are built at ell = 1, and ell^2 is read only where a report value is made
+        builders = [call for call in calls if ast.unparse(call.func) == "build_mode_xy"]
         assert len(builders) == 3 and all(len(call.args) == 1 and not call.keywords for call in builders)
         made = {id(node) for call in calls if ast.unparse(call.func) in ("complex", "CommutatorReport")
                 for node in ast.walk(call)}
