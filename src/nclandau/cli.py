@@ -40,7 +40,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, expected_top_coefficient, level_spacing, magnetic_length_squared
+from .units import (PhysicalUnits, coordinate_scale, expected_top_coefficient, level_spacing,
+                    magnetic_length_squared, momentum_scale)
 
 
 def _lazy(name: str):
@@ -109,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="level energies and degeneracies")
     p.add_argument("--N", type=int, default=DEFAULT_N)
     p.add_argument("--J", type=int, default=DEFAULT_J)
+    p.set_defaults(op="H", form="ladder")  # the operator whose eigenvalues it prints, for the overflow rule
 
     p = sub.add_parser("landau-gauge", help="momentum-grid convergence study")
     p.add_argument("--keep", type=int, default=0, help="highest retained level")
@@ -185,8 +187,8 @@ def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Check ``args`` in place and fill in what the flags leave implicit:
-    the resolved ``output``, ``units``, ``grid_sizes``, ``k_range`` and crosscheck's ``J``."""
+    """Check ``args`` in place and fill in what the flags leave implicit: the resolved ``output``, ``units``,
+    ``grid_sizes``, ``k_range``, crosscheck's ``J``, and the ``pure`` operator and ``scale`` of an ``op``."""
     output = _resolve_output(args, parser)
     args.units = _units_from_args(parser, args)
 
@@ -197,18 +199,6 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
-        # Largest entries: the ladder-form H's hbar omega (N+1/2), L's hbar max(N, J), [H, L] their product. The
-        # quadratic form's x² + y², px² + py² are ell^2, hbar eB/4c times alpha alpha† + alpha† alpha, whose
-        # largest entry is top, and its terms of H stay below top hbar omega.
-        if max(args.N, args.J) < fock.MAX_DIMENSION:  # else Cutoffs rejects
-            u, top = args.units, max(2 * args.N - 1, args.N) + max(2 * args.J - 1, args.J)
-            H, L = level_spacing(u) * (args.N + 0.5), u.hbar * max(args.N, args.J)
-            if getattr(args, "form", None) == "quadratic":
-                p = ladder.momentum_scale(u)  # p*p, not p**2, which raises on overflow
-                H = max(L, top * max(magnetic_length_squared(u), 2 * p * p, level_spacing(u)))
-            largest = {"spectrum": H * L, "L": L, "H": H}
-            if largest.get(getattr(args, "op", args.command)) == math.inf:
-                parser.error("--N, --J: the largest entry of H, L or [H, L] overflows in these units")
 
     if args.command in ("commutator", "dump-matrix"):
         if args.keep is not None and not 0 <= args.keep <= args.N:
@@ -245,11 +235,17 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             if args.output is not None:
                 parser.error("--output: dump-matrix only emits json")
             output = "json"
-        if args.op == "H" and args.form == "quadratic":
-            try:
-                ladder.quadratic_coefficients(args.units)
-            except ValueError as exc:
-                parser.error(f"--form quadratic: {exc}")
+
+    if args.command in ("spectrum", "dump-matrix"):  # the one overflow rule: see _OPERATORS
+        try:
+            cutoffs = fock.Cutoffs(args.N, args.J)
+        except ValueError as exc:  # the size cap
+            parser.error(f"--N, --J: {exc}")
+        build, scale = _OPERATORS[args.op]
+        args.pure, args.scale = build(cutoffs, args), scale(args.units)
+        if not math.isfinite(args.scale * args.pure.largest_part()):
+            parser.error(f"{args.op}: its largest entry, {args.pure.largest_part()!r} times its unit scale "
+                         f"{args.scale!r}, overflows in these units")
 
     args.output = output
 
@@ -367,25 +363,25 @@ def _cmd_crosscheck(args: argparse.Namespace) -> Report:
     return Report(ok, payload, header, [[keep, args.J, M, *_pair(sym), *_pair(lan), rel]], body=body)
 
 
-# Operators dump-matrix can serialize, in the order --help lists them.
+# Operators dump-matrix can serialize, in the order --help lists them, each a scale in these units times an operator
+# at unit scale; spectrum prints H's. A command is a usage error exactly when scale * largest pure entry overflows.
 _OPERATORS = {
-    "a": lambda c, args: ladder.build_a(c),
-    "b": lambda c, args: ladder.build_b(c),
-    "alpha": lambda c, args: ladder.build_alpha(c),
-    "x": lambda c, args: ladder.build_xy(c, args.units)[0],
-    "y": lambda c, args: ladder.build_xy(c, args.units)[1],
-    "px": lambda c, args: ladder.build_momenta(c, args.units)[0],
-    "py": lambda c, args: ladder.build_momenta(c, args.units)[1],
-    "H": lambda c, args: ladder.build_H(c, args.units, form=args.form),
-    "L": lambda c, args: ladder.build_L(c, args.units),
-    "xy-commutator": lambda c, args: fock.commutator(*ladder.build_xy(c, args.units)),
-    "projector": lambda c, args: projection.projector(c, args.keep),
+    "a": (lambda c, args: ladder.build_a(c), lambda units: 1.0),
+    "b": (lambda c, args: ladder.build_b(c), lambda units: 1.0),
+    "alpha": (lambda c, args: ladder.build_alpha(c), lambda units: 1.0),
+    "x": (lambda c, args: ladder.build_unit_xy(c)[0], coordinate_scale),
+    "y": (lambda c, args: ladder.build_unit_xy(c)[1], coordinate_scale),
+    "px": (lambda c, args: ladder.build_unit_momenta(c)[0], momentum_scale),
+    "py": (lambda c, args: ladder.build_unit_momenta(c)[1], momentum_scale),
+    "H": (lambda c, args: ladder.build_H(c, args.form), level_spacing),
+    "L": (lambda c, args: ladder.build_L(c), lambda units: units.hbar),
+    "xy-commutator": (lambda c, args: fock.commutator(*ladder.build_xy(c)), magnetic_length_squared),
+    "projector": (lambda c, args: projection.projector(c, args.keep), lambda units: 1.0),
 }
 
 
 def _cmd_dump_matrix(args: argparse.Namespace) -> Report:
-    op = _OPERATORS[args.op](fock.Cutoffs(args.N, args.J), args)
-    return Report(True, fock.to_json_dict(op))
+    return Report(True, fock.to_json_dict(args.pure.scaled(args.scale)))
 
 
 _COMMANDS = {

@@ -165,6 +165,14 @@ class OperatorMatrix:
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return matmul(self, other)
 
+    def scaled(self, scale: float) -> "OperatorMatrix":
+        """``scale`` times each real and imaginary part; the complex ``scale * op`` can flip a zero's sign."""
+        return OperatorMatrix({k: (v.view(float) * scale).view(complex) for k, v in self.diagonals.items()}, self.dim)
+
+    def largest_part(self) -> float:
+        """The largest |real or imaginary part| of an entry: ``scaled(s)`` is finite when ``s`` times this is."""
+        return max((float(np.abs(v.view(float)).max()) for v in self.diagonals.values()), default=0.0)
+
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """The product op·vector; a 2-D array is multiplied column by column."""
         out = np.zeros(np.shape(vector), dtype=complex)

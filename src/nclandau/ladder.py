@@ -37,19 +37,19 @@ from itertools import zip_longest
 import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, matmul
-from .units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
+from .units import NATURAL, PhysicalUnits, coordinate_scale, momentum_scale
 
 __all__ = [
     "build_a",
     "build_b",
     "build_alpha",
     "build_mode_xy",
+    "build_unit_xy",
     "build_xy",
-    "momentum_scale",
+    "build_unit_momenta",
     "build_momenta",
     "build_H",
     "build_L",
-    "quadratic_coefficients",
     "interior_slice",
 ]
 
@@ -80,85 +80,69 @@ def build_alpha(cutoffs: Cutoffs) -> OperatorMatrix:
     return build_a(cutoffs) + dagger(build_b(cutoffs))
 
 
-def build_mode_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[tuple[OperatorMatrix, OperatorMatrix]]:
-    """The pieces [(x_a, y_a), (x_b, y_b)] of x and y on the J+1 orbits and the N+1 levels:
-    x_a = s (a + a†), y_a = i s (a - a†), x_b = s (b† + b), y_b = i s (b† - b), s = sqrt(hbar c / 2eB)."""
-    scale = math.sqrt(magnetic_length_squared(units) / 2.0)
+def build_mode_xy(cutoffs: Cutoffs, scale: float = math.sqrt(0.5)) -> list[tuple[OperatorMatrix, OperatorMatrix]]:
+    """The pieces [(x_a, y_a), (x_b, y_b)] of x and y on the J+1 orbits and the N+1 levels: x_a = s (a + a†),
+    y_a = i s (a - a†), x_b = s (b† + b), y_b = i s (b† - b), where s = ``scale``, sqrt(1/2) at ell = 1."""
     modes = (annihilation_matrix(cutoffs.num_degeneracy), dagger(annihilation_matrix(cutoffs.num_levels)))
-    return [(scale * (alpha + dagger(alpha)), (1j * scale) * (alpha - dagger(alpha))) for alpha in modes]
+    return [((alpha + dagger(alpha)).scaled(scale), (1j * (alpha - dagger(alpha))).scaled(scale)) for alpha in modes]
+
+
+def build_unit_xy(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """alpha + alpha† and i (alpha - alpha†): x and y at unit scale, the pieces of :func:`build_mode_xy` lifted."""
+    return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, 1.0)))
 
 
 def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Planar coordinate matrices (x, y), both exactly Hermitian: the pieces of :func:`build_mode_xy`, lifted."""
-    return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, units)))
+    """Planar coordinate matrices (x, y), both exactly Hermitian: sqrt(ell^2 / 2) times :func:`build_unit_xy`."""
+    return tuple(op.scaled(coordinate_scale(units)) for op in build_unit_xy(cutoffs))
 
 
-def momentum_scale(units: PhysicalUnits) -> float:
-    """sqrt(hbar e B / 8c) from the mantissas: no product under- or overflows, and where none did, the same bits."""
-    (me, xe), (mb, xb), (mh, xh), (mc, xc) = map(math.frexp, (units.e, units.B, units.hbar, units.c))
-    x = xe + xb + xh - xc - 3
-    return math.ldexp(math.sqrt(math.ldexp(me * mb * mh / mc, x % 2)), x // 2)
+def build_unit_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """-i ((a - a†) + (b - b†)) and (a + a†) - (b + b†): px and py at unit scale."""
+    a, b = build_a(cutoffs), build_b(cutoffs)
+    a_dag, b_dag = dagger(a), dagger(b)
+    # Written with a - a† and 0 - 1j (-1j is -0 - 1j) so that every zero of px is +0, as in a dense product.
+    return (0 - 1j) * ((a - a_dag) + (b - b_dag)), (a + a_dag) - (b + b_dag)
 
 
 def build_momenta(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Canonical momentum matrices (px, py); both exactly Hermitian."""
-    scale = momentum_scale(units)
+    """Canonical momentum matrices (px, py), both exactly Hermitian: sqrt(hbar e B / 8c) times the unit ones."""
+    return tuple(op.scaled(momentum_scale(units)) for op in build_unit_momenta(cutoffs))
+
+
+def build_L(cutoffs: Cutoffs) -> OperatorMatrix:
+    """Planar angular momentum at hbar = 1, diagonal with entry j - n at (n, j)."""
     a, b = build_a(cutoffs), build_b(cutoffs)
-    a_dag, b_dag = dagger(a), dagger(b)
-    # Written with a - a† so the zero real parts of px stay +0, as in a dense sum.
-    px = (-1j * scale) * ((a - a_dag) + (b - b_dag))
-    py = scale * ((a + a_dag) - (b + b_dag))
-    return px, py
+    return matmul(dagger(a), a) - matmul(dagger(b), b)
 
 
-def build_L(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
-    """Planar angular momentum, diagonal with entry hbar (j - n) at (n, j)."""
-    a, b = build_a(cutoffs), build_b(cutoffs)
-    return units.hbar * (matmul(dagger(a), a) - matmul(dagger(b), b))
+def build_H(cutoffs: Cutoffs, form: str = "ladder") -> OperatorMatrix:
+    """Hamiltonian of the planar motion at hbar omega = 1.
 
-
-def build_H(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL, form: str = "ladder") -> OperatorMatrix:
-    """Hamiltonian of the planar motion.
-
-    form="ladder" returns the closed diagonal form hbar omega (b†b + 1/2),
-    whose truncated spectrum is exact: levels hbar omega (n + 1/2), each
-    (J+1)-fold degenerate.
+    form="ladder" returns the closed diagonal form b†b + 1/2, whose
+    truncated spectrum is exact: levels n + 1/2, each (J+1)-fold degenerate.
 
     form="quadratic" assembles the same operator from the coordinate and
-    momentum matrices,
+    momentum matrices in natural units,
 
-        (px² + py²)/2m + m (eB/2mc)² (x² + y²)/2 - (eB/2mc) L,
+        (px² + py²)/2 + (x² + y²)/8 - L/2,
 
     which agrees with the ladder form on matrix elements between states at
     distance >= 2 from the truncation boundary (quadratic terms shift each
-    index by at most 2) but not on the boundary itself.
+    index by at most 2) but not on the boundary itself. In any units each
+    term of (px² + py²)/2m + m (eB/2mc)² (x² + y²)/2 - (eB/2mc) L is hbar
+    omega times its natural-units term here.
     """
     if form == "ladder":
-        omega = cyclotron_frequency(units)
         b = build_b(cutoffs)
-        half = OperatorMatrix({0: np.full(cutoffs.dim, 0.5)}, cutoffs.dim)
-        return units.hbar * omega * (matmul(dagger(b), b) + half)
+        return matmul(dagger(b), b) + OperatorMatrix({0: np.full(cutoffs.dim, 0.5)}, cutoffs.dim)
     if form == "quadratic":
-        inverse_2m, spring, half_omega = quadratic_coefficients(units)
-        x, y = build_xy(cutoffs, units)
-        px, py = build_momenta(cutoffs, units)
-        ang = build_L(cutoffs, units)
-        kinetic = inverse_2m * (matmul(px, px) + matmul(py, py))
-        potential = spring * (matmul(x, x) + matmul(y, y))
-        return kinetic + potential - half_omega * ang
+        x, y = build_xy(cutoffs)
+        px, py = build_momenta(cutoffs)
+        kinetic = 0.5 * (matmul(px, px) + matmul(py, py))
+        potential = 0.125 * (matmul(x, x) + matmul(y, y))
+        return kinetic + potential - 0.5 * build_L(cutoffs)
     raise ValueError(f"unknown Hamiltonian form {form!r}; expected one of {H_FORMS}")
-
-
-def quadratic_coefficients(units: PhysicalUnits) -> tuple[float, float, float]:
-    """The factors 1/2m, m (eB/2mc)²/2 and eB/2mc of the quadratic Hamiltonian.
-
-    Raises ValueError when any of them is not finite in these units.
-    """
-    half_omega = units.e * units.B / (2.0 * units.m * units.c)
-    factors = (1.0 / (2.0 * units.m), 0.5 * units.m * (half_omega * half_omega), half_omega)
-    if not all(map(math.isfinite, factors)):
-        raise ValueError("1/(2*m) or m*(e*B/(2*m*c))**2/2 overflows in these units")
-    return factors
 
 
 def interior_slice(cutoffs: Cutoffs, depth: int) -> list[int]:

@@ -30,24 +30,25 @@ class SpectrumReport(NamedTuple):
 def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> SpectrumReport:
     """Check levels hbar omega (n + 1/2), each (J+1)-fold, and [H, L] = 0.
 
-    Uses the ladder-form Hamiltonian, whose truncated eigenvalues are free
-    of boundary contamination. It is real and diagonal by construction, so
-    its sorted diagonal is its spectrum; an H of any other shape raises.
-    Physics failures land in the report, not in an exception.
+    Checks the degeneracies and [H, L] = 0 on the pure H = b†b + 1/2, whose
+    truncated eigenvalues are free of boundary contamination, and L = j - n,
+    then scales the eigenvalues by hbar omega once. H is real and diagonal by
+    construction, so its sorted diagonal is its spectrum; an H of any other
+    shape raises. Physics failures land in the report, not in an exception.
     """
-    ham = build_H(cutoffs, units, form="ladder")
-    ang = build_L(cutoffs, units)
+    ham, ang = build_H(cutoffs), build_L(cutoffs)
     if set(ham.diagonals) != {0} or np.any(ham.diagonals[0].imag):
         raise ValueError("the ladder Hamiltonian is not a real diagonal matrix")
-    eig = np.sort(ham.diagonals[0].real)
+    levels = np.sort(ham.diagonals[0].real)
 
     gap = level_spacing(units)
     multiplicity = cutoffs.num_degeneracy
+    eig = gap * levels
     expected = np.repeat(gap * (np.arange(cutoffs.num_levels) + 0.5), multiplicity)
     max_abs_error = float(np.max(np.abs(eig - expected)))
 
     # Assign each eigenvalue to the nearest exact level.
-    nearest = np.clip(np.round(eig / gap - 0.5).astype(int), 0, cutoffs.landau_cutoff)
+    nearest = np.clip(np.round(levels - 0.5).astype(int), 0, cutoffs.landau_cutoff)
     table = dict(enumerate(np.bincount(nearest, minlength=cutoffs.num_levels).tolist()))
 
     hl_commutes = not any(np.any(v) for v in commutator(ham, ang).diagonals.values())
@@ -57,11 +58,4 @@ def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> Spectru
         and all(count == multiplicity for count in table.values())
         and hl_commutes
     )
-    return SpectrumReport(
-        eigenvalues=[float(v) for v in eig],
-        expected=[float(v) for v in expected],
-        max_abs_error=max_abs_error,
-        degeneracy_table=table,
-        hl_commutes=hl_commutes,
-        ok=ok,
-    )
+    return SpectrumReport(eig.tolist(), expected.tolist(), max_abs_error, table, hl_commutes, ok)

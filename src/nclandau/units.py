@@ -4,7 +4,9 @@ Everything downstream works in whatever unit system the constants are
 supplied in; the engine never converts between systems. The default is
 the dimensionless choice e = B = c = hbar = m = 1, in which both the
 magnetic length and the cyclotron frequency equal one and all commutator
-results are pure numbers.
+results are pure numbers. In any units each operator is one scale from here
+(ell^2, sqrt(ell^2 / 2), hbar omega, hbar, sqrt(hbar e B / 8c)) times its
+pure matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ __all__ = [
     "PhysicalUnits",
     "NATURAL",
     "magnetic_length_squared",
+    "coordinate_scale",
+    "momentum_scale",
     "cyclotron_frequency",
     "level_spacing",
     "expected_top_coefficient",
@@ -61,6 +65,18 @@ class PhysicalUnits(namedtuple("PhysicalUnits", "e B c hbar m")):
 def magnetic_length_squared(units: PhysicalUnits) -> float:
     """ell^2 = hbar c / (e B), the one formula; both commutator routes scale their pure numbers by it."""
     return units.hbar * units.c / (units.e * units.B)
+
+
+def coordinate_scale(units: PhysicalUnits) -> float:
+    """sqrt(ell^2 / 2), the scale of x and y: x = sqrt(ell^2 / 2) (alpha + alpha†)."""
+    return math.sqrt(magnetic_length_squared(units) / 2.0)
+
+
+def momentum_scale(units: PhysicalUnits) -> float:
+    """sqrt(hbar e B / 8c) from the mantissas: no product under- or overflows, and where none did, the same bits."""
+    (me, xe), (mb, xb), (mh, xh), (mc, xc) = map(math.frexp, (units.e, units.B, units.hbar, units.c))
+    x = xe + xb + xh - xc - 3
+    return math.ldexp(math.sqrt(math.ldexp(me * mb * mh / mc, x % 2)), x // 2)
 
 
 def cyclotron_frequency(units: PhysicalUnits) -> float:

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tomllib
-import warnings
 from pathlib import Path
 
 import pytest
@@ -149,16 +148,18 @@ def test_dump_matrix_rejects_a_non_json_output_flag():
     assert "--output: dump-matrix only emits json" in cp.stderr
 
 
-# build_H multiplies by 1/(2*m) and m*(e*B/(2*m*c))**2/2 as Python floats;
-# where either overflows, the quadratic form is a usage error.
+# The quadratic H is hbar omega times its natural-units build, whose largest entry at N = J = 2 is 1.75: it
+# is a usage error exactly when hbar omega * 1.75 overflows, whether or not 1/2m or (eB/2mc)^2 would.
 QUADRATIC_H_CASES = [
-    ("--B 1e200", 2),
-    ("--B 1e160", 2),
-    ("--m 1e-300", 2),
-    ("--m 1e-309 --B 1e-10", 2),
-    ("--e 1e250 --m 1e100", 2),
+    ("--B 1e200", 0),
+    ("--B 1e160", 0),
+    ("--m 1e-300", 0),
+    ("--m 1e-309 --B 1e-10", 0),
+    ("--e 1e250 --m 1e100", 0),
     ("--B 1e150", 0),
     ("--e 1e200 --c 1e200", 0),
+    ("--hbar 1.03e308", 2),
+    ("--hbar 1.02e308", 0),
 ]
 
 
@@ -169,24 +170,9 @@ def test_quadratic_hamiltonian_overflow_is_usage_error(units, status):
     assert cp.returncode == status, cp.stderr
     if status == 2:
         assert cp.stdout == ""
-        assert "--form quadratic" in cp.stderr and "Traceback" not in cp.stderr
+        assert cp.stderr.splitlines()[-1].endswith("overflows in these units") and "Traceback" not in cp.stderr
     else:
         assert json.loads(cp.stdout)["dim"] == 9
-
-
-@pytest.mark.parametrize("units", [units for units, status in QUADRATIC_H_CASES if status == 2])
-def test_quadratic_hamiltonian_overflow_raises_in_the_library(units):
-    # the usage error above and build_H share ladder.quadratic_coefficients
-    from nclandau.fock import Cutoffs
-    from nclandau.ladder import build_H
-    from nclandau.units import PhysicalUnits
-
-    flags = units.split()
-    constants = {flag[2:]: float(value) for flag, value in zip(flags[::2], flags[1::2])}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows in these units"):
-            build_H(Cutoffs(2, 2), PhysicalUnits(**constants), form="quadratic")
 
 
 # e*B*hbar = 1e310 overflows, but hbar e B / 8c = 1.25e159 and the quadratic H's entries do not.
@@ -255,6 +241,15 @@ def test_oversized_grid_is_usage_error(args, flag):
     assert "Traceback" not in cp.stderr
 
 
+@pytest.mark.parametrize("args", ["spectrum --N 200 --J 200", "dump-matrix --op x --N 200 --J 200"])
+def test_oversized_spectrum_or_dump_is_usage_error(args):
+    # checked where the overflow rule builds the pure operator; commutator's cap is still a known traceback
+    cp = run_cli(*args.split())
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.splitlines()[-1] == (
+        "nclandau: error: --N, --J: composite dimension 40401 exceeds the supported maximum 16384")
+
+
 def test_crosscheck_at_the_largest_ladder_basis_runs():
     cp = run_cli("crosscheck", "--keep", "3", "--J", "4095", "--grid-M", "64", "--output", "csv")
     assert cp.returncode == 0, cp.stderr
@@ -311,25 +306,34 @@ def test_subnormal_level_spacing_passes():
     assert json.loads(cp.stdout)["ok"] is True
 
 
-# Where H, L, [H, L] or a route's values would overflow, the input is a usage error
-# (cli.config_from_args); each bound is paired with the nearest case that passes.
+# Where a printed value would overflow, the input is a usage error (cli.config_from_args); each bound is
+# paired with the nearest case that passes. spectrum and dump-matrix print one unit scale times a pure
+# operator, so their bound is that scale times the largest pure entry; no intermediate product counts.
 # A --k-range of 1 keeps the grid span inside the floats up to the route's own bound.
 OVERFLOW_BOUNDS = [
-    ("spectrum --hbar 1e160", 2),
-    ("spectrum --hbar 2.24e153", 2),  # hbar*omega*(N+1/2) * hbar*max(N, J) = 36 hbar^2
-    ("spectrum --hbar 2.23e153", 0),
-    ("spectrum --hbar 1e154 --N 40 --J 40", 2),
-    ("spectrum --hbar 3.34e152 --N 40 --J 40", 2),  # 40.5 * 40 hbar^2
-    ("spectrum --hbar 3.33e152 --N 40 --J 40", 0),
-    ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 18", 2),  # L's entries overflow on their own
-    ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 17", 0),
+    ("spectrum --hbar 1e308", 2),
+    ("spectrum --hbar 4e307", 2),  # hbar*omega*(N+1/2) = 4.5 hbar
+    ("spectrum --hbar 3.99e307", 0),
+    ("spectrum --hbar 2.24e153", 0),  # only hbar*omega*(N+1/2) * hbar*max(N, J) overflows
+    ("spectrum --hbar 4.44e306 --N 40 --J 40", 2),  # 40.5 hbar
+    ("spectrum --hbar 4.43e306 --N 40 --J 40", 0),
+    ("spectrum --hbar 1e307 --B 1e-310 --N 0 --J 18", 0),  # L, whose entries would overflow, is never scaled
     ("dump-matrix --op H --N 100 --J 1 --hbar 1e307", 2),  # hbar*omega*(N+1/2), ladder form
     ("dump-matrix --op H --N 100 --J 1 --hbar 1.7e306", 0),
     ("dump-matrix --op L --N 100 --J 1 --hbar 1e307", 2),  # hbar*max(N, J)
     ("dump-matrix --op L --N 100 --J 1 --hbar 1.7e306", 0),
     ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 1e307", 2),
-    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 8.99e305", 2),  # x² + y²: (2N-1 + 2J-1) ell^2
-    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 8.98e305", 0),
+    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 1.81e306", 2),  # 99.5 hbar*omega
+    ("dump-matrix --op H --form quadratic --N 100 --J 1 --hbar 1.8e306", 0),
+    ("dump-matrix --op x --B 1e-310", 2),  # ell^2 = hbar*c/(e*B) overflows
+    ("dump-matrix --op x --B 5.56e-309", 2),
+    ("dump-matrix --op x --B 5.57e-309", 0),
+    ("dump-matrix --op y --B 1e-310", 2),
+    ("dump-matrix --op y --B 5.56e-309", 2),
+    ("dump-matrix --op y --B 5.57e-309", 0),
+    ("dump-matrix --op xy-commutator --hbar 1e307 --J 40", 2),
+    ("dump-matrix --op xy-commutator --hbar 4.39e306 --J 40", 2),  # 41 ell^2
+    ("dump-matrix --op xy-commutator --hbar 4.38e306 --J 40", 0),
     ("landau-gauge --keep 0 --k-range 1 --hbar 1e308", 2),
     ("landau-gauge --keep 0 --k-range 1 --hbar 4.5e307", 2),  # 2 * (keep+2) * ell^2
     ("landau-gauge --keep 0 --k-range 1 --hbar 4.4e307", 0),
@@ -357,7 +361,7 @@ def test_overflowing_route_is_usage_error(args, status):
         assert cp.stderr.splitlines()[-1].endswith("overflows in these units")
     else:
         report = json.loads(cp.stdout)
-        assert report["dim"] == 202 if args.startswith("dump-matrix") else report["ok"] is (status == 0)
+        assert "entries" in report if args.startswith("dump-matrix") else report["ok"] is (status == 0)
 
 
 def run_main(argv):
@@ -520,6 +524,76 @@ def test_ladder_values_near_the_float_range_give_the_natural_digits_times_ell_sq
     assert status == natural_status == 0
     ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
     assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text)
+
+
+def natural_factor(op, units):
+    """What --op ``op`` in ``units`` is, in exact arithmetic, times the same --op in natural units."""
+    from nclandau.units import level_spacing, magnetic_length_squared, momentum_scale
+
+    ell, p = math.sqrt(magnetic_length_squared(units)), momentum_scale(units) * math.sqrt(8.0)
+    # x, y: sqrt(ell^2 / 2) over sqrt(1/2); px, py: sqrt(hbar e B / 8c) over sqrt(1/8)
+    factors = {"x": ell, "y": ell, "px": p, "py": p, "H": level_spacing(units), "L": units.hbar,
+               "xy-commutator": magnetic_length_squared(units)}
+    return factors.get(op, 1.0)
+
+
+def dumped_operator(argv):
+    """``run_main(argv)``'s status, and the operator its dump wrote (None if it wrote none)."""
+    from unittest import mock
+
+    from nclandau import fock
+
+    with mock.patch.object(fock, "to_json_dict", wraps=fock.to_json_dict) as spy:
+        status, _ = run_main(argv)
+    return status, spy.call_args.args[0] if spy.called else None
+
+
+OPS = ["a", "b", "alpha", "x", "y", "px", "py", "H", "L", "xy-commutator", "projector"]
+
+
+@st.composite
+def scaled_argv(draw):
+    N, J = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    op = draw(st.sampled_from([None, *OPS]))
+    argv = ["spectrum"] if op is None else ["dump-matrix", "--op", op]
+    argv += ["--N", str(N), "--J", str(J)]
+    if op == "projector":
+        argv += ["--keep", str(draw(st.integers(0, N)))]
+    if op == "H":
+        argv += ["--form", draw(st.sampled_from(["ladder", "quadratic"]))]
+    for flag in UNIT_FLAGS:
+        value = draw(st.none() | log_uniform(1e-320, 1e308))
+        argv += [] if value is None else [flag, repr(value)]
+    return argv + ["--output", "json"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scaled_argv())
+def test_spectra_and_dumps_are_one_scale_times_the_natural_ones_in_any_units(argv):
+    # every operator is one unit scale times a pure matrix, and only that product can overflow
+    import numpy as np
+
+    from nclandau.fock import Cutoffs
+    from nclandau.spectrum import verify_spectrum
+    from nclandau.units import NATURAL, PhysicalUnits, level_spacing
+
+    status, op = dumped_operator(argv)
+    assert status in (0, 2)  # a traceback raises out of run_main
+    if status == 2:
+        return
+    units, flags = PhysicalUnits(**units_of(argv)), dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "spectrum":
+        cutoffs = Cutoffs(int(flags["--N"]), int(flags["--J"]))
+        got, pure = (verify_spectrum(cutoffs, u).eigenvalues for u in (units, NATURAL))
+        assert [v.hex() for v in got] == [(level_spacing(units) * v).hex() for v in pure]
+        return
+    natural = dumped_operator(natural_twin(argv))[1]
+    factor = natural_factor(flags["--op"], units)
+    assert list(op.diagonals) == list(natural.diagonals)
+    for k, v in natural.diagonals.items():
+        got, want = op.diagonals[k].view(float), factor * v.view(float)
+        assert np.all(np.abs(got - want) <= 4 * sys.float_info.epsilon * np.abs(want) + 4 * 2.0**-1074)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # no zero changes sign
 
 
 @pytest.mark.parametrize("command,value", [
@@ -742,14 +816,32 @@ def test_output_bytes_are_pinned(args, status, stdout):
     assert cp.stdout == stdout
 
 
-# sha256 of the stdout of dumps too large to pin as text, each captured
+# sha256 of the stdout of dumps (and spectrum reports) too large to pin as text, each captured
 # before a change to the dump encoder.
 _UNITS = "--N 3 --J 4 --e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2"
 DUMP_DIGESTS = [
     ("dump-matrix --op x --N 16 --J 16", "dab1727f31e30d90e908c884a53a48d040970adce7b9aa05aacad8af556b305c"),
     ("dump-matrix --op px --N 5 --J 5 --e 1.5 --B 0.7",
      "620299488ea85fd63249a6dcc922f9612f2e4d26b9a3cb226cd85d8b8466ed9d"),
-    # every --op in non-natural units; y carries signed zeros ("-0")
+    # every --op in natural units, where every unit scale is 1
+    ("dump-matrix --op a --N 3 --J 4", "45b3db7f6589b2c2ae04c9e17140ff2cba67a9cf5d8a9bc016af7e70162f1568"),
+    ("dump-matrix --op b --N 3 --J 4", "95fdeec782376889ee8586dbfa6240176aa5e23f10fa834dcf7a3ca07cb8c316"),
+    ("dump-matrix --op alpha --N 3 --J 4", "be24f83eec49c68c2ac4953f0fa4aa57723ade885500ad6f4d19ad1597fde1e7"),
+    ("dump-matrix --op y --N 3 --J 4", "b8fa70904f7f48ccc4c447c7c17229d3b5c4eb25fb8961b0b9314ca48a574028"),
+    ("dump-matrix --op px --N 3 --J 4", "0a8a00d380a4748716de292275da59d93bfbc00fee31ae29bf485e3ec6643102"),
+    ("dump-matrix --op py --N 3 --J 4", "a6fedc0ac7eafd150d8ed0a178d0b41cf11cb581ee30689071616c22359a8faf"),
+    ("dump-matrix --op H --N 3 --J 4", "c324418e26c8238c4c808bb84dc0954ea5100e87eaa4fcb8bca99de8c3b92daf"),
+    ("dump-matrix --op H --form quadratic --N 3 --J 4",
+     "817cc8c129cff0b4b73e54f00270445ca80631b19b0695159a4c1564604454fe"),
+    ("dump-matrix --op L --N 3 --J 4", "7d18b690b726dedef6a6004b04e8b2e07921dbeb93ed84dedd2058345abfad09"),
+    ("dump-matrix --op xy-commutator --N 3 --J 4", "53c38c0998d8726a2d39493a6da6d514137e9e89deada4cb8230df0595603ee6"),
+    ("dump-matrix --op projector --keep 1 --N 3 --J 4",
+     "28529eaa1596fa4f474bb0a848f4f3eae2b906dc76e4d66dfc9b5f52a6c61457"),
+    # spectrum's JSON, whose eigenvalues are hbar omega times the pure ones
+    ("spectrum --N 3 --J 4 --output json", "09345108d3fb8755d46b3ab16eca52db70ee0c2c1cafd19ba56249acf502f3a8"),
+    (f"spectrum {_UNITS} --output json", "04f71e48b6e8aac7f0f8285bd5fabb371be451b896d65c564db60c35707cebbf"),
+    # every --op in non-natural units; y carries signed zeros ("-0"). The xy-commutator and quadratic-H
+    # digests were recaptured when those dumps became ell^2 and hbar omega times their natural-units builds.
     (f"dump-matrix --op a {_UNITS}", "45b3db7f6589b2c2ae04c9e17140ff2cba67a9cf5d8a9bc016af7e70162f1568"),
     (f"dump-matrix --op b {_UNITS}", "95fdeec782376889ee8586dbfa6240176aa5e23f10fa834dcf7a3ca07cb8c316"),
     (f"dump-matrix --op alpha {_UNITS}", "be24f83eec49c68c2ac4953f0fa4aa57723ade885500ad6f4d19ad1597fde1e7"),
@@ -759,8 +851,8 @@ DUMP_DIGESTS = [
     (f"dump-matrix --op py {_UNITS}", "2ba0b6584e5e0767d2b453944ff5cfc30a96055ae3526b58db3d0a7dbf182f1e"),
     (f"dump-matrix --op H {_UNITS}", "8a5f5120f0eb0ea0fde5a535fc2f7227e05111dd01ec14a7a0d815c15448138c"),
     (f"dump-matrix --op L {_UNITS}", "49d41db72ea78d55b094a38c951edcc09d85e8e72be5e2173c95f3d8b5d3afb4"),
-    (f"dump-matrix --op xy-commutator {_UNITS}", "c6630f01d8261520c65221098d69fe822a7a7451073d2caf7ff7befbd13feaf9"),
-    (f"dump-matrix --op H --form quadratic {_UNITS}", "63dabc2bd67c9e773c8abb37a95e400c3466a6bc5c729f64c97bd134bc58ebf3"),
+    (f"dump-matrix --op xy-commutator {_UNITS}", "e6c88900642e32873acdbe84f4847576749cd66250ed42d43cdd3f8afcae9518"),
+    (f"dump-matrix --op H --form quadratic {_UNITS}", "2e16159922eb9fd3c5a2c733d26157ab6ef6b5ee05b1bbbac01fbe521e8eb1a0"),
     (f"dump-matrix --op projector --keep 1 {_UNITS}", "28529eaa1596fa4f474bb0a848f4f3eae2b906dc76e4d66dfc9b5f52a6c61457"),
 ]
 

@@ -15,9 +15,9 @@ from nclandau.ladder import (
     build_momenta,
     build_xy,
     interior_slice,
-    momentum_scale,
 )
-from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
+from nclandau.units import (NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared,
+                            momentum_scale)
 
 from dense import identity, kron
 
@@ -91,7 +91,21 @@ class TestDirectBuilds:
         assert same_bits(build_a(c), a)
         assert same_bits(build_b(c), b)
         assert same_bits(build_alpha(c), a + dagger(b))
-        assert same_bits(build_H(c, units, form="ladder"), H)
+        assert same_bits(build_H(c, form="ladder").scaled(level_spacing(units)), H)
+
+    @pytest.mark.parametrize("N,J", [(0, 3), (3, 0), (6, 9)])
+    def test_scaled_unit_builds_are_the_complex_products_they_replace(self, N, J):
+        # scale times each part gives the complex product's bits here, signed zeros of y included
+        c, units = Cutoffs(N, J), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2.0)
+        a, b = build_a(c), build_b(c)
+        alpha, s, p = build_alpha(c), math.sqrt(magnetic_length_squared(units) / 2.0), momentum_scale(units)
+        x, y = build_xy(c, units)
+        px, py = build_momenta(c, units)
+        assert same_bits(x, s * (alpha + dagger(alpha)))
+        assert same_bits(y, (1j * s) * (alpha - dagger(alpha)))
+        assert same_bits(px, (-1j * p) * ((a - dagger(a)) + (b - dagger(b))))
+        assert same_bits(py, p * ((a + dagger(a)) - (b + dagger(b))))
+        assert same_bits(build_L(c).scaled(units.hbar), units.hbar * (matmul(dagger(a), a) - matmul(dagger(b), b)))
 
 
 class TestAlpha:
@@ -236,8 +250,7 @@ class TestAngularMomentum:
         assert np.allclose(vals, [0.0, 1.0, 2.0], atol=1e-14)
 
     def test_hbar_scaling(self):
-        u = PhysicalUnits(hbar=2.0)
-        ang = build_L(Cutoffs(1, 1), u).entries
+        ang = build_L(Cutoffs(1, 1)).scaled(2.0).entries  # L at hbar = 2
         assert np.array_equal(ang, np.diag([0.0, 2.0, -2.0, 0.0]))
 
 
@@ -257,7 +270,7 @@ class TestHamiltonian:
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError, match="form"):
-            build_H(Cutoffs(1, 1), NATURAL, form="peierls")
+            build_H(Cutoffs(1, 1), form="peierls")
 
     def test_quadratic_form_interior_element(self):
         ham = build_H(Cutoffs(5, 5), form="quadratic")
@@ -270,11 +283,24 @@ class TestHamiltonian:
     def test_quadratic_matches_ladder_on_interior(self, units):
         # quadratic terms shift indices by <= 2, so compare at depth 2
         c = Cutoffs(5, 5)
-        lad = build_H(c, units, form="ladder").entries
-        quad = build_H(c, units, form="quadratic").entries
+        lad = build_H(c, form="ladder").scaled(level_spacing(units)).entries
+        quad = build_H(c, form="quadratic").scaled(level_spacing(units)).entries
         inner = interior_slice(c, 2)
         worst = max(abs(lad[i, k] - quad[i, k]) for i in inner for k in inner)
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("units", [PhysicalUnits(e=2, B=1.5, c=3, hbar=0.7, m=1.2),
+                                       PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2.0)])
+    def test_quadratic_form_is_hbar_omega_times_its_natural_build(self, units):
+        # the physical form (px² + py²)/2m + m (eB/2mc)² (x² + y²)/2 - (eB/2mc) L, everywhere, boundary included
+        c = Cutoffs(4, 5)
+        x, y = (op.entries for op in build_xy(c, units))
+        px, py = (op.entries for op in build_momenta(c, units))
+        half_omega = units.e * units.B / (2 * units.m * units.c)
+        ang = units.hbar * build_L(c).entries
+        physical = (px @ px + py @ py) / (2 * units.m) + units.m * half_omega**2 * (x @ x + y @ y) / 2 - half_omega * ang
+        got = build_H(c, form="quadratic").scaled(level_spacing(units)).entries
+        assert np.max(np.abs(got - physical)) <= 1e-14 * level_spacing(units)
 
 
 def test_bundle_shares_dimension():

@@ -299,7 +299,7 @@ def test_every_export_is_read_or_gated():
 
 # The most lines src/nclandau/*.py may hold. The count should go down, not up:
 # lower this when a change shrinks src/, and never raise it.
-SRC_LINE_CEILING = 1597
+SRC_LINE_CEILING = 1595
 
 
 def test_src_keeps_to_its_line_ceiling():

@@ -4,7 +4,7 @@ import pytest
 from nclandau.fock import Cutoffs
 from nclandau.ladder import build_H, build_xy
 from nclandau.spectrum import verify_spectrum
-from nclandau.units import PhysicalUnits
+from nclandau.units import PhysicalUnits, level_spacing
 
 
 class TestHermitianEigenvalues:
@@ -47,7 +47,7 @@ class TestVerifySpectrum:
     @pytest.mark.parametrize("N,J", [(0, 0), (3, 5), (12, 7), (25, 25)])
     @pytest.mark.parametrize("units", [PhysicalUnits(), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)])
     def test_sorted_diagonal_matches_dense_eigensolver(self, N, J, units):
-        dense = build_H(Cutoffs(N, J), units).entries
+        dense = build_H(Cutoffs(N, J)).scaled(level_spacing(units)).entries
         report = verify_spectrum(Cutoffs(N, J), units)
         assert np.allclose(report.eigenvalues, np.linalg.eigvalsh(dense), rtol=1e-15, atol=0)
 
