@@ -21,6 +21,11 @@ held by its nonzero diagonals, and no subcommand builds a dense matrix:
 ``dump-matrix`` writes its d² JSON entries from the diagonals. Identical
 invocations produce byte-identical output.
 
+Units live here. The engine returns pure numbers, both commutator routes
+at ell = 1 and every operator at unit scale, and judges its verdicts on them.
+Each printed value is a pure number times its scale (ell^2 = hbar c / eB, or
+an ``_OPERATORS`` row), rounded once: within (eps/2)|value| + 2^-1075.
+
 A process executes only the engine modules its command runs: ``projection``,
 ``landau_gauge`` and ``spectrum`` load on first attribute access. The parser
 reads ``ladder.H_FORMS``, so ``ladder`` loads at once.
@@ -40,8 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import dumps, format_float, render_csv, render_table
-from .units import (PhysicalUnits, coordinate_scale, expected_top_coefficient, level_spacing,
-                    magnetic_length_squared, momentum_scale)
+from .units import PhysicalUnits, coordinate_scale, level_spacing, magnetic_length_squared, momentum_scale
 
 
 def _lazy(name: str):
@@ -282,38 +286,39 @@ def render(report: Report, output: str) -> str:
     return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
 
 
-def _pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _pair(z: complex, scale: float = 1.0) -> list[float]:
+    """[re, im] of ``scale * z``, part by part: the complex product can flip a zero's sign."""
+    return [scale * z.real, scale * z.imag]
 
 
 COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
 
 
-def _commutator_payload(r: projection.CommutatorReport) -> dict:
-    """The JSON object of one ladder-route ``CommutatorReport``; each artifact sits at (n, J)."""
+def _commutator_payload(r: projection.CommutatorReport, ell2: float) -> dict:
+    """The JSON object of one ladder-route ``CommutatorReport`` in units of ``ell2``; each artifact sits at (n, J)."""
     J = r.cutoffs.degeneracy_cutoff
-    artifacts = [{"row": [n, J], "col": [n, J], "value": _pair(value)} for n, value in r.boundary_artifacts]
+    artifacts = [{"row": [n, J], "col": [n, J], "value": _pair(value, ell2)} for n, value in r.boundary_artifacts]
     return {"N": r.cutoffs.landau_cutoff, "J": J, "keep": r.keep_levels,
-            "top_coefficient": _pair(r.top_coefficient), "max_offtop_residual": r.max_offtop_residual,
+            "top_coefficient": _pair(r.top_coefficient, ell2), "max_offtop_residual": ell2 * r.max_offtop_residual,
             "boundary_artifacts": artifacts, "ok": r.ok}
 
 
-def _commutator_row(r: projection.CommutatorReport) -> list:
-    return [r.keep_levels, *_pair(r.top_coefficient), r.max_offtop_residual]
+def _commutator_row(r: projection.CommutatorReport, ell2: float) -> list:
+    return [r.keep_levels, *_pair(r.top_coefficient, ell2), ell2 * r.max_offtop_residual]
 
 
 def _cmd_commutator(args: argparse.Namespace) -> Report:
-    keep = args.N if args.keep is None else args.keep
-    r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep, args.units)
+    keep, ell2 = args.N if args.keep is None else args.keep, magnetic_length_squared(args.units)
+    r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep)
     title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
-    return Report(r.ok, _commutator_payload(r), COMMUTATOR_HEADER, [_commutator_row(r)], title)
+    return Report(r.ok, _commutator_payload(r, ell2), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
-    reports = projection.sweep(fock.Cutoffs(args.N, args.J), args.units)
+    reports, ell2 = projection.sweep(fock.Cutoffs(args.N, args.J)), magnetic_length_squared(args.units)
     ok = all(r.ok for r in reports)
-    payload = {"reports": [_commutator_payload(r) for r in reports], "ok": ok}
-    return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r) for r in reports],
+    payload = {"reports": [_commutator_payload(r, ell2) for r in reports], "ok": ok}
+    return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r, ell2) for r in reports],
                   f"projected commutator sweep  N={args.N} J={args.J}")
 
 
@@ -323,8 +328,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Report:
     payload = {"N": args.N, "J": args.J, "eigenvalues": r.eigenvalues, "expected": r.expected,
                "max_abs_error": r.max_abs_error, "degeneracy_table": {str(n): m for n, m in levels},
                "hl_commutes": r.hl_commutes, "ok": r.ok}
-    ground = r.expected[0]  # hbar omega / 2
-    rows = [[n, ground + n * (ground * 2), m] for n, m in levels]
+    rows = [[n, r.expected[n * (args.J + 1)], m] for n, m in levels]
     title = f"level spectrum  N={args.N} J={args.J}  max error {format_float(r.max_abs_error)}"
     return Report(r.ok, payload, ["level", "energy", "multiplicity"], rows, title)
 
@@ -334,20 +338,20 @@ GRID_HEADER = ["M", "dk", "keep", "re_coeff", "im_coeff", "abs_error", "observed
 
 def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
     study = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.units, args.k_range)
-    expected = expected_top_coefficient(args.keep, args.units)
-    ok = bool(study) and study[-1].abs_error <= landau_gauge.TOLERANCE * abs(expected)
-    rows = [[r.size, r.dk, r.keep, *_pair(r.coefficient), r.abs_error, r.observed_order] for r in study]
-    payload = {"keep": args.keep, "expected": _pair(expected),
+    ell2 = magnetic_length_squared(args.units)
+    ok = bool(study) and study[-1].abs_error <= landau_gauge.TOLERANCE * (args.keep + 1)
+    rows = [[r.size, r.dk, r.keep, *_pair(r.coefficient, ell2), ell2 * r.abs_error, r.observed_order] for r in study]
+    payload = {"keep": args.keep, "expected": _pair(-1j * (args.keep + 1), ell2),
                "rows": [dict(zip(GRID_HEADER, row)) for row in rows], "ok": ok}
     return Report(ok, payload, GRID_HEADER, rows, f"momentum-grid convergence  keep={args.keep}")
 
 
 def _cmd_crosscheck(args: argparse.Namespace) -> Report:
-    keep, M = args.keep, args.grid_sizes[0]
-    ladder_report = projection.projected_commutator_xy(fock.Cutoffs(keep, args.J), keep, args.units)
+    keep, M, ell2 = args.keep, args.grid_sizes[0], magnetic_length_squared(args.units)
+    ladder_report = projection.projected_commutator_xy(fock.Cutoffs(keep, args.J), keep)
     grid = landau_gauge.KGrid.centered(M, args.units, args.k_range)
-    sym = ladder_report.top_coefficient
-    lan = landau_gauge.projected_commutator_landau(grid, keep, args.units).top_coefficient
+    pure = ladder_report.top_coefficient, landau_gauge.projected_commutator_landau(grid, keep).top_coefficient
+    sym, lan = (complex(*_pair(z, ell2)) for z in pure)
     rel = abs(lan - sym) / abs(sym)
     ok = ladder_report.ok and rel <= landau_gauge.TOLERANCE
     payload = {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": _pair(sym),

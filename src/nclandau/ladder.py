@@ -37,7 +37,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, annihilation_matrix, dagger, matmul
-from .units import NATURAL, PhysicalUnits, coordinate_scale, momentum_scale
 
 __all__ = [
     "build_a",
@@ -92,9 +91,9 @@ def build_unit_xy(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
     return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, 1.0)))
 
 
-def build_xy(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Planar coordinate matrices (x, y), both exactly Hermitian: sqrt(ell^2 / 2) times :func:`build_unit_xy`."""
-    return tuple(op.scaled(coordinate_scale(units)) for op in build_unit_xy(cutoffs))
+def build_xy(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Planar coordinate matrices (x, y) at ell = 1, both exactly Hermitian: sqrt(1/2) times :func:`build_unit_xy`."""
+    return tuple(op.scaled(math.sqrt(0.5)) for op in build_unit_xy(cutoffs))
 
 
 def build_unit_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -105,9 +104,9 @@ def build_unit_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix
     return (0 - 1j) * ((a - a_dag) + (b - b_dag)), (a + a_dag) - (b + b_dag)
 
 
-def build_momenta(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Canonical momentum matrices (px, py), both exactly Hermitian: sqrt(hbar e B / 8c) times the unit ones."""
-    return tuple(op.scaled(momentum_scale(units)) for op in build_unit_momenta(cutoffs))
+def build_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Canonical momenta (px, py) at hbar = e = B = c = 1, both exactly Hermitian: sqrt(1/8) times the unit ones."""
+    return tuple(op.scaled(math.sqrt(0.125)) for op in build_unit_momenta(cutoffs))
 
 
 def build_L(cutoffs: Cutoffs) -> OperatorMatrix:

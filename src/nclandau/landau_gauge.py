@@ -39,21 +39,21 @@ grid, so the cross terms commute exactly and [x, y] = [(c/eB) K, i hbar d/dk]
 with x̂, p̂ the ℓ = 1 matrices (m cancels), so this is ℓ² = hbar c/eB times
 i[K, d/dk] ⊗ 1 + 1 ⊗ [x̂, p̂], whose level factor is diagonal. The route adds
 i[K, d/dk]·f to each row of [x̂, p̂]·F, F being f tiled as a (levels+1, M)
-array, and scales each level's interior mean by ℓ² once; it builds no operator
+array, and reports each level's interior mean at ℓ = 1; it builds no operator
 of dimension (levels+1)M. Leaving out the cross terms, which grow as the
 half-width h and as 1/h, keeps the rounding free of h.
 
-Rounding, in units of eps·ℓ² at an interior point i: the grid factor subtracts
+Rounding, in units of eps at an interior point i: the grid factor subtracts
 two terms of at most (M-1)/4·(f_{i-1} + f_{i+1}) each (|k|/2dk <= (M-1)/4),
 five roundings deep; the level factor two of at most 2(keep+1)·f_i, five deep.
-Interior neighbours of f differ by less than 2x, the mean adds log2(M) + 1
-roundings of at most keep+1, and ℓ² and the scaling six more. So every
-coefficient is within 10(M-1) + 41(keep+1) <= 40(M + keep + 2) of exact.
+Interior neighbours of f differ by less than 2x, and the mean adds log2(M) + 1
+roundings of at most keep+1. So every coefficient is within 10(M-1) +
+41(keep+1) <= 40(M + keep + 2) of exact.
 
-Overflow: each block·f / f before the scaling is a pure number below keep+2,
-as (f_{i-1} + f_{i+1})/2f_i < 1.15 for every M and [x̂, p̂] is -i·keep on the
-top level and i below. So the route forms nothing above (keep+2)ℓ², and a
-row's error or a relative difference's numerator stays under 2(keep+2)ℓ².
+Overflow: each block·f / f is a pure number below keep+2, as (f_{i-1} +
+f_{i+1})/2f_i < 1.15 for every M and [x̂, p̂] is -i·keep on the top level and
+i below. So a row's error or a relative difference's numerator stays below
+2(keep+2), and times ℓ² overflows only where 2(keep+2)ℓ² does.
 
 Grid edges use one-sided second-order stencils purely to keep matrices
 square; all extracted quantities ignore points within two steps of an
@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import OperatorMatrix, annihilation_matrix, dagger
-from .units import NATURAL, PhysicalUnits, cyclotron_frequency, expected_top_coefficient, magnetic_length_squared
+from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
     "KGrid",
@@ -143,28 +143,24 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
         return cls(size=size, k_min=-k_max, dk=2.0 * k_max / max(size - 1, 1))  # __new__ rejects size 1
 
 
-def oscillator_x_elements(nmax: int, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
-    """Matrix <n|x̃|m> of the displacement about the guiding center.
+def oscillator_x_elements(nmax: int) -> OperatorMatrix:
+    """Matrix <n|x̂|m> of the displacement about the guiding center at ell = 1: x̃ = ell x̂.
 
-    Tridiagonal: sqrt(hbar/2m omega) (sqrt(m) at (m-1, m) + sqrt(m+1) at
-    (m+1, m)); real symmetric, zero diagonal by parity.
+    Tridiagonal: sqrt(1/2) (sqrt(m) at (m-1, m) + sqrt(m+1) at (m+1, m));
+    real symmetric, zero diagonal by parity.
     """
-    omega = cyclotron_frequency(units)
-    x0 = math.sqrt(units.hbar / (2.0 * units.m * omega))
     a = annihilation_matrix(nmax + 1)
-    return x0 * (a + dagger(a))
+    return math.sqrt(0.5) * (a + dagger(a))
 
 
-def oscillator_p_elements(nmax: int, units: PhysicalUnits = NATURAL) -> OperatorMatrix:
-    """Matrix <n|p̃|m> of the oscillator momentum about the guiding center.
+def oscillator_p_elements(nmax: int) -> OperatorMatrix:
+    """Matrix <n|p̂|m> of the oscillator momentum about the guiding center at ell = 1: (c/eB) p̃ = ell p̂.
 
-    Tridiagonal i sqrt(m omega hbar / 2) (sqrt(m+1) at (m+1, m) - sqrt(m)
-    at (m-1, m)); purely imaginary, Hermitian, zero diagonal.
+    Tridiagonal i sqrt(1/2) (sqrt(m+1) at (m+1, m) - sqrt(m) at (m-1, m));
+    purely imaginary, Hermitian, zero diagonal.
     """
-    omega = cyclotron_frequency(units)
-    p0 = math.sqrt(units.m * omega * units.hbar / 2.0)
     a = annihilation_matrix(nmax + 1)
-    return (1j * p0) * (dagger(a) - a)
+    return (1j * math.sqrt(0.5)) * (dagger(a) - a)
 
 
 def derivative_matrix(grid: KGrid) -> OperatorMatrix:
@@ -189,17 +185,16 @@ class GridCommutatorReport(NamedTuple):
     """Outcome of the momentum-grid route at one kept-level count.
 
     ``top_coefficient`` is the mean interior delta coefficient of [x, y] at
-    n = levels; ``max_offtop_residual`` the largest mean coefficient
-    magnitude over the lower levels (all vanish at the same O(dk²) order).
+    n = levels, at ell = 1; ``max_offtop_residual`` the largest mean
+    coefficient magnitude over the lower levels (all vanish at the same
+    O(dk²) order).
     """
 
     top_coefficient: complex
     max_offtop_residual: float
 
 
-def projected_commutator_landau(
-    grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
-) -> GridCommutatorReport:
+def projected_commutator_landau(grid: KGrid, levels: int) -> GridCommutatorReport:
     """Commutator report with the lowest ``levels+1`` levels retained.
 
     The factors are truncated by construction, so no explicit projector
@@ -209,14 +204,13 @@ def projected_commutator_landau(
     x, p, F = oscillator_x_elements(levels), oscillator_p_elements(levels), np.tile(f, (levels + 1, 1))
     # [x, y]·F / ℓ² without the cross terms (module docstring): i[K, d/dk]·f plus each row of [x̂, p̂]·F
     g = 1j * (k * D.apply(f) - D.apply(k * f)) + (x.apply(p.apply(F)) - p.apply(x.apply(F)))
-    ell2 = magnetic_length_squared(units)
-    per_level = [ell2 * complex(np.mean(row[inner] / f[inner])) for row in g]
+    per_level = [complex(np.mean(row[inner] / f[inner])) for row in g]
     residual = max((abs(v) for v in per_level[:levels]), default=0.0)
     return GridCommutatorReport(top_coefficient=per_level[levels], max_offtop_residual=float(residual))
 
 
 class ConvergenceRow(NamedTuple):
-    """One grid refinement step of a convergence study."""
+    """One grid refinement step of a convergence study: ``dk`` in these units, the rest at ell = 1."""
 
     size: int
     dk: float
@@ -232,18 +226,17 @@ def convergence_study(
     units: PhysicalUnits = NATURAL,
     half_width: float = DEFAULT_HALF_WIDTH,
 ) -> list[ConvergenceRow]:
-    """Top-coefficient error versus grid resolution at fixed k-range.
+    """Top-coefficient error against -i (keep+1) versus grid resolution at fixed k-range.
 
     ``observed_order`` compares consecutive rows: error ratio over dk
     ratio on a log scale; None on the first row. Second-order stencils
     should show values near 2.
     """
-    expected = expected_top_coefficient(keep, units)
     rows: list[ConvergenceRow] = []
     for size in sizes:
         grid = KGrid.centered(size, units, half_width)
-        report = projected_commutator_landau(grid, keep, units)
-        err = abs(report.top_coefficient - expected)
+        report = projected_commutator_landau(grid, keep)
+        err = abs(report.top_coefficient + 1j * (keep + 1))
         order = None
         if rows:
             prev = rows[-1]

@@ -15,11 +15,9 @@ the top coefficient is their mean over j < J at n = keep, the residual the
 largest |sum| over n < keep, j < J (and any off-diagonal entry), artifact n
 their sum at (n, J). :func:`project` (P.op.P) serves the tests.
 
-Units and rounding. [x, y] is ell^2 = hbar c / eB times its value at
-ell = 1, so the route scores the ell = 1 pieces against -i (keep+1) and
-scales each reported value z by ell^2 once, within (eps/2)|ell^2 z| +
-2^-1075 (eps = 2^-52): no intermediate overflows before a reported value,
-below (N+J+2) ell^2, does. At ell = 1 and to first order in eps, a product
+Rounding. [x, y] is ell^2 = hbar c / eB times its value at ell = 1, so the
+route works at ell = 1: it scores the pieces against -i (keep+1) and reports
+pure numbers, each below N+J+2. To first order in eps = 2^-52, a product
 term is q_j = fl(p_j^2) = (j+1)/2 (1+σ)^2 (1+θ_j), with p_j =
 fl(fl(sqrt(1/2)) fl(sqrt(j+1))) an entry of x_a, |σ| <= eps/2 and |θ_j| <=
 5 eps/2. [x_a, y_a] is -2i fl(q_j - q_(j-1)), within (5j + 4) eps of -i, at
@@ -50,7 +48,6 @@ import numpy as np
 
 from .fock import Cutoffs, OperatorMatrix, commutator, matmul
 from .ladder import build_mode_xy
-from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -69,11 +66,12 @@ DEFAULT_TOLERANCE = 1e-12
 class CommutatorReport(NamedTuple):
     """Outcome of one projected-commutator computation.
 
-    ``top_coefficient`` is the top level's diagonal over interior j,
-    -i (keep+1) ell^2; ``max_offtop_residual`` the largest other interior
-    magnitude, which should vanish; ``boundary_artifacts`` each (n, J)
-    diagonal element as ``(n, value)``. ``top_uniform`` is cleared, so
-    sweeps complete, when the top diagonal varies over j: an indexing bug.
+    Every value is a pure number at ell = 1. ``top_coefficient`` is the top
+    level's diagonal over interior j, -i (keep+1); ``max_offtop_residual``
+    the largest other interior magnitude, which should vanish;
+    ``boundary_artifacts`` each (n, J) diagonal element as ``(n, value)``.
+    ``top_uniform`` is cleared, so sweeps complete, when the top diagonal
+    varies over j: an indexing bug.
     """
 
     cutoffs: Cutoffs
@@ -99,20 +97,20 @@ def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
     return matmul(proj, matmul(op, proj))
 
 
-def projected_commutator_xy(cutoffs: Cutoffs, keep: int, units: PhysicalUnits = NATURAL) -> CommutatorReport:
-    """Commutator of the level-projected coordinates, scored; requires J >= 1 for an interior in j.
+def projected_commutator_xy(cutoffs: Cutoffs, keep: int) -> CommutatorReport:
+    """Commutator of the level-projected coordinates at ell = 1, scored; requires J >= 1 for an interior in j.
 
-    ``ok`` is true when the top diagonal is uniform, equals -i (keep+1) ell^2
+    ``ok`` is true when the top diagonal is uniform, equals -i (keep+1)
     to DEFAULT_TOLERANCE relative, and every other interior element vanishes.
     """
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
     on_a, on_b = (commutator(*pieces) for pieces in build_mode_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff)))
-    return analyze_factors(on_a, on_b, on_b, cutoffs, [keep], units)[0]
+    return analyze_factors(on_a, on_b, on_b, cutoffs, [keep])[0]
 
 
-def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs, keeps,
-                    units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
+def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs,
+                    keeps) -> list[CommutatorReport]:
     """Score the kept block of every keep in ``keeps`` from [x_a, y_a] and [x_b, y_b].
 
     ``on_a`` and ``on_b`` hold them at ell = 1 on the J+1 orbits and on
@@ -136,7 +134,6 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     residuals = np.maximum.accumulate(start)[keeps].tolist()
 
     edges = (u[J] + v).tolist()  # (n, J) for each level n
-    ell2 = magnetic_length_squared(units)
     reports = []
     for keep, residual in zip(keeps, residuals):
         top_values = u[:J] + tops[keep]
@@ -144,12 +141,10 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
         rounding = DEFAULT_TOLERANCE * (keep + J + 2)
         top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
         edge = enumerate(edges[:keep] + [complex(u[J] + tops[keep])])
-        # complex parts scaled one by one: ell2 * z multiplies by ell2 + 0j, which can flip a zero's sign
-        artifacts = [(n, complex(ell2 * z.real, ell2 * z.imag)) for n, z in edge if abs(z) > DEFAULT_TOLERANCE]
-        close = abs(top_coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)  # -i (keep+1) at ell = 1
+        artifacts = [(n, z) for n, z in edge if abs(z) > DEFAULT_TOLERANCE]
+        close = abs(top_coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)
         ok = top_uniform and residual <= rounding and close
-        top_coefficient = complex(ell2 * top_coefficient.real, ell2 * top_coefficient.imag)
-        reports.append(CommutatorReport(cutoffs, keep, top_coefficient, ell2 * residual, artifacts, top_uniform, ok))
+        reports.append(CommutatorReport(cutoffs, keep, top_coefficient, residual, artifacts, top_uniform, ok))
     return reports
 
 
@@ -163,7 +158,7 @@ def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, complex]]:
     return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(v[:N, None] + u[:J])]
 
 
-def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorReport]:
+def sweep(cutoffs: Cutoffs) -> list[CommutatorReport]:
     """One projected-commutator report per keep = 0..N, in order, from one pass.
 
     Below level k, keep k's [x_b, y_b] is that of all N+1 levels bit for
@@ -174,4 +169,4 @@ def sweep(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> list[CommutatorRe
     (x_a, y_a), (x_b, y_b) = build_mode_xy(cutoffs)
     x_down, y_down = (OperatorMatrix({k: w for k, w in op.diagonals.items() if k < 0}, op.dim) for op in (x_b, y_b))
     top = matmul(x_down, y_b) - matmul(y_down, x_b)
-    return analyze_factors(commutator(x_a, y_a), commutator(x_b, y_b), top, cutoffs, range(cutoffs.num_levels), units)
+    return analyze_factors(commutator(x_a, y_a), commutator(x_b, y_b), top, cutoffs, range(cutoffs.num_levels))

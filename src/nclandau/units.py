@@ -1,12 +1,12 @@
 """Physical constants and the derived magnetic scales.
 
-Everything downstream works in whatever unit system the constants are
-supplied in; the engine never converts between systems. The default is
-the dimensionless choice e = B = c = hbar = m = 1, in which both the
-magnetic length and the cyclotron frequency equal one and all commutator
-results are pure numbers. In any units each operator is one scale from here
+The engine never converts between unit systems: it computes in the
+dimensionless choice e = B = c = hbar = m = 1, in which both the magnetic
+length and the cyclotron frequency equal one and all commutator results are
+pure numbers. In any units each printed value is one scale from here
 (ell^2, sqrt(ell^2 / 2), hbar omega, hbar, sqrt(hbar e B / 8c)) times its
-pure matrix.
+pure number. The CLI applies each scale, but for the spectrum's hbar omega,
+which ``spectrum.verify_spectrum`` applies.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "momentum_scale",
     "cyclotron_frequency",
     "level_spacing",
-    "expected_top_coefficient",
 ]
 
 
@@ -63,7 +62,7 @@ class PhysicalUnits(namedtuple("PhysicalUnits", "e B c hbar m")):
 
 
 def magnetic_length_squared(units: PhysicalUnits) -> float:
-    """ell^2 = hbar c / (e B), the one formula; both commutator routes scale their pure numbers by it."""
+    """ell^2 = hbar c / (e B), the one formula; the CLI scales both commutator routes' pure numbers by it."""
     return units.hbar * units.c / (units.e * units.B)
 
 
@@ -87,11 +86,6 @@ def cyclotron_frequency(units: PhysicalUnits) -> float:
 def level_spacing(units: PhysicalUnits) -> float:
     """Energy gap hbar*omega between adjacent oscillator levels."""
     return units.hbar * cyclotron_frequency(units)
-
-
-def expected_top_coefficient(keep: int, units: PhysicalUnits) -> complex:
-    """The paper's result -i (keep+1) ell^2, the commutator on the top kept level."""
-    return -1j * (keep + 1) * magnetic_length_squared(units)
 
 
 NATURAL = PhysicalUnits()

@@ -9,22 +9,19 @@ composite operators the tests check those against; :func:`build_landau_xy`
 builds x and y on the whole grid basis, as the oracle of the grid route.
 The ladder route commutes single-mode pieces; :func:`dense_route_report`
 commutes the composite x and y as numpy arrays and scores the kept block
-entry by entry, as its oracle.
+entry by entry, as its oracle. Both routes return pure numbers at ell = 1;
+their oracles build x and y in physical units, each with its own scale.
 """
+
+import math
 
 import numpy as np
 
-from nclandau.fock import Cutoffs, OperatorMatrix, commutator
-from nclandau.ladder import build_xy
-from nclandau.landau_gauge import (
-    KGrid,
-    delta_test_profile,
-    derivative_matrix,
-    oscillator_p_elements,
-    oscillator_x_elements,
-)
+from nclandau.fock import Cutoffs, OperatorMatrix, annihilation_matrix, commutator, dagger
+from nclandau.ladder import build_unit_xy
+from nclandau.landau_gauge import KGrid, delta_test_profile, derivative_matrix
 from nclandau.projection import DEFAULT_TOLERANCE, CommutatorReport
-from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
+from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
 
 
 def dense_operator(entries) -> OperatorMatrix:
@@ -60,6 +57,15 @@ def kron(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(diagonals=diagonals, dim=a.dim * b.dim)
 
 
+def oscillator_elements(levels: int, units: PhysicalUnits = NATURAL) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """<n|x̃|m> = sqrt(hbar/2m omega) (a + a†) and <n|p̃|m> = i sqrt(m omega hbar/2) (a† - a) on levels
+    0..``levels``: the displacement and momentum about the guiding center, in ``units``."""
+    omega = cyclotron_frequency(units)
+    a = annihilation_matrix(levels + 1)
+    x0, p0 = math.sqrt(units.hbar / (2.0 * units.m * omega)), math.sqrt(units.m * omega * units.hbar / 2.0)
+    return x0 * (a + dagger(a)), (1j * p0) * (dagger(a) - a)
+
+
 def build_landau_xy(
     grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
@@ -76,16 +82,15 @@ def build_landau_xy(
     ratio = units.c / (units.e * units.B)
     levels_eye, grid_eye = identity(levels + 1), identity(M)
     K = OperatorMatrix(diagonals={0: grid.points}, dim=M)
-    x = ratio * kron(levels_eye, K) + kron(oscillator_x_elements(levels, units), grid_eye)
-    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid)) + ratio * kron(
-        oscillator_p_elements(levels, units), grid_eye
-    )
+    x_tilde, p_tilde = oscillator_elements(levels, units)
+    x = ratio * kron(levels_eye, K) + kron(x_tilde, grid_eye)
+    y = (1j * units.hbar) * kron(levels_eye, derivative_matrix(grid)) + ratio * kron(p_tilde, grid_eye)
     return x, y
 
 
 def landau_level_coefficients(grid: KGrid, levels: int, units: PhysicalUnits = NATURAL) -> list:
     """Per level, the mean over the grid interior of (block·f)/f, the block cut from
-    [x, y] of :func:`build_landau_xy`.
+    [x, y] of :func:`build_landau_xy` in ``units``, over ell^2: the pure numbers the grid route reports.
 
     A flat offset is (level offset)·M + (grid offset) with grid offsets at most
     2, so for M >= 5 the diagonals of [x, y] with |offset| <= 2 hold exactly the
@@ -96,24 +101,28 @@ def landau_level_coefficients(grid: KGrid, levels: int, units: PhysicalUnits = N
     blocks = OperatorMatrix({k: v for k, v in comm.diagonals.items() if abs(k) <= 2}, comm.dim)
     f, inner = delta_test_profile(grid), grid.interior
     g = blocks.apply(np.tile(f, levels + 1)).reshape(levels + 1, grid.size)
-    return [complex(np.mean(row[inner] / f[inner])) for row in g]
+    ell2 = magnetic_length_squared(units)
+    return [complex(np.mean(row[inner] / f[inner])) / ell2 for row in g]
 
 
 def dense_route_report(cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
-    """The dense oracle of the ladder route: x and y built in ``units`` on the
-    kept levels (a corner cut is the projection), commuted as numpy arrays,
-    and the kept block over ell^2 scored by :func:`score_dense_block`."""
-    x, y = (op.entries for op in build_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff), units))
-    return score_dense_block((x @ y - y @ x) / magnetic_length_squared(units), cutoffs, keep, units)
+    """The dense oracle of the ladder route: x and y built in ``units``,
+    sqrt(ell^2 / 2) times the unit-scale builds, on the kept levels (a corner
+    cut is the projection), commuted as numpy arrays, and the kept block over
+    ell^2 scored by :func:`score_dense_block`."""
+    ell2 = magnetic_length_squared(units)
+    kept = Cutoffs(keep, cutoffs.degeneracy_cutoff)
+    x, y = (op.scaled(math.sqrt(ell2 / 2.0)).entries for op in build_unit_xy(kept))
+    return score_dense_block((x @ y - y @ x) / ell2, cutoffs, keep)
 
 
-def score_dense_block(block: np.ndarray, cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
+def score_dense_block(block: np.ndarray, cutoffs: Cutoffs, keep: int) -> CommutatorReport:
     """The report of a kept-block commutator of pure numbers, read entry by entry.
 
     The top coefficient is the mean of the top level's diagonal over j < J,
     the residual the largest other entry between two states with j < J, and
-    the artifacts the (n, J) diagonal entries above DEFAULT_TOLERANCE; each
-    value is scaled by ell^2, and ``ok`` is judged as the package judges it.
+    the artifacts the (n, J) diagonal entries above DEFAULT_TOLERANCE; ``ok``
+    is judged as the package judges it.
     """
     J = cutoffs.degeneracy_cutoff
     n, j = np.divmod(np.arange(len(block)), J + 1)
@@ -125,9 +134,6 @@ def score_dense_block(block: np.ndarray, cutoffs: Cutoffs, keep: int, units: Phy
     others = (j < J)[:, None] & (j < J)[None, :] & ~np.diag((n == keep) & (j < J))
     residual = float(np.max(np.abs(block[others]), initial=0.0))
     close = abs(coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)
-    ell2 = magnetic_length_squared(units)
-    scale = lambda z: complex(ell2 * z.real, ell2 * z.imag)
-    artifacts = [(level, scale(z)) for level, z in enumerate(diagonal[J :: J + 1].tolist())
-                 if abs(z) > DEFAULT_TOLERANCE]
+    artifacts = [(level, z) for level, z in enumerate(diagonal[J :: J + 1].tolist()) if abs(z) > DEFAULT_TOLERANCE]
     ok = uniform and residual <= rounding and close
-    return CommutatorReport(cutoffs, keep, scale(coefficient), ell2 * residual, artifacts, uniform, ok)
+    return CommutatorReport(cutoffs, keep, coefficient, residual, artifacts, uniform, ok)

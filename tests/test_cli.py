@@ -414,7 +414,7 @@ def grid_argv(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(grid_argv())
 def test_grid_commands_keep_the_exit_contract_in_any_units(argv):
-    # the grid route forms pure numbers and scales by ell^2 once, so no unit system changes a verdict
+    # the grid route forms pure numbers and cli scales them by ell^2 once, so no unit system changes a verdict
     status, _ = run_main(argv)
     assert status in (0, 1, 2)
     if status != 2:
@@ -462,7 +462,7 @@ def ladder_values(report):
 
 
 def assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text):
-    # The route rounds each value once when it scales by ell^2 (projection module docstring), this
+    # cli rounds each value once when it scales by ell^2 (cli module docstring), this
     # test once more, and each side prints 15 digits (5e-15 relative): 1.1e-14 in all, or 1e-323 subnormal.
     got, natural = json.loads(text), json.loads(natural_text)
     assert got["ok"] == natural["ok"]
@@ -489,7 +489,7 @@ def ladder_argv(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(ladder_argv())
 def test_ladder_commands_give_the_natural_digits_times_ell_squared_in_any_units(argv):
-    # the ladder route scores pure numbers and scales its report by ell^2 once
+    # the ladder route scores pure numbers and cli scales its report by ell^2 once
     from nclandau.units import PhysicalUnits, magnetic_length_squared
 
     try:
@@ -524,6 +524,64 @@ def test_ladder_values_near_the_float_range_give_the_natural_digits_times_ell_sq
     assert status == natural_status == 0
     ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
     assert_ladder_digits_are_the_natural_ones_times(ell2, text, natural_text)
+
+
+def test_sweep_field_rescaling():
+    # ell^2 = hbar c / eB, so doubling B halves every printed coefficient
+    argv = ["sweep", "--N", "2", "--J", "4", "--B", "2.0", "--output", "json"]
+    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
+    assert status == natural_status == 0
+    reports, natural = json.loads(text)["reports"], json.loads(natural_text)["reports"]
+    for strong, weak in zip(reports, natural, strict=True):
+        assert strong["top_coefficient"][1] == pytest.approx(0.5 * weak["top_coefficient"][1], rel=1e-14)
+        assert strong["ok"]
+
+
+def test_sweep_physical_units_scaling_of_report():
+    status, text = run_main(["sweep", "--N", "3", "--J", "6", "--B", "2", "--output", "json"])
+    assert status == 0
+    for keep, report in enumerate(json.loads(text)["reports"]):
+        assert complex(*report["top_coefficient"]) == pytest.approx(-0.5j * (keep + 1), abs=1e-12)
+
+
+def test_landau_gauge_field_rescaling():
+    status, text = run_main(["landau-gauge", "--keep", "0", "--grid-M", "128", "--B", "2.0", "--output", "json"])
+    assert status == 0
+    data = json.loads(text)
+    assert data["expected"] == [0.0, -0.5]
+    row = data["rows"][-1]
+    assert complex(row["re_coeff"], row["im_coeff"]) == pytest.approx(-0.5j, abs=0.005)
+
+
+# Units whose ell^2 lies near either end of the float range, or makes the residual subnormal.
+EXTREME_CONSTANTS = [
+    {"hbar": 1e306}, {"B": 1e-300}, {"hbar": 1e-300, "m": 1e-10}, {"hbar": sys.float_info.min},
+    {"e": 1e-150, "c": 1e150}, {"e": 1.5, "B": 0.7, "c": 1.3, "hbar": 0.6, "m": 2},
+]
+
+
+@pytest.mark.parametrize("units", EXTREME_CONSTANTS)
+def test_reports_are_the_natural_ones_times_ell_squared(units):
+    # cli rounds each part of ell^2 times a pure number once (cli module docstring), before printing
+    from fractions import Fraction
+
+    from nclandau import cli
+    from nclandau.fock import Cutoffs
+    from nclandau.projection import sweep
+    from nclandau.units import PhysicalUnits, magnetic_length_squared
+
+    ell2, half_eps = magnetic_length_squared(PhysicalUnits(**units)), Fraction(sys.float_info.epsilon) / 2
+    for report in sweep(Cutoffs(3, 50)):
+        assert (report.ok, report.top_uniform) == (True, True)
+        got, natural = cli._commutator_payload(report, ell2), cli._commutator_payload(report, 1.0)
+        values = [*got["top_coefficient"], got["max_offtop_residual"]]
+        values += [part for artifact in got["boundary_artifacts"] for part in artifact["value"]]
+        natural_values = [*natural["top_coefficient"], natural["max_offtop_residual"]]
+        natural_values += [part for artifact in natural["boundary_artifacts"] for part in artifact["value"]]
+        for value, natural_value in zip(values, natural_values, strict=True):
+            exact = Fraction(ell2) * Fraction(natural_value)
+            assert abs(Fraction(value) - exact) <= half_eps * abs(exact) + Fraction(2) ** -1075
+            assert math.copysign(1.0, value) == math.copysign(1.0, natural_value)
 
 
 def natural_factor(op, units):
@@ -818,7 +876,16 @@ def test_output_bytes_are_pinned(args, status, stdout):
 
 # sha256 of the stdout of dumps (and spectrum reports) too large to pin as text, each captured
 # before a change to the dump encoder.
-_UNITS = "--N 3 --J 4 --e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2"
+_CONSTANTS = "--e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2"
+_UNITS = f"--N 3 --J 4 {_CONSTANTS}"
+# The ladder-route and crosscheck reports in non-natural units, captured while each engine still scaled
+# its own report by ell^2, before cli took that scale over.
+UNITS_REPORTS = [
+    (f"commutator --keep 2 {_UNITS} --output json", "9eeb4bd277d8e90b1078fa6db82a35f0a43f20c2d692cc91630569caa74dee52"),
+    (f"sweep {_UNITS} --output json", "f986aa93c5a905f4592735ad1d0294ca81374effc8de1d6a442dd9d75c091c76"),
+    (f"crosscheck --keep 1 --J 4 --grid-M 64 {_CONSTANTS} --output json",
+     "8743c3d9a51ed9b62435e15c0a8ac7281cdb9d4c6925de2d1f650fc23319a322"),
+]
 DUMP_DIGESTS = [
     ("dump-matrix --op x --N 16 --J 16", "dab1727f31e30d90e908c884a53a48d040970adce7b9aa05aacad8af556b305c"),
     ("dump-matrix --op px --N 5 --J 5 --e 1.5 --B 0.7",
@@ -854,6 +921,11 @@ DUMP_DIGESTS = [
     (f"dump-matrix --op xy-commutator {_UNITS}", "e6c88900642e32873acdbe84f4847576749cd66250ed42d43cdd3f8afcae9518"),
     (f"dump-matrix --op H --form quadratic {_UNITS}", "2e16159922eb9fd3c5a2c733d26157ab6ef6b5ee05b1bbbac01fbe521e8eb1a0"),
     (f"dump-matrix --op projector --keep 1 {_UNITS}", "28529eaa1596fa4f474bb0a848f4f3eae2b906dc76e4d66dfc9b5f52a6c61457"),
+    *UNITS_REPORTS,
+    # recaptured once when cli took over the ell^2 scale: abs_error, now ell^2 times the pure error rather than
+    # the difference of two scaled values, and observed_order, a ratio of errors, moved in their last digits
+    (f"landau-gauge --keep 1 {_CONSTANTS} --output json",
+     "242f0d76ec68efae6fabbc47f4ef0cc1acf6883c566011d172a1bd697e97cee8"),
 ]
 
 
@@ -862,6 +934,51 @@ def test_dump_bytes_are_pinned(args, digest):
     cp = run_cli(*args.split())
     assert cp.returncode == 0, cp.stderr
     assert hashlib.sha256(cp.stdout.encode()).hexdigest() == digest
+
+
+def printed_numbers(text):
+    """Every number of a JSON report, in order, as floats: a printed "-0" stays -0.0."""
+    def walk(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [number for item in value for number in walk(item)]
+        return [value] if isinstance(value, float) else []
+
+    return walk(json.loads(text, parse_int=float))
+
+
+@pytest.mark.parametrize("args", [case[0] for case in UNITS_REPORTS])
+def test_units_reports_print_each_zero_with_its_natural_sign(args):
+    # cli scales each part of a pure number on its own, so a zero keeps its sign in any units
+    argv = args.split()
+    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
+    assert status == natural_status == 0
+    for value, natural in zip(printed_numbers(text), printed_numbers(natural_text), strict=True):
+        if value == 0:
+            assert math.copysign(1.0, value) == math.copysign(1.0, natural)
+
+
+def test_pair_scales_each_part_apart():
+    from nclandau import cli
+
+    parts = cli._pair(complex(-0.0, -3.0), 0.5)
+    assert parts == [0.0, -1.5] and math.copysign(1.0, parts[0]) == -1.0
+    assert math.copysign(1.0, (0.5 * complex(-0.0, -3.0)).real) == 1.0  # what the complex product gives
+
+
+@pytest.mark.parametrize("args", [
+    "spectrum --N 3 --J 0 --B 5e-324",  # hbar omega / 2 rounds to 0
+    "spectrum --N 4 --J 2 --e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2",
+    "spectrum --N 6 --J 1 --hbar 0.37",
+])
+def test_spectrum_energy_cells_are_the_expected_level_values(args):
+    J = int(args.split()[args.split().index("--J") + 1])
+    (status, text), (csv_status, csv) = (run_main([*args.split(), "--output", fmt]) for fmt in ("json", "csv"))
+    assert status == csv_status == 0
+    expected = json.loads(text)["expected"]
+    energies = [float(line.split(",")[1]) for line in csv.splitlines()[1:]]
+    assert energies == [expected[n * (J + 1)] for n in range(len(energies))]
 
 
 def test_sweep_reports_are_the_commutator_reports(capsys, monkeypatch):

@@ -13,11 +13,13 @@ from nclandau.ladder import (
     build_alpha,
     build_b,
     build_momenta,
+    build_unit_momenta,
+    build_unit_xy,
     build_xy,
     interior_slice,
 )
-from nclandau.units import (NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared,
-                            momentum_scale)
+from nclandau.units import (NATURAL, PhysicalUnits, coordinate_scale, cyclotron_frequency, level_spacing,
+                            magnetic_length_squared, momentum_scale)
 
 from dense import identity, kron
 
@@ -95,12 +97,15 @@ class TestDirectBuilds:
 
     @pytest.mark.parametrize("N,J", [(0, 3), (3, 0), (6, 9)])
     def test_scaled_unit_builds_are_the_complex_products_they_replace(self, N, J):
-        # scale times each part gives the complex product's bits here, signed zeros of y included
+        # scale times each part gives the complex product's bits here, signed zeros of y included: the operators
+        # in units as dump-matrix scales them, and at ell = 1 as the package builds them
         c, units = Cutoffs(N, J), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2.0)
         a, b = build_a(c), build_b(c)
         alpha, s, p = build_alpha(c), math.sqrt(magnetic_length_squared(units) / 2.0), momentum_scale(units)
-        x, y = build_xy(c, units)
-        px, py = build_momenta(c, units)
+        x, y = (op.scaled(s) for op in build_unit_xy(c))
+        px, py = (op.scaled(p) for op in build_unit_momenta(c))
+        assert same_bits(build_xy(c)[0], math.sqrt(0.5) * (alpha + dagger(alpha)))
+        assert same_bits(build_momenta(c)[1], math.sqrt(0.125) * ((a + dagger(a)) - (b + dagger(b))))
         assert same_bits(x, s * (alpha + dagger(alpha)))
         assert same_bits(y, (1j * s) * (alpha - dagger(alpha)))
         assert same_bits(px, (-1j * p) * ((a - dagger(a)) + (b - dagger(b))))
@@ -146,11 +151,10 @@ class TestCoordinates:
     def test_offset_form_stores_the_dense_entries(self, N, J):
         # numpy oracle: alpha = a + b+ from np.kron of literal ladder matrices
         c = Cutoffs(N, J)
-        u = PhysicalUnits(e=2.0, B=0.5, c=1.0, hbar=3.0, m=1.5)
         lower = lambda dim: np.diag(np.sqrt(np.arange(1.0, dim)), 1)
         alpha = np.kron(np.eye(N + 1), lower(J + 1)) + np.kron(lower(N + 1), np.eye(J + 1)).T
-        scale = math.sqrt(u.hbar * u.c / (2.0 * u.e * u.B))
-        x, y = build_xy(c, u)
+        scale = math.sqrt(0.5)  # sqrt(hbar c / 2 e B) at ell = 1
+        x, y = build_xy(c)
         assert set(x.diagonals) <= {-J - 1, -1, 1, J + 1}
         assert np.array_equal(x.entries, scale * (alpha + alpha.T))
         assert np.allclose(y.entries, 1j * scale * (alpha - alpha.T), rtol=0, atol=1e-15)
@@ -162,13 +166,12 @@ class TestCoordinates:
 
     @pytest.mark.parametrize("N,J", [(1, 2), (3, 3), (5, 2)])
     def test_commutator_proportional_to_alpha_commutator(self, N, J):
-        # [x,y] = -i ell^2 [alpha, alpha+] as exact matrices, any cutoffs
+        # [x,y] = -i ell^2 [alpha, alpha+] as exact matrices, any cutoffs; ell = 1 here
         c = Cutoffs(N, J)
-        u = PhysicalUnits(e=2.0, B=0.5, c=1.0, hbar=3.0, m=1.5)
-        x, y = build_xy(c, u)
+        x, y = build_xy(c)
         alpha = build_alpha(c)
         lhs = commutator(x, y).entries
-        rhs = -1j * magnetic_length_squared(u) * commutator(alpha, dagger(alpha)).entries
+        rhs = -1j * commutator(alpha, dagger(alpha)).entries
         assert np.allclose(lhs, rhs, atol=1e-13)
 
 
@@ -208,10 +211,11 @@ class TestMomenta:
         assert corner_element(4) == pytest.approx(1j * HBAR, abs=1e-12)
 
     def test_physical_units_canonical_value(self):
+        # x and px in units, each its unit-scale build times its scale: [x, px] = i hbar
         u = PhysicalUnits(e=2, B=3, c=4, hbar=1.5, m=2.5)
         c = Cutoffs(4, 4)
-        x, _ = build_xy(c, u)
-        px, _ = build_momenta(c, u)
+        x = build_unit_xy(c)[0].scaled(coordinate_scale(u))
+        px = build_unit_momenta(c)[0].scaled(momentum_scale(u))
         assert commutator(x, px).entries[0, 0] == pytest.approx(1.5j, abs=1e-12)
 
     @pytest.mark.parametrize("span", [3, 300])
@@ -294,8 +298,10 @@ class TestHamiltonian:
     def test_quadratic_form_is_hbar_omega_times_its_natural_build(self, units):
         # the physical form (px² + py²)/2m + m (eB/2mc)² (x² + y²)/2 - (eB/2mc) L, everywhere, boundary included
         c = Cutoffs(4, 5)
-        x, y = (op.entries for op in build_xy(c, units))
-        px, py = (op.entries for op in build_momenta(c, units))
+        s, p = (math.sqrt(units.hbar * units.c / (2 * units.e * units.B)),
+                math.sqrt(units.hbar * units.e * units.B / (8 * units.c)))
+        x, y = (s * op.entries for op in build_unit_xy(c))
+        px, py = (p * op.entries for op in build_unit_momenta(c))
         half_omega = units.e * units.B / (2 * units.m * units.c)
         ang = units.hbar * build_L(c).entries
         physical = (px @ px + py @ py) / (2 * units.m) + units.m * half_omega**2 * (x @ x + y @ y) / 2 - half_omega * ang

@@ -21,7 +21,7 @@ from nclandau.landau_gauge import (
 from nclandau.projection import projected_commutator_xy
 from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
 
-from dense import build_landau_xy, landau_level_coefficients
+from dense import build_landau_xy, landau_level_coefficients, oscillator_elements
 
 NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)
 THREE_UNITS = (NATURAL, NON_NATURAL, PhysicalUnits(e=0.37, B=3.1, c=2.9, hbar=1.7))
@@ -111,16 +111,12 @@ class TestOscillatorElements:
                 assert p[n, m] == pytest.approx(quad_p_element(n, m), abs=1e-8)
 
     def test_physical_units_scaling(self):
+        # x~ = ell x^ and (c/eB) p~ = ell p^: the mass cancels
         u = PhysicalUnits(e=2, B=2, c=2, hbar=3, m=1.5)
-        omega = u.e * u.B / (u.m * u.c)
-        x_ratio = math.sqrt(u.hbar / (2 * u.m * omega)) / math.sqrt(0.5)
-        p_ratio = math.sqrt(u.m * omega * u.hbar / 2) / math.sqrt(0.5)
-        assert np.allclose(
-            oscillator_x_elements(5, u).entries, x_ratio * oscillator_x_elements(5).entries
-        )
-        assert np.allclose(
-            oscillator_p_elements(5, u).entries, p_ratio * oscillator_p_elements(5).entries
-        )
+        ell = math.sqrt(magnetic_length_squared(u))
+        x_tilde, p_tilde = oscillator_elements(5, u)
+        assert np.allclose(x_tilde.entries, ell * oscillator_x_elements(5).entries)
+        assert np.allclose(u.c / (u.e * u.B) * p_tilde.entries, ell * oscillator_p_elements(5).entries)
 
 
 class TestPlaneIntegralRoute:
@@ -250,10 +246,9 @@ class TestOperators:
         units = PhysicalUnits(e=e, B=B, c=c, hbar=hbar, m=m)
         grid = KGrid.centered(M, units)
         ratio, level_eye, grid_eye = c / (e * B), np.eye(levels + 1), np.eye(M)
-        want_x = ratio * np.kron(level_eye, np.diag(grid.points)) + np.kron(
-            oscillator_x_elements(levels, units).entries, grid_eye)
-        want_y = 1j * hbar * np.kron(level_eye, derivative_matrix(grid).entries) + ratio * np.kron(
-            oscillator_p_elements(levels, units).entries, grid_eye)
+        x_tilde, p_tilde = (op.entries for op in oscillator_elements(levels, units))
+        want_x = ratio * np.kron(level_eye, np.diag(grid.points)) + np.kron(x_tilde, grid_eye)
+        want_y = 1j * hbar * np.kron(level_eye, derivative_matrix(grid).entries) + ratio * np.kron(p_tilde, grid_eye)
         x, y = build_landau_xy(grid, levels, units)
         assert np.array_equal(x.entries, want_x)
         assert np.array_equal(y.entries, want_y)
@@ -268,10 +263,10 @@ class TestOperators:
 
 
 def dense_level_coefficients(grid, levels, units):
-    """The dense oracle: per level, (block·f)/f on the grid interior, with
-    the block cut from [x, y] formed by numpy on the dense entries."""
+    """The dense oracle: per level, (block·f)/f on the grid interior over ell^2, with
+    the block cut from [x, y] formed by numpy on the dense entries in ``units``."""
     x, y = (op.entries for op in build_landau_xy(grid, levels, units))
-    comm = x @ y - y @ x
+    comm = (x @ y - y @ x) / magnetic_length_squared(units)
     M, f = grid.size, delta_test_profile(grid)
     blocks = (comm[n * M : (n + 1) * M, n * M : (n + 1) * M] for n in range(levels + 1))
     return [(block @ f)[grid.interior] / f[grid.interior] for block in blocks]
@@ -288,11 +283,6 @@ class TestCommutatorCoefficients:
         err_coarse = abs(projected_commutator_landau(KGrid.centered(64), 0).top_coefficient + 1j)
         err_fine = abs(projected_commutator_landau(KGrid.centered(127), 0).top_coefficient + 1j)
         assert 3.2 <= err_coarse / err_fine <= 4.8
-
-    def test_field_rescaling(self):
-        units = PhysicalUnits(B=2.0)
-        got = projected_commutator_landau(KGrid.centered(128, units), 0, units).top_coefficient
-        assert got == pytest.approx(-0.5j, abs=0.005)
 
     def test_two_levels(self):
         # top level within 1% of -2i, the level below within 1% of zero
@@ -314,8 +304,8 @@ class TestCommutatorCoefficients:
     def test_matches_dense_block_times_profile(self, levels, M, units):
         grid = KGrid.centered(M, units)
         means = [np.mean(level) for level in dense_level_coefficients(grid, levels, units)]
-        scale = (levels + 1) * magnetic_length_squared(units)
-        report = projected_commutator_landau(grid, levels, units)
+        scale = levels + 1
+        report = projected_commutator_landau(grid, levels)
         assert abs(report.top_coefficient - means[levels]) <= 1e-12 * scale
         residual = max((abs(mean) for mean in means[:levels]), default=0.0)
         assert abs(report.max_offtop_residual - residual) <= 1e-12 * scale
@@ -348,16 +338,16 @@ class TestCommutatorCoefficients:
         assert abs(grid_value - exact) / abs(exact) <= 0.01
 
 
-def route_bound(grid, keep, units):
-    """Twice the module docstring's rounding bound, 40*eps*(M + keep + 2)*l^2: the
-    route and the build of [x, y] each stay within it of the exact value."""
-    return 2 * 40 * np.finfo(float).eps * (grid.size + keep + 2) * magnetic_length_squared(units)
+def route_bound(grid, keep):
+    """Twice the module docstring's rounding bound, 40*eps*(M + keep + 2): the route
+    and the build of [x, y] in units, over ell^2, each stay within it of the exact value."""
+    return 2 * 40 * np.finfo(float).eps * (grid.size + keep + 2)
 
 
 def assert_route_matches_built_commutator(grid, keep, units, margin=1.0):
     coefficients = landau_level_coefficients(grid, keep, units)
-    report = projected_commutator_landau(grid, keep, units)
-    bound = route_bound(grid, keep, units) / margin
+    report = projected_commutator_landau(grid, keep)
+    bound = route_bound(grid, keep) / margin
     assert abs(report.top_coefficient - coefficients[keep]) <= bound
     residual = max((abs(c) for c in coefficients[:keep]), default=0.0)
     assert abs(report.max_offtop_residual - residual) <= bound
@@ -384,24 +374,21 @@ EXTREME_UNITS = [
 
 
 class TestUnitFreeRoute:
-    """Every term of [x, y] is ell^2 times a pure number; the route scales by ell^2 once."""
+    """Every term of [x, y] is ell^2 times a pure number; the route reports the pure numbers, at ell = 1."""
 
     @pytest.mark.parametrize("units", EXTREME_UNITS)
     @pytest.mark.parametrize("keep", [0, 3])
-    def test_coefficients_are_the_natural_ones_times_ell_squared(self, units, keep):
-        ell2 = magnetic_length_squared(units)
+    def test_coefficients_do_not_depend_on_the_units_of_the_grid(self, units, keep):
+        # the grid spans the same guiding-center lengths in any units, and the profile scales with it
         natural = projected_commutator_landau(KGrid.centered(64), keep)
-        scaled = projected_commutator_landau(KGrid.centered(64, units), keep, units)
-        assert scaled.top_coefficient == pytest.approx(natural.top_coefficient * ell2, rel=1e-13)
-        assert scaled.max_offtop_residual == pytest.approx(natural.max_offtop_residual * ell2, rel=1e-9)
+        scaled = projected_commutator_landau(KGrid.centered(64, units), keep)
+        assert scaled.top_coefficient == pytest.approx(natural.top_coefficient, rel=1e-13)
+        assert scaled.max_offtop_residual == pytest.approx(natural.max_offtop_residual, rel=1e-9)
 
-    def test_reads_units_only_through_the_magnetic_length(self):
+    def test_builds_its_factors_at_ell_1(self):
         route = ast.parse(inspect.getsource(projected_commutator_landau)).body[0]
         calls = [node for node in ast.walk(route) if isinstance(node, ast.Call)]
-        ell = {id(call.args[0]) for call in calls if ast.unparse(call.func) == "magnetic_length_squared"}
-        body = [node for stmt in route.body for node in ast.walk(stmt)]  # the signature left out
-        units = [node for node in body if isinstance(node, ast.Name) and node.id == "units"]
-        assert units and all(id(node) in ell for node in units)
+        assert not {node.id for node in ast.walk(route) if isinstance(node, ast.Name)} & {"units", "ell2"}
         builders = [call for call in calls if ast.unparse(call.func).startswith("oscillator_")]
         assert len(builders) == 2 and all(len(call.args) == 1 and not call.keywords for call in builders)
         # the grid factor acts on the 1-D profile, with no transpose round trip over the levels
@@ -421,8 +408,10 @@ class TestConvergenceStudy:
         assert 1.8 <= orders[-1] <= 2.1
 
     def test_large_hbar_converges_as_in_natural_units(self):
+        # the grid spans ell = 1e153 per guiding-center length; the coefficients stay pure
         rows = convergence_study(0, [32, 64, 128, 256], PhysicalUnits(hbar=1e306))
-        assert rows[-1].coefficient == pytest.approx(-1.00019886846577e306j, rel=1e-13)
+        assert rows[-1].dk == pytest.approx(16e153 / 255, rel=1e-13)
+        assert rows[-1].coefficient == pytest.approx(-1.00019886846577j, rel=1e-13)
         assert rows[-1].observed_order == pytest.approx(1.93, abs=0.01)
 
     def test_builds_no_operator_above_its_factors(self, monkeypatch):

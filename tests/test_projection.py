@@ -3,7 +3,6 @@ import inspect
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from nclandau.projection import (
     sweep,
 )
 from nclandau.spectrum import verify_spectrum
-from nclandau.units import NATURAL, PhysicalUnits, magnetic_length_squared
+from nclandau.units import NATURAL, PhysicalUnits
 
 from dense import dense_route_report, identity
 
@@ -32,7 +31,7 @@ NON_NATURAL = PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2)
 THREE_UNITS = (NATURAL, NON_NATURAL, PhysicalUnits(e=0.37, B=3.1, c=2.9, hbar=1.7))
 
 
-# Units whose ell^2 lies near either end of the float range, or makes the residual subnormal.
+# Units whose ell^2 lies near either end of the float range, for the dense oracle to build x and y in.
 EXTREME_UNITS = [
     PhysicalUnits(hbar=1e306), PhysicalUnits(B=1e-300), PhysicalUnits(hbar=1e-300, m=1e-10),
     PhysicalUnits(hbar=sys.float_info.min), PhysicalUnits(e=1e-150, c=1e150), NON_NATURAL,
@@ -133,7 +132,7 @@ class TestProjectedCommutator:
     def test_kept_block_is_x_and_y_built_on_the_kept_levels(self, keep):
         # x and y are corner cuts, so the kept block needs no slice of the full basis
         size = (keep + 1) * 5
-        full, kept = build_xy(Cutoffs(3, 4), NON_NATURAL), build_xy(Cutoffs(keep, 4), NON_NATURAL)
+        full, kept = build_xy(Cutoffs(3, 4)), build_xy(Cutoffs(keep, 4))
         for big, small in zip(full, kept):
             assert np.array_equal(big.entries[:size, :size], small.entries)
 
@@ -143,8 +142,8 @@ class TestProjectedCommutator:
 
     @pytest.mark.parametrize("N,J,keep", [(4000, 2, 4000), (8191, 1, 8191), (1, 8191, 1)])
     def test_large_cutoffs_pass_within_rounding(self, N, J, keep):
-        # residuals of a few 1e-12 ell^2 here are rounding of entries of
-        # size (keep+J) ell^2, not a failed projection
+        # residuals of a few 1e-12 here are rounding of entries of
+        # size keep+J, not a failed projection
         report = projected_commutator_xy(Cutoffs(N, J), keep)
         assert report.ok and report.top_uniform
         assert report.max_offtop_residual <= 1e-14 * (keep + J + 2)
@@ -269,20 +268,20 @@ class TestDoctoredFactors:
         assert reports[1] == analyze_factors(on_a, on_b, top, c, [1])[0]
 
 
-def rounding_bounds(J, keep, units):
+def rounding_bounds(J, keep):
     """The entry and top-coefficient bounds of the projection module docstring,
-    5 eps (keep+J+2) and (13 + log2(J)/2) eps (keep+1), times ell^2, each with
-    2 eps of its value more: ell^2 rounds 1.5 eps from hbar c / eB, and the
-    scaling 0.5 eps."""
-    ell2 = magnetic_length_squared(units)
-    return (5 + 2) * EPS * (keep + J + 2) * ell2, (13 + math.log2(J) / 2 + 2) * EPS * (keep + 1) * ell2
+    5 eps (keep+J+2) and (13 + log2(J)/2) eps (keep+1), each with 2 eps of its
+    value more for the dense oracle, which builds x and y at sqrt(ell^2 / 2):
+    ell^2 rounds 1.5 eps from hbar c / eB, and the division by it 0.5 eps."""
+    return (5 + 2) * EPS * (keep + J + 2), (13 + math.log2(J) / 2 + 2) * EPS * (keep + 1)
 
 
 def assert_routes_agree(cutoffs, keep, units, fast=None):
+    """The pure route against the dense oracle built in ``units`` and divided by ell^2."""
     if fast is None:
-        fast = projected_commutator_xy(cutoffs, keep, units)
+        fast = projected_commutator_xy(cutoffs, keep)
     oracle = dense_route_report(cutoffs, keep, units)
-    entry, top = rounding_bounds(cutoffs.degeneracy_cutoff, keep, units)
+    entry, top = rounding_bounds(cutoffs.degeneracy_cutoff, keep)
     assert (fast.ok, fast.top_uniform) == (oracle.ok, oracle.top_uniform)
     assert abs(fast.top_coefficient - oracle.top_coefficient) <= top
     assert fast.max_offtop_residual <= entry
@@ -305,9 +304,9 @@ class TestFactoredRouteMatchesDenseOracle:
     @given(st.integers(0, 6), st.integers(1, 8), st.sampled_from(THREE_UNITS))
     def test_sweep_equals_commutator_at_every_keep(self, N, J, units):
         cutoffs = Cutoffs(N, J)
-        for keep, report in enumerate(sweep(cutoffs, units)):
+        for keep, report in enumerate(sweep(cutoffs)):
             # repr writes every float exactly, signed zeros included: bit for bit
-            assert repr(report) == repr(projected_commutator_xy(cutoffs, keep, units))
+            assert repr(report) == repr(projected_commutator_xy(cutoffs, keep))
             assert_routes_agree(cutoffs, keep, units, fast=report)
 
     @pytest.mark.parametrize("keep", [0, 15, 30])
@@ -344,73 +343,65 @@ class TestFactoredRouteMatchesDenseOracle:
             assert dims and max(dims) <= max(cutoffs) + 1, run
 
 
-def closed_form_diagonal(cutoffs, keep, units):
-    """The exact kept-block diagonal of [x, y], each entry rounded once from a Fraction.
+def closed_form_diagonal(cutoffs, keep):
+    """The exact kept-block diagonal of [x, y] at ell = 1.
 
     [x, y] = -i ell^2 ([a, a†] - [b, b†]) at every truncation, and b is cut at
-    level keep, so the entry at (n, j) is -i ell^2 (u_j - v_n): u_j = 1 for
-    j < J and u_J = -J, v_n = 1 for n < keep and v_keep = -keep. Every entry
-    off the diagonal is 0.
+    level keep, so the entry at (n, j) is -i (u_j - v_n): u_j = 1 for j < J
+    and u_J = -J, v_n = 1 for n < keep and v_keep = -keep. Every entry off the
+    diagonal is 0.
     """
     J = cutoffs.degeneracy_cutoff
-    ell2 = Fraction(units.hbar) * Fraction(units.c) / (Fraction(units.e) * Fraction(units.B))
     u, v = [1] * J + [-J], [1] * keep + [-keep]
-    imag = {uj - vn: float(-ell2 * (uj - vn)) for uj in set(u) for vn in set(v)}
-    return np.array([complex(0.0, imag[uj - vn]) for vn in v for uj in u])
+    return np.array([complex(0.0, -(uj - vn)) for vn in v for uj in u])
 
 
-def composite_bound(J, keep, units):
-    """4 eps (keep+J+2) ell^2, which holds the composite [x, y] of ``build_xy`` to the closed form."""
-    return 4 * EPS * (keep + J + 2) * magnetic_length_squared(units)
-
-
-UNITS_TWO = pytest.mark.parametrize("units", [NATURAL, NON_NATURAL], ids=["natural", "non-natural"])
+def composite_bound(J, keep):
+    """4 eps (keep+J+2), which holds the composite [x, y] of ``build_xy`` to the closed form."""
+    return 4 * EPS * (keep + J + 2)
 
 
 class TestClosedFormOracle:
     """The ladder route against its exact closed form, at the largest bases."""
 
-    @UNITS_TWO
     @pytest.mark.parametrize("N,J,keep", [(127, 127, 127), (127, 127, 40), (2, 5460, 2), (0, 16383, 0)])
-    def test_kept_block_and_report(self, N, J, keep, units):
+    def test_kept_block_and_report(self, N, J, keep):
         cutoffs = Cutoffs(N, J)
-        exact = closed_form_diagonal(cutoffs, keep, units)
-        bound = composite_bound(J, keep, units)
+        exact = closed_form_diagonal(cutoffs, keep)
+        bound = composite_bound(J, keep)
 
         # the composite x and y (dump-matrix --op xy-commutator): as corner cuts, the kept block is x and y
         # built on levels 0..keep
-        comm = commutator(*build_xy(Cutoffs(keep, J), units))
+        comm = commutator(*build_xy(Cutoffs(keep, J)))
         assert np.max(np.abs(comm.diagonals[0] - exact)) <= bound
         for k, values in comm.diagonals.items():
             if k != 0:
                 assert np.max(np.abs(values)) <= bound, k
-        self.assert_report_exact(projected_commutator_xy(cutoffs, keep, units), exact, units)
+        self.assert_report_exact(projected_commutator_xy(cutoffs, keep), exact)
 
-    @UNITS_TWO
     @pytest.mark.parametrize("N,J", [(127, 127), (2, 5460)])
-    def test_every_keep_of_sweep(self, N, J, units):
-        reports = sweep(Cutoffs(N, J), units)
+    def test_every_keep_of_sweep(self, N, J):
+        reports = sweep(Cutoffs(N, J))
         assert [r.keep_levels for r in reports] == list(range(N + 1))
         for keep, report in enumerate(reports):
-            self.assert_report_exact(report, closed_form_diagonal(Cutoffs(keep, J), keep, units), units)
-            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep, units))
+            self.assert_report_exact(report, closed_form_diagonal(Cutoffs(keep, J), keep))
+            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep))
 
-    @UNITS_TWO
     @pytest.mark.parametrize("N,J", [(0, 16383), (2, 5460)])
-    def test_top_coefficient_error_is_well_inside_its_bound(self, N, J, units):
+    def test_top_coefficient_error_is_well_inside_its_bound(self, N, J):
         # The derived bound, not the fixed DEFAULT_TOLERANCE, at the largest J the cap admits. It is
         # tight: at keep 2 the top entry -2i q_1 alone errs by about 6 eps of the bound's 64 eps.
-        for keep, report in enumerate(sweep(Cutoffs(N, J), units)):
-            exact = closed_form_diagonal(Cutoffs(keep, J), keep, units)[keep * (J + 1)]
-            _, top = rounding_bounds(J, keep, units)
+        for keep, report in enumerate(sweep(Cutoffs(N, J))):
+            exact = closed_form_diagonal(Cutoffs(keep, J), keep)[keep * (J + 1)]
+            _, top = rounding_bounds(J, keep)
             assert abs(report.top_coefficient - exact) <= top / (10 if keep < 2 else 5)
-            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep, units))
+            assert repr(report) == repr(projected_commutator_xy(Cutoffs(N, J), keep))
 
     @staticmethod
-    def assert_report_exact(report, exact, units):
+    def assert_report_exact(report, exact):
         keep, J = report.keep_levels, report.cutoffs.degeneracy_cutoff
         # the factored report's derived bounds, or the composite's where that is tighter
-        bound, top = (min(b, composite_bound(J, keep, units)) for b in rounding_bounds(J, keep, units))
+        bound, top = (min(b, composite_bound(J, keep)) for b in rounding_bounds(J, keep))
         assert abs(report.top_coefficient - exact[keep * (J + 1)]) <= top
         assert report.max_offtop_residual <= bound
         edge = [(n, exact[n * (J + 1) + J]) for n in range(keep + 1)]
@@ -469,59 +460,20 @@ class TestSweep:
         assert len(reports) == 1
         assert reports[0].top_coefficient == pytest.approx(-1j, abs=1e-12)
 
-    def test_field_rescaling(self):
-        # ell^2 = hbar c / eB, so doubling B halves every coefficient
-        doubled = PhysicalUnits(B=2.0)
-        for strong, weak in zip(sweep(Cutoffs(2, 4), doubled), sweep(Cutoffs(2, 4))):
-            assert strong.top_coefficient == pytest.approx(0.5 * weak.top_coefficient, rel=1e-14)
-            assert strong.ok
-
     @pytest.mark.parametrize("keep", [0, 2])
     def test_degeneracy_cutoff_independence(self, keep):
         base = projected_commutator_xy(Cutoffs(keep, keep + 3), keep)
         wide = projected_commutator_xy(Cutoffs(keep, keep + 8), keep)
         assert base.top_coefficient == pytest.approx(wide.top_coefficient, abs=1e-12)
 
-    def test_physical_units_scaling_of_report(self):
-        u = PhysicalUnits(e=1, B=2, c=1, hbar=1)
-        reports = sweep(Cutoffs(3, 6), u)
-        ell2 = magnetic_length_squared(u)
-        assert ell2 == pytest.approx(0.5, rel=1e-15)
-        for keep, report in enumerate(reports):
-            assert report.top_coefficient == pytest.approx(-1j * (keep + 1) * ell2, abs=1e-12)
-
 
 class TestUnitFreeRoute:
-    """The ladder route commutes the pieces of x and y at ell = 1, scores the pure numbers and scales by ell^2 once."""
+    """The ladder route commutes the pieces of x and y at ell = 1 and reports pure numbers; cli scales them."""
 
-    @pytest.mark.parametrize("units", EXTREME_UNITS)
-    def test_reports_are_the_natural_ones_times_ell_squared(self, units):
-        # each value rounds once in the route and once in ell2 * natural here (module docstring)
-        ell2, eps = magnetic_length_squared(units), np.finfo(float).eps
-        for got, natural in zip(sweep(Cutoffs(3, 50), units), sweep(Cutoffs(3, 50)), strict=True):
-            assert (got.ok, got.top_uniform) == (natural.ok, natural.top_uniform) == (True, True)
-            pairs = [(got.top_coefficient, natural.top_coefficient)]
-            pairs += [(got.max_offtop_residual, natural.max_offtop_residual)]
-            pairs += list(zip(dict(got.boundary_artifacts).values(), dict(natural.boundary_artifacts).values(),
-                              strict=True))
-            for value, natural_value in pairs:
-                assert abs(value - ell2 * natural_value) <= eps * abs(ell2 * natural_value) + 2.0**-1073
-
-    def test_reads_units_only_through_the_one_ell_squared_scale(self):
+    def test_builds_the_pieces_at_ell_1(self):
         module = ast.parse(inspect.getsource(projection))
+        names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        assert not names & {"units", "ell2", "magnetic_length_squared"}
         calls = [node for node in ast.walk(module) if isinstance(node, ast.Call)]
-        scale = [call for call in calls if ast.unparse(call.func) == "magnetic_length_squared"]
-        handed_on = [call for call in calls if ast.unparse(call.func) == "analyze_factors"]
-        allowed = {id(arg) for call in scale + handed_on for arg in call.args}
-        bodies = [node for function in module.body if isinstance(function, ast.FunctionDef)
-                  for stmt in function.body for node in ast.walk(stmt)]  # signatures left out
-        units = [node for node in bodies if isinstance(node, ast.Name) and node.id == "units"]
-        assert len(scale) == 1 and units and all(id(node) in allowed for node in units)
-        # the pieces of x and y are built at ell = 1, and ell^2 is read only where a report value is made
         builders = [call for call in calls if ast.unparse(call.func) == "build_mode_xy"]
         assert len(builders) == 3 and all(len(call.args) == 1 and not call.keywords for call in builders)
-        made = {id(node) for call in calls if ast.unparse(call.func) in ("complex", "CommutatorReport")
-                for node in ast.walk(call)}
-        reads = [node for node in ast.walk(module) if isinstance(node, ast.Name) and node.id == "ell2"
-                 and isinstance(node.ctx, ast.Load)]
-        assert len(reads) == 5 and all(id(node) in made for node in reads)
