@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-M", type=str, default=DEFAULT_GRID_M,
                    help="comma-separated grid sizes (default %(default)s)")
     p.add_argument("--k-range", type=float, default=None,
-                   help="half-width of the momentum grid in guiding-center lengths")
+                   help="half-width of the momentum grid in guiding-center lengths; it moves only dk")
 
     p = sub.add_parser("crosscheck", help="grid route vs ladder route")
     p.add_argument("--keep", type=int, default=0)

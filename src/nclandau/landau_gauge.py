@@ -22,42 +22,47 @@ derivation independently through quadrature.
 
 Reading off delta coefficients. The continuum statement
 <n,k|[x,y]|n',k'> = c_n δ_nn' δ(k-k') is distributional, and the discrete
-commutator reproduces it weakly, not entrywise: with a central-difference
-derivative, [K, D] is the negated neighbor-averaging stencil, whose strict
-diagonal is zero while its action on any smooth grid function is the
-identity up to O(dk²). Coefficients are therefore extracted by applying a
-level-diagonal block to a smooth Gaussian test profile f and averaging
-(block·f)_i / f_i over interior grid points; this converges to c_n at
-second order in dk, and the deliberately curved profile keeps the O(dk²)
-term visible so convergence order can be measured. (Summing rows instead
-would be exact for every dk — the stencil's interior row sums are exact —
-and would leave nothing to converge.)
+commutator reproduces it weakly, not entrywise: with the central difference,
+[K, D] is the negated neighbour average, k_i(Df)_i - (D(kf))_i =
+-(f_{i-1} + f_{i+1})/2, with a zero diagonal. So a level-diagonal block is
+applied to a smooth Gaussian test profile f, and (block·f)_i / f_i averaged
+over the interior, the points two or more steps from either end. For the
+Gaussian (f_{i-1} + f_{i+1})/2f_i = e^{-r²/2} cosh(u_i r), with r = dk/σ =
+5/(M-1) and u_i = (k_i - mid)/σ, so i[K, d/dk]·f/f averages to -i c(M), c(M)
+the interior mean of e^{-r²/2} cosh(u_i r). As σ is a fixed fraction of the
+span, c(M) depends on M alone: the k-range and the units move only dk. Its
+error |1 - c(M)| ≈ 13.5/(M-1)² at large M is second order in dk, and the
+curved profile keeps it visible, where summing rows would be exact for every
+dk and leave nothing to converge.
 
 Why it agrees with [x, y]. x̃ and p̃ act on the levels, K and d/dk on the
 grid, so the cross terms commute exactly and [x, y] = [(c/eB) K, i hbar d/dk]
 ⊗ 1 + 1 ⊗ [x̃, (c/eB) p̃]. K·d/dk is dimensionless; x̃ = ℓx̂, (c/eB) p̃ = ℓp̂
 with x̂, p̂ the ℓ = 1 matrices (m cancels), so this is ℓ² = hbar c/eB times
-i[K, d/dk] ⊗ 1 + 1 ⊗ [x̂, p̂], whose level factor is diagonal. The route adds
-i[K, d/dk]·f to each row of [x̂, p̂]·F, F being f tiled as a (levels+1, M)
-array, and reports each level's interior mean at ℓ = 1; it builds no operator
-of dimension (levels+1)M. Leaving out the cross terms, which grow as the
-half-width h and as 1/h, keeps the rounding free of h.
+i[K, d/dk] ⊗ 1 + 1 ⊗ [x̂, p̂]. The level factor is diagonal, so level n's
+coefficient is the one grid mean plus [x̂, p̂]_nn. [x̂, p̂] is the corner cut
+of i[a, a†], -i·keep on the top level (a single level stores no diagonal,
+and adds 0), so the top coefficient is -i(keep + c(M)). The route forms the
+mean once, on the 1-D profile, adds that entry and reports the sum at ℓ = 1.
+Leaving out the cross terms, which grow as the half-width h and as 1/h,
+keeps the rounding free of h.
 
-Rounding, in units of eps at an interior point i: the grid factor subtracts
-two terms of at most (M-1)/4·(f_{i-1} + f_{i+1}) each (|k|/2dk <= (M-1)/4),
-five roundings deep; the level factor two of at most 2(keep+1)·f_i, five deep.
-Interior neighbours of f differ by less than 2x, and the mean adds log2(M) + 1
-roundings of at most keep+1. So every coefficient is within 10(M-1) +
-41(keep+1) <= 40(M + keep + 2) of exact.
+Rounding, in units of eps, each rounding at most half an eps of its value,
+on a centred grid. Each k_i is within 3/4 of the span of k_min + i·dk, so
+each f_i is within 31 of the Gaussian (its exponent is at most 25/8) and
+each (f_{i-1} + f_{i+1})/2f_i, below 1.15, within 72 of e^{-r²/2} cosh(u_i r).
+The grid factor subtracts two terms of at most (M-1)/4·(f_{i-1} + f_{i+1})
+each (|k|/2dk <= (M-1)/4), each off by 3.5 times that (four roundings and
+the k_i in it). Interior neighbours of f differ by less than 2x, so each
+i(...)/f_i is within 7(M-1) + 74 of its closed form; numpy's blocked pairwise
+mean (28 additions deep) adds 17. The level factor's top entry is the
+difference of two products of magnitude keep/2, each 3.5 roundings deep:
+within 4·keep. Adding the two rounds a value below keep + 2 once. So the top
+coefficient is within 7(M + keep + 13) of -i(keep + c(M)).
 
-Overflow: each block·f / f is a pure number below keep+2, as (f_{i-1} +
-f_{i+1})/2f_i < 1.15 for every M and [x̂, p̂] is -i·keep on the top level and
-i below. So a row's error or a relative difference's numerator stays below
-2(keep+2), and times ℓ² overflows only where 2(keep+2)ℓ² does.
-
-Grid edges use one-sided second-order stencils purely to keep matrices
-square; all extracted quantities ignore points within two steps of an
-edge.
+Overflow: the top coefficient is below keep + 2 in magnitude, as c(M) < 1.15
+for every M, so a row's error or a relative difference's numerator stays
+below 2(keep+2), and times ℓ² overflows only where 2(keep+2)ℓ² does.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import OperatorMatrix, annihilation_matrix, dagger
+from .fock import OperatorMatrix, annihilation_matrix, commutator, dagger
 from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
@@ -164,13 +169,9 @@ def oscillator_p_elements(nmax: int) -> OperatorMatrix:
 
 
 def derivative_matrix(grid: KGrid) -> OperatorMatrix:
-    """Second-order d/dk on the grid: central interior, one-sided ends."""
-    M, step = grid.size, 2.0 * grid.dk
-    D = {k: np.zeros(M) for k in (-2, -1, 0, 1, 2)}  # D[k][i] = d/dk[i, i+k]
-    D[1][1 : M - 1], D[-1][1 : M - 1] = 1.0 / step, -1.0 / step
-    D[0][0], D[1][0], D[2][0] = -3.0 / step, 4.0 / step, -1.0 / step
-    D[0][M - 1], D[-1][M - 1], D[-2][M - 1] = 3.0 / step, -4.0 / step, 1.0 / step
-    return OperatorMatrix(diagonals=D, dim=M)
+    """Second-order central d/dk on the grid, ±1/(2dk) beside the diagonal, corner-cut like every operator."""
+    step = np.full(grid.size, 1.0 / (2.0 * grid.dk))
+    return OperatorMatrix(diagonals={-1: -step, 1: step}, dim=grid.size)
 
 
 def delta_test_profile(grid: KGrid) -> np.ndarray:
@@ -182,31 +183,22 @@ def delta_test_profile(grid: KGrid) -> np.ndarray:
 
 
 class GridCommutatorReport(NamedTuple):
-    """Outcome of the momentum-grid route at one kept-level count.
-
-    ``top_coefficient`` is the mean interior delta coefficient of [x, y] at
-    n = levels, at ell = 1; ``max_offtop_residual`` the largest mean
-    coefficient magnitude over the lower levels (all vanish at the same
-    O(dk²) order).
-    """
+    """The grid route's outcome: the mean interior delta coefficient of [x, y] at n = levels, at ell = 1."""
 
     top_coefficient: complex
-    max_offtop_residual: float
 
 
 def projected_commutator_landau(grid: KGrid, levels: int) -> GridCommutatorReport:
     """Commutator report with the lowest ``levels+1`` levels retained.
 
     The factors are truncated by construction, so no explicit projector
-    appears. Callers judge the coefficients by their own bounds.
+    appears. Callers judge the coefficient by their own bounds.
     """
     k, D, f, inner = grid.points, derivative_matrix(grid), delta_test_profile(grid), grid.interior
-    x, p, F = oscillator_x_elements(levels), oscillator_p_elements(levels), np.tile(f, (levels + 1, 1))
-    # [x, y]·F / ℓ² without the cross terms (module docstring): i[K, d/dk]·f plus each row of [x̂, p̂]·F
-    g = 1j * (k * D.apply(f) - D.apply(k * f)) + (x.apply(p.apply(F)) - p.apply(x.apply(F)))
-    per_level = [complex(np.mean(row[inner] / f[inner])) for row in g]
-    residual = max((abs(v) for v in per_level[:levels]), default=0.0)
-    return GridCommutatorReport(top_coefficient=per_level[levels], max_offtop_residual=float(residual))
+    # [x, y]/ℓ² (module docstring): the one grid mean every level reads, plus the top entry of diagonal [x̂, p̂]
+    grid_mean = np.mean((1j * (k * D.apply(f) - D.apply(k * f)))[inner] / f[inner])
+    level = commutator(oscillator_x_elements(levels), oscillator_p_elements(levels)).diagonals.get(0, [0])[-1]
+    return GridCommutatorReport(top_coefficient=complex(grid_mean + level))
 
 
 class ConvergenceRow(NamedTuple):

@@ -71,8 +71,8 @@ def build_landau_xy(
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Coordinate matrices (x, y) on the (level ⊗ grid) basis, levels 0..``levels``.
 
-    x is exactly Hermitian; y is Hermitian except on the rows and columns
-    touched by the one-sided end stencils. The level truncation happens by
+    x and y are exactly Hermitian: d/dk is the corner-cut central stencil,
+    antisymmetric on every row. The level truncation happens by
     construction: the matrices simply have no rows beyond n = levels, which
     is the same corner cut the projection route applies explicitly.
     """
@@ -103,6 +103,27 @@ def landau_level_coefficients(grid: KGrid, levels: int, units: PhysicalUnits = N
     g = blocks.apply(np.tile(f, levels + 1)).reshape(levels + 1, grid.size)
     ell2 = magnetic_length_squared(units)
     return [complex(np.mean(row[inner] / f[inner])) / ell2 for row in g]
+
+
+def grid_mean(M: int) -> float:
+    """c(M), the interior mean of e^{-r²/2} cosh(u r) with r = dk/σ = 5/(M-1) and u = (k_i - mid)/σ.
+
+    With the central difference, k_i(Df)_i - (D(kf))_i = -(f_{i-1} + f_{i+1})/2 exactly, and for the
+    Gaussian profile (f_{i-1} + f_{i+1})/2f_i = e^{-r²/2} cosh(u r). So i[K, d/dk]·f/f has the interior
+    mean -c(M) times i, which depends on M alone: σ is a fixed fraction of the span. u r is
+    (2i - M + 1)·12.5/(M-1)², and fsum adds the terms exactly, so c(M) is within 5 eps of exact.
+    """
+    half_r2 = 12.5 / (M - 1) ** 2
+    ur = (2 * np.arange(2, M - 2) - (M - 1)) * half_r2
+    return math.fsum(np.exp(-half_r2) * np.cosh(ur)) / (M - 4)
+
+
+def closed_form_level_coefficients(M: int, levels: int) -> list:
+    """Per level n = 0..``levels``, the exact coefficient of [x, y]/ell^2 read on the grid route's profile:
+    the grid mean -i c(M) plus [x̂, p̂]_nn, which is i below the top level and -i·levels on it (the corner
+    cut of [a, a†]). Each is within eps (levels + 6) of exact."""
+    c = grid_mean(M)
+    return [1j * ((1.0 if n < levels else -levels) - c) for n in range(levels + 1)]
 
 
 def dense_route_report(cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
