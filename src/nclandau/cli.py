@@ -192,7 +192,7 @@ def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check ``args`` in place and fill in what the flags leave implicit: the resolved ``output``, ``units``,
-    ``grid_sizes``, ``k_range``, crosscheck's ``J``, and the ``pure`` operator and ``scale`` of an ``op``."""
+    ``grid_sizes``, ``k_range``, crosscheck's ``J``, commutator's ``keep``, and an ``op``'s ``pure`` and ``scale``."""
     output = _resolve_output(args, parser)
     args.units = _units_from_args(parser, args)
 
@@ -203,9 +203,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--J must be nonnegative, got {args.J}")
         if args.J < 1 and args.command in ("commutator", "sweep"):
             parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
-
-    if args.command in ("commutator", "dump-matrix"):
-        if args.keep is not None and not 0 <= args.keep <= args.N:
+        if getattr(args, "keep", None) is not None and not 0 <= args.keep <= args.N:
             parser.error(f"--keep must lie in 0..--N (got --keep {args.keep}, --N {args.N})")
 
     if args.command in ("landau-gauge", "crosscheck"):
@@ -240,13 +238,20 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 parser.error("--output: dump-matrix only emits json")
             output = "json"
 
+    if args.command in ("commutator", "sweep", "spectrum", "dump-matrix"):  # admitted by what it holds or prints
+        if args.command == "commutator":  # its route holds keep+1 levels and J+1 orbits
+            args.keep = args.N if args.keep is None else args.keep
+            held = {"--N, --keep: kept-level count": args.keep + 1, "--J: orbit count": args.J + 1}
+        else:  # spectrum prints 2d floats, dump-matrix d² entries; sweep holds up to N²/2 artifacts
+            held = {"--N, --J: composite dimension": (args.N + 1) * (args.J + 1)}
+        for what, size in held.items():
+            if size > fock.MAX_DIMENSION:
+                parser.error(f"{what} {size} exceeds the supported maximum {fock.MAX_DIMENSION}")
+
     if args.command in ("spectrum", "dump-matrix"):  # the one overflow rule: see _OPERATORS
-        try:
-            cutoffs = fock.Cutoffs(args.N, args.J)
-        except ValueError as exc:  # the size cap
-            parser.error(f"--N, --J: {exc}")
-        build, scale = _OPERATORS[args.op]
-        args.pure, args.scale = build(cutoffs, args), scale(args.units)
+        build, scale = _OPERATORS[args.op]  # spectrum's H on the N+1 levels has the composite H's largest entry
+        args.pure = build(fock.Cutoffs(args.N, args.J if args.command == "dump-matrix" else 0), args)
+        args.scale = scale(args.units)
         if not math.isfinite(args.scale * args.pure.largest_part()):
             parser.error(f"{args.op}: its largest entry, {args.pure.largest_part()!r} times its unit scale "
                          f"{args.scale!r}, overflows in these units")
@@ -308,7 +313,7 @@ def _commutator_row(r: projection.CommutatorReport, ell2: float) -> list:
 
 
 def _cmd_commutator(args: argparse.Namespace) -> Report:
-    keep, ell2 = args.N if args.keep is None else args.keep, magnetic_length_squared(args.units)
+    keep, ell2 = args.keep, magnetic_length_squared(args.units)
     r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep)
     title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
     return Report(r.ok, _commutator_payload(r, ell2), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
@@ -316,8 +321,8 @@ def _cmd_commutator(args: argparse.Namespace) -> Report:
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
     reports, ell2 = projection.sweep(fock.Cutoffs(args.N, args.J)), magnetic_length_squared(args.units)
-    ok = all(r.ok for r in reports)
-    payload = {"reports": [_commutator_payload(r, ell2) for r in reports], "ok": ok}
+    ok = all(r.ok for r in reports)  # only JSON prints the artifacts, N²/2 of them at the largest N
+    payload = {"reports": [_commutator_payload(r, ell2) for r in reports], "ok": ok} if args.output == "json" else {}
     return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r, ell2) for r in reports],
                   f"projected commutator sweep  N={args.N} J={args.J}")
 

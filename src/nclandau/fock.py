@@ -38,8 +38,8 @@ __all__ = [
     "to_json_dict",
 ]
 
-# Operators hold O(d) per diagonal. At the cap a dump holds only its JSON text, in up to
-# two copies, each at least 8 B an entry ("[0, 0], "), so at least 2 GiB.
+# The most states a command may hold in one mode or print on the composite basis (cli checks it).
+# A dump at the cap holds its JSON text in up to two copies, each at least 8 B an entry ("[0, 0], "): 2 GiB.
 MAX_DIMENSION = 16384
 
 
@@ -57,10 +57,6 @@ class Cutoffs(namedtuple("Cutoffs", "landau_cutoff degeneracy_cutoff")):
         for name, value in zip(cls._fields, self):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.dim > MAX_DIMENSION:
-            raise ValueError(
-                f"composite dimension {self.dim} exceeds the supported maximum {MAX_DIMENSION}"
-            )
         return self
 
     @property

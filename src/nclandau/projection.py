@@ -42,6 +42,7 @@ truncation artifacts of the finite degeneracy and are reported separately
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 import numpy as np
@@ -126,22 +127,24 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     # start[k]: the largest entry that keep k's residual is the first to count
     start = np.zeros(on_b.dim)
     start[0] = max([0] + [np.abs(w[: J - max(k, 0)]).max(initial=0) for k, w in on_a.diagonals.items() if k])
-    start[1:] = np.abs(v[:-1, None] + u[:J]).max(axis=1)  # level n's diagonal, from keep n+1 on
+    below, rows = v[:-1, None], max(1, 2**20 // J)  # level n's diagonal, from keep n+1 on, 2^20 entries at a time
+    for n in range(0, len(below), rows):
+        start[n + 1 : n + 1 + rows] = np.abs(below[n : n + rows] + u[:J]).max(axis=1)
     for k, w in on_b.diagonals.items():
         if k:  # the entry at (n, n+k), from keep max(n, n+k) on
             counted = start[max(k, 0) :]
             np.maximum(counted, np.abs(w[: len(counted)]), out=counted)
     residuals = np.maximum.accumulate(start)[keeps].tolist()
 
-    edges = (u[J] + v).tolist()  # (n, J) for each level n
+    flagged = [(n, z) for n, z in enumerate((u[J] + v).tolist()) if abs(z) > DEFAULT_TOLERANCE]  # (n, J) artifacts
     reports = []
     for keep, residual in zip(keeps, residuals):
         top_values = u[:J] + tops[keep]
         top_coefficient = complex(np.mean(top_values))
         rounding = DEFAULT_TOLERANCE * (keep + J + 2)
         top_uniform = float(np.max(np.abs(top_values - top_coefficient))) <= rounding
-        edge = enumerate(edges[:keep] + [complex(u[J] + tops[keep])])
-        artifacts = [(n, z) for n, z in edge if abs(z) > DEFAULT_TOLERANCE]
+        edge = complex(u[J] + tops[keep])  # keep's own top level; the levels below share flagged's tuples
+        artifacts = flagged[: bisect_left(flagged, (keep,))] + [(keep, edge)] * (abs(edge) > DEFAULT_TOLERANCE)
         close = abs(top_coefficient + 1j * (keep + 1)) <= DEFAULT_TOLERANCE * (keep + 1)
         ok = top_uniform and residual <= rounding and close
         reports.append(CommutatorReport(cutoffs, keep, top_coefficient, residual, artifacts, top_uniform, ok))

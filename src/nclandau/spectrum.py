@@ -30,19 +30,17 @@ class SpectrumReport(NamedTuple):
 def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> SpectrumReport:
     """Check levels hbar omega (n + 1/2), each (J+1)-fold, and [H, L] = 0.
 
-    Checks the degeneracies and [H, L] = 0 on the pure H = b†b + 1/2, whose
-    truncated eigenvalues are free of boundary contamination, and L = j - n,
-    then scales the eigenvalues by hbar omega once. H is real and diagonal by
-    construction, so its sorted diagonal is its spectrum; an H of any other
-    shape raises. Physics failures land in the report, not in an exception.
+    H = b†b + 1/2 and L = j - n are built on the N+1 levels alone (J = 0),
+    where [H, L] = 0 is checked: J is a numerical cutoff only. H is real and
+    diagonal, so its sorted diagonal, each entry repeated J+1 times, is the
+    composite spectrum bit for bit; an H of any other shape raises. It is
+    scaled by hbar omega once. Physics failures land in the report.
     """
-    ham, ang = build_H(cutoffs), build_L(cutoffs)
+    ham, ang = build_H(Cutoffs(cutoffs.landau_cutoff, 0)), build_L(Cutoffs(cutoffs.landau_cutoff, 0))
     if set(ham.diagonals) != {0} or np.any(ham.diagonals[0].imag):
         raise ValueError("the ladder Hamiltonian is not a real diagonal matrix")
-    levels = np.sort(ham.diagonals[0].real)
-
-    gap = level_spacing(units)
-    multiplicity = cutoffs.num_degeneracy
+    gap, multiplicity = level_spacing(units), cutoffs.num_degeneracy
+    levels = np.repeat(np.sort(ham.diagonals[0].real), multiplicity)
     eig = gap * levels
     expected = np.repeat(gap * (np.arange(cutoffs.num_levels) + 0.5), multiplicity)
     max_abs_error = float(np.max(np.abs(eig - expected)))
@@ -53,9 +51,6 @@ def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> Spectru
 
     hl_commutes = not any(np.any(v) for v in commutator(ham, ang).diagonals.values())
 
-    ok = (
-        max_abs_error <= TOLERANCE * max(1.0, gap)
-        and all(count == multiplicity for count in table.values())
-        and hl_commutes
-    )
+    ok = (max_abs_error <= TOLERANCE * max(1.0, gap) and all(count == multiplicity for count in table.values())
+          and hl_commutes)
     return SpectrumReport(eig.tolist(), expected.tolist(), max_abs_error, table, hl_commutes, ok)

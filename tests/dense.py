@@ -11,6 +11,8 @@ The ladder route commutes single-mode pieces; :func:`dense_route_report`
 commutes the composite x and y as numpy arrays and scores the kept block
 entry by entry, as its oracle. Both routes return pure numbers at ell = 1;
 their oracles build x and y in physical units, each with its own scale.
+``verify_spectrum`` builds H on the N+1 levels alone; :func:`composite_spectrum`
+sorts the diagonal of H on the whole composite basis, as its oracle.
 """
 
 import math
@@ -18,10 +20,10 @@ import math
 import numpy as np
 
 from nclandau.fock import Cutoffs, OperatorMatrix, annihilation_matrix, commutator, dagger
-from nclandau.ladder import build_unit_xy
+from nclandau.ladder import build_H, build_unit_xy
 from nclandau.landau_gauge import KGrid, delta_test_profile, derivative_matrix
 from nclandau.projection import DEFAULT_TOLERANCE, CommutatorReport
-from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, magnetic_length_squared
+from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared
 
 
 def dense_operator(entries) -> OperatorMatrix:
@@ -158,3 +160,8 @@ def score_dense_block(block: np.ndarray, cutoffs: Cutoffs, keep: int) -> Commuta
     artifacts = [(level, z) for level, z in enumerate(diagonal[J :: J + 1].tolist()) if abs(z) > DEFAULT_TOLERANCE]
     ok = uniform and residual <= rounding and close
     return CommutatorReport(cutoffs, keep, coefficient, residual, artifacts, uniform, ok)
+
+
+def composite_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> np.ndarray:
+    """hbar omega times the sorted diagonal of H = b†b + 1/2 on all (N+1)(J+1) states: its spectrum."""
+    return level_spacing(units) * np.sort(build_H(cutoffs).diagonals[0].real)

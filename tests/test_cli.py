@@ -241,13 +241,48 @@ def test_oversized_grid_is_usage_error(args, flag):
     assert "Traceback" not in cp.stderr
 
 
-@pytest.mark.parametrize("args", ["spectrum --N 200 --J 200", "dump-matrix --op x --N 200 --J 200"])
+@pytest.mark.parametrize("args", ["spectrum --N 200 --J 200", "dump-matrix --op x --N 200 --J 200",
+                                  "sweep --N 200 --J 200"])
 def test_oversized_spectrum_or_dump_is_usage_error(args):
-    # checked where the overflow rule builds the pure operator; commutator's cap is still a known traceback
+    # sweep too: each prints or holds O(d) or more on the composite basis, so d = (N+1)(J+1) is capped
     cp = run_cli(*args.split())
     assert cp.returncode == 2 and cp.stdout == ""
     assert cp.stderr.splitlines()[-1] == (
         "nclandau: error: --N, --J: composite dimension 40401 exceeds the supported maximum 16384")
+    assert cp.stderr.count("nclandau: error:") == 1 and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("args,status", [
+    ("sweep --N 127 --J 127", 0), ("sweep --N 128 --J 127", 2), ("spectrum --N 127 --J 127", 0),
+    ("spectrum --N 127 --J 128", 2),
+])
+def test_size_cap_beside_its_nearest_passing_input(args, status):
+    cp = run_cli(*args.split(), "--output", "csv")
+    assert cp.returncode == status, cp.stderr
+    assert cp.stderr.count("nclandau: error:") == (status == 2) and "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("args,keep", [("--N 3 --J 16383 --keep 0", 0), ("--N 0 --J 16383", 0),
+                                       ("--N 200 --J 200", 200), ("--N 16383 --J 1", 16383),
+                                       ("--N 100000 --J 3 --keep 0", 0), ("--N 200 --J 200 --keep 7 --B 2", 7)])
+def test_commutator_past_the_composite_cap_runs(args, keep):
+    # the route holds keep+1 levels and J+1 orbits, never the (N+1)(J+1) composite basis
+    cp = run_cli("commutator", *args.split(), "--output", "json")
+    assert cp.returncode == 0 and cp.stderr == ""
+    ell2 = 0.5 if "--B 2" in args else 1.0
+    assert json.loads(cp.stdout)["top_coefficient"] == [0, pytest.approx(-(keep + 1) * ell2, rel=1e-12)]
+
+
+@pytest.mark.parametrize("args,message", [
+    ("--N 0 --J 16384", "--J: orbit count 16385 exceeds the supported maximum 16384"),
+    ("--N 16384 --J 1", "--N, --keep: kept-level count 16385 exceeds the supported maximum 16384"),
+    ("--N 20000 --J 1 --keep 16384", "--N, --keep: kept-level count 16385 exceeds the supported maximum 16384"),
+])
+def test_commutator_past_its_own_cap_is_usage_error(args, message):
+    cp = run_cli("commutator", *args.split())
+    assert cp.returncode == 2 and cp.stdout == ""
+    assert cp.stderr.splitlines()[-1] == f"nclandau: error: {message}"
+    assert cp.stderr.count("nclandau: error:") == 1 and "Traceback" not in cp.stderr
 
 
 def test_crosscheck_at_the_largest_ladder_basis_runs():

@@ -54,8 +54,10 @@ class TestIndexing:
             Cutoffs(-1, 0)
         with pytest.raises(ValueError):
             Cutoffs(0, -2)
-        with pytest.raises(ValueError, match="exceeds"):
-            Cutoffs(200, 200)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Cutoffs(2.0, 1)
+        # a plain value: the size a command may hold is the CLI's check (tests/test_cli.py)
+        assert Cutoffs(200, 200).dim == 40401
 
     def test_cutoffs_are_read_only_values(self):
         c = Cutoffs(landau_cutoff=2, degeneracy_cutoff=3)

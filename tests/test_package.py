@@ -336,7 +336,7 @@ def test_imports_from_units_are_found(source, found):
 
 # The most lines src/nclandau/*.py may hold. The count should go down, not up:
 # lower this when a change shrinks src/, and never raise it.
-SRC_LINE_CEILING = 1572
+SRC_LINE_CEILING = 1571
 
 
 def test_src_keeps_to_its_line_ceiling():

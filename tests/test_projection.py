@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ class TestProjectedCommutator:
             assert top == pytest.approx(-2j, abs=1e-12)
         report = projected_commutator_xy(c, keep=1)
         assert report.top_coefficient == pytest.approx(-2j, abs=1e-12)
+
+    def test_memory_grows_with_the_levels_and_orbits_not_their_product(self):
+        # keep = J = 4095: the (keep, J) sums of the level and orbit diagonals would take 268 MB at once
+        tracemalloc.start()
+        try:
+            report = projected_commutator_xy(Cutoffs(4095, 4095), 4095)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.top_coefficient == pytest.approx(-4096j, abs=1e-9)
+        assert peak < 64 * 2**20
 
     def test_six_levels(self):
         report = projected_commutator_xy(Cutoffs(5, 8), keep=5)
@@ -259,6 +271,14 @@ class TestDoctoredFactors:
         assert [r.max_offtop_residual for r in reports] == [r.max_offtop_residual for r in clean]
         assert reports[:2] + reports[3:] == clean[:2] + clean[3:]
 
+    def test_level_diagonals_are_scored_block_by_block(self):
+        # at J = 2^17 the scorer sums 8 levels with the J orbits at a time; a bump at level n counts from keep n+1 on
+        c = Cutoffs(19, 2**17)
+        on_a, on_b = mode_commutators(c)
+        for row in (0, 7, 8, 15, 16, 18):
+            reports = analyze_factors(on_a, bumped(on_b, 0, row), on_b, c, range(20))
+            assert [r.max_offtop_residual >= 1e-6 for r in reports] == [keep > row for keep in range(20)], row
+
     def test_bump_below_the_top_level_counts_as_residual(self, monkeypatch):
         c = Cutoffs(3, 3)
         on_a, on_b, top = sweep_factors(monkeypatch, c)
@@ -331,16 +351,37 @@ class TestFactoredRouteMatchesDenseOracle:
             assert json.loads(out.read_text())["dim"] == 49
 
     def test_builds_no_operator_on_the_composite_basis(self, monkeypatch):
-        dims = []
-        init = fock.OperatorMatrix.__init__
-        monkeypatch.setattr(fock.OperatorMatrix, "__init__", lambda op, diagonals, dim: dims.append(dim) or init(
-            op, diagonals, dim))
+        dims = record_dims(monkeypatch)
         runs = [(Cutoffs(60, 60), lambda c: [projected_commutator_xy(c, keep) for keep in (0, 1, 30, 60)]),
-                (Cutoffs(20, 20), sweep), (Cutoffs(10, 10), full_space_scan)]
+                (Cutoffs(20, 20), sweep), (Cutoffs(10, 10), full_space_scan), (Cutoffs(30, 50), verify_spectrum),
+                (Cutoffs(50, 30), verify_spectrum)]
         for cutoffs, run in runs:
             dims.clear()
             run(cutoffs)
             assert dims and max(dims) <= max(cutoffs) + 1, run
+
+    @pytest.mark.parametrize("argv", [
+        "spectrum --N 40 --J 60 --output json", "spectrum --N 60 --J 40 --hbar 2 --output csv",
+        "spectrum --N 0 --J 16383 --output table", "commutator --N 60 --J 60",
+        "commutator --N 3 --J 16383 --keep 0 --output json", "commutator --N 200 --J 200 --keep 150 --output csv",
+        "sweep --N 20 --J 30 --output json", "sweep --N 127 --J 127 --output csv",
+    ])
+    def test_cli_builds_no_operator_on_the_composite_basis(self, monkeypatch, tmp_path, argv):
+        # through cli.main, so config_from_args and spectrum's overflow check count too
+        dims = record_dims(monkeypatch)
+        args = argv.split()
+        N, J = (int(args[args.index(flag) + 1]) for flag in ("--N", "--J"))
+        assert cli.main(args + ["--out", str(tmp_path / "report")]) == 0
+        assert dims and max(dims) <= max(N, J) + 1
+
+
+def record_dims(monkeypatch) -> list:
+    """The list that the dimension of every OperatorMatrix constructed from now on is appended to."""
+    dims = []
+    init = fock.OperatorMatrix.__init__
+    monkeypatch.setattr(fock.OperatorMatrix, "__init__", lambda op, diagonals, dim: dims.append(dim) or init(
+        op, diagonals, dim))
+    return dims
 
 
 def closed_form_diagonal(cutoffs, keep):
@@ -459,6 +500,27 @@ class TestSweep:
         reports = sweep(Cutoffs(0, 3))
         assert len(reports) == 1
         assert reports[0].top_coefficient == pytest.approx(-1j, abs=1e-12)
+
+    def test_keeps_share_the_artifacts_of_their_common_levels(self):
+        # each (n, J) artifact is made once: keep k lists those of levels n < k, then its own top level's
+        # (about i (J - keep), so J > N puts one on every level)
+        reports = sweep(Cutoffs(6, 9))
+        widest = reports[-1].boundary_artifacts
+        assert [n for n, _ in widest] == list(range(7))
+        for keep, report in enumerate(reports):
+            assert [n for n, _ in report.boundary_artifacts] == list(range(keep + 1))
+            assert all(own is shared for own, shared in zip(report.boundary_artifacts[:keep], widest))
+
+    def test_csv_sweep_holds_no_artifact_payload(self):
+        # at N = 600 the JSON objects of the N^2/2 artifacts took 92 MB; csv and table print none of them
+        cli.main(["sweep", "--N", "3", "--J", "1", "--out", "/dev/null"])  # the lazy engine modules load here
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep", "--N", "600", "--J", "1", "--output", "csv", "--out", "/dev/null"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("keep", [0, 2])
     def test_degeneracy_cutoff_independence(self, keep):

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,15 @@ from nclandau.fock import Cutoffs
 from nclandau.ladder import build_H, build_xy
 from nclandau.spectrum import verify_spectrum
 from nclandau.units import PhysicalUnits, level_spacing
+
+from dense import composite_spectrum
+
+# Cutoffs up to the largest composite basis a spectrum may print, and five unit systems with
+# constants drawn log-uniformly over 10^-3..10^3 from a fixed seed.
+SPECTRUM_CUTOFFS = [(0, 0), (3, 5), (12, 7), (127, 127), (63, 255), (0, 16383), (16383, 0)]
+_draw = random.Random(27)
+RANDOM_UNITS = [PhysicalUnits(**{name: 10 ** _draw.uniform(-3, 3) for name in ("e", "B", "c", "hbar", "m")})
+                for _ in range(5)]
 
 
 class TestHermitianEigenvalues:
@@ -50,6 +61,12 @@ class TestVerifySpectrum:
         dense = build_H(Cutoffs(N, J)).scaled(level_spacing(units)).entries
         report = verify_spectrum(Cutoffs(N, J), units)
         assert np.allclose(report.eigenvalues, np.linalg.eigvalsh(dense), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("N,J", SPECTRUM_CUTOFFS)
+    @pytest.mark.parametrize("units", RANDOM_UNITS, ids=[f"units{i}" for i in range(len(RANDOM_UNITS))])
+    def test_level_mode_spectrum_is_the_composite_sort_bit_for_bit(self, N, J, units):
+        eigenvalues = np.array(verify_spectrum(Cutoffs(N, J), units).eigenvalues)
+        assert eigenvalues.tobytes() == composite_spectrum(Cutoffs(N, J), units).tobytes()
 
     def test_report_leaves_the_cutoffs_to_the_caller(self):
         assert "cutoffs" not in verify_spectrum(Cutoffs(1, 1))._fields
