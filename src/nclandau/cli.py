@@ -16,10 +16,11 @@ is JSON, CSV, or a plain table; the default comes from NCG_DEFAULT_OUTPUT
 module alone lays out every report's JSON keys, CSV columns and table
 rows, and one renderer turns them into any of the three formats. The
 parsed arguments are the run configuration: ``config_from_args`` checks
-them and fills in the values the flags leave implicit. Every operator is
-held by its nonzero diagonals, and no subcommand builds a dense matrix:
-``dump-matrix`` writes its d² JSON entries from the diagonals. Identical
-invocations produce byte-identical output.
+them, admitting each command by one table of the counts its route holds
+or prints, and fills in the values the flags leave implicit. Every
+operator is held by its nonzero diagonals, and no subcommand builds a
+dense matrix: ``dump-matrix`` writes its d² JSON entries from the
+diagonals. Identical invocations produce byte-identical output.
 
 Units live here. The engine returns pure numbers, both commutator routes
 at ell = 1 and every operator at unit scale, and judges its verdicts on them.
@@ -167,15 +168,13 @@ def _units_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
         parser.error(str(exc))
 
 
-def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str, keep: int) -> list[int]:
+def _parse_grid_sizes(parser: argparse.ArgumentParser, text: str) -> list[int]:
     try:
         sizes = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         parser.error(f"--grid-M: expected comma-separated integers, got {text!r}")
     if not sizes:
         parser.error(f"--grid-M: expected at least one grid size, got {text!r}")
-    if (keep + 1) * max(sizes) > fock.MAX_DIMENSION:
-        parser.error(f"--grid-M: (--keep + 1) * {max(sizes)} exceeds {fock.MAX_DIMENSION}")
     return sizes
 
 
@@ -190,6 +189,20 @@ def _resolve_output(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     return "table"
 
 
+# The one size table: the counts each command's route holds or prints, named by the flags that set them. The ladder
+# route holds keep+1 levels and J+1 orbits, the grid route keep+1 levels and max(M) points; on d = (N+1)(J+1) states
+# spectrum prints 2d floats, dump-matrix d² entries (at least 8 B each: 2 GiB at the cap), sweep N²/2 artifacts.
+MAX_DIMENSION = 16384
+_KEPT, _ORBITS, _GRID = "--keep: kept-level count", "--J: orbit count", "--grid-M: grid size"
+_SIZES = {
+    "commutator": lambda args: {f"--N, {_KEPT}": args.keep + 1, _ORBITS: args.J + 1},
+    "landau-gauge": lambda args: {_KEPT: args.keep + 1, _GRID: max(args.grid_sizes)},
+    "crosscheck": lambda args: {_KEPT: args.keep + 1, _ORBITS: args.J + 1, _GRID: max(args.grid_sizes)},
+    **dict.fromkeys(("sweep", "spectrum", "dump-matrix"),
+                    lambda args: {"--N, --J: composite dimension": (args.N + 1) * (args.J + 1)}),
+}
+
+
 def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Check ``args`` in place and fill in what the flags leave implicit: the resolved ``output``, ``units``,
     ``grid_sizes``, ``k_range``, crosscheck's ``J``, commutator's ``keep``, and an ``op``'s ``pure`` and ``scale``."""
@@ -201,34 +214,22 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"--N must be nonnegative, got {args.N}")
         if args.J < 0:
             parser.error(f"--J must be nonnegative, got {args.J}")
-        if args.J < 1 and args.command in ("commutator", "sweep"):
-            parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
         if getattr(args, "keep", None) is not None and not 0 <= args.keep <= args.N:
             parser.error(f"--keep must lie in 0..--N (got --keep {args.keep}, --N {args.N})")
+    if args.command == "commutator":
+        args.keep = args.N if args.keep is None else args.keep
 
     if args.command in ("landau-gauge", "crosscheck"):
         if args.keep < 0:
             parser.error(f"--keep must be nonnegative, got {args.keep}")
-        if args.k_range is None:
-            args.k_range = landau_gauge.DEFAULT_HALF_WIDTH
-        args.grid_sizes = _parse_grid_sizes(parser, args.grid_M, args.keep)
-        for size in args.grid_sizes:  # KGrid rejects too few points and a range outside the normal floats
-            try:
-                landau_gauge.KGrid.centered(size, args.units, args.k_range)
-            except ValueError as exc:
-                parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
-        if 2 * (args.keep + 2) * magnetic_length_squared(args.units) == math.inf:  # landau_gauge, "Overflow"
-            parser.error("--keep: 2 * (keep+2) * hbar*c/(e*B) overflows in these units")
-
+        args.grid_sizes = _parse_grid_sizes(parser, args.grid_M)
     if args.command == "crosscheck":
         if len(args.grid_sizes) != 1:
             parser.error("--grid-M: crosscheck takes exactly one grid size")
         if args.J is None:
             args.J = args.keep + 3
-        if args.J < 1:
-            parser.error(f"--J must be >= 1, got {args.J}")
-        if (args.keep + 1) * (args.J + 1) > fock.MAX_DIMENSION:
-            parser.error(f"--J: (--keep + 1) * (--J + 1) exceeds {fock.MAX_DIMENSION}")
+    if args.command in ("commutator", "sweep", "crosscheck") and args.J < 1:
+        parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
 
     if args.command == "dump-matrix":
         if args.op == "projector" and args.keep is None:
@@ -238,15 +239,20 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
                 parser.error("--output: dump-matrix only emits json")
             output = "json"
 
-    if args.command in ("commutator", "sweep", "spectrum", "dump-matrix"):  # admitted by what it holds or prints
-        if args.command == "commutator":  # its route holds keep+1 levels and J+1 orbits
-            args.keep = args.N if args.keep is None else args.keep
-            held = {"--N, --keep: kept-level count": args.keep + 1, "--J: orbit count": args.J + 1}
-        else:  # spectrum prints 2d floats, dump-matrix d² entries; sweep holds up to N²/2 artifacts
-            held = {"--N, --J: composite dimension": (args.N + 1) * (args.J + 1)}
-        for what, size in held.items():
-            if size > fock.MAX_DIMENSION:
-                parser.error(f"{what} {size} exceeds the supported maximum {fock.MAX_DIMENSION}")
+    for what, count in _SIZES[args.command](args).items():
+        if count > MAX_DIMENSION:
+            parser.error(f"{what} {count} exceeds the supported maximum {MAX_DIMENSION}")
+
+    if args.command in ("landau-gauge", "crosscheck"):
+        if args.k_range is None:
+            args.k_range = landau_gauge.DEFAULT_HALF_WIDTH
+        for size in args.grid_sizes:  # KGrid rejects too few points and a range outside the normal floats
+            try:
+                landau_gauge.KGrid.centered(size, args.units, args.k_range)
+            except ValueError as exc:
+                parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
+        if 2 * (args.keep + 2) * magnetic_length_squared(args.units) == math.inf:  # landau_gauge, "Overflow"
+            parser.error("--keep: 2 * (keep+2) * hbar*c/(e*B) overflows in these units")
 
     if args.command in ("spectrum", "dump-matrix"):  # the one overflow rule: see _OPERATORS
         build, scale = _OPERATORS[args.op]  # spectrum's H on the N+1 levels has the composite H's largest entry

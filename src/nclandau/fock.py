@@ -26,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "MAX_DIMENSION",
     "Cutoffs",
     "BasisIndex",
     "OperatorMatrix",
@@ -37,10 +36,6 @@ __all__ = [
     "commutator",
     "to_json_dict",
 ]
-
-# The most states a command may hold in one mode or print on the composite basis (cli checks it).
-# A dump at the cap holds its JSON text in up to two copies, each at least 8 B an entry ("[0, 0], "): 2 GiB.
-MAX_DIMENSION = 16384
 
 
 class Cutoffs(namedtuple("Cutoffs", "landau_cutoff degeneracy_cutoff")):

@@ -234,14 +234,5 @@ def convergence_study(
             prev = rows[-1]
             if err > 0 and prev.abs_error > 0 and prev.dk != grid.dk:
                 order = math.log(prev.abs_error / err) / math.log(prev.dk / grid.dk)
-        rows.append(
-            ConvergenceRow(
-                size=size,
-                dk=grid.dk,
-                keep=keep,
-                coefficient=report.top_coefficient,
-                abs_error=err,
-                observed_order=order,
-            )
-        )
+        rows.append(ConvergenceRow(size, grid.dk, keep, report.top_coefficient, err, order))
     return rows

@@ -1,4 +1,12 @@
-"""Spectrum and degeneracy checks for the truncated level structure."""
+"""Spectrum and degeneracy checks for the truncated level structure.
+
+Rounding, with u = eps/2 = 2^-53. Level n's pure energy is fl(fl(fl(√n)²) + ½): the root's rounding,
+squared, and the square's are within 3u·n(1 + 2u) of n, and adding ½ rounds once more, within
+4u(n + ½)(1 + 2u) of n + ½. The eigenvalue fl(ħω·that) and the expected fl(ħω·(n + ½)) each round once:
+by u times their value, plus up to 2^-1075 where the product is subnormal. So they differ by at most
+3·eps·ħω·(n + ½)(1 + 2u) + 2^-1074, under 3·eps·ħω·(N + 1) + 2^-1074 at every level n <= N. That is the
+energy tolerance, with one more 2^-1074 for the rounding of the tolerance itself.
+"""
 
 from __future__ import annotations
 
@@ -11,9 +19,6 @@ from .ladder import build_H, build_L
 from .units import NATURAL, PhysicalUnits, level_spacing
 
 __all__ = ["SpectrumReport", "verify_spectrum"]
-
-# Relative tolerance of the level energies, scaled by max(1, level spacing).
-TOLERANCE = 1e-12
 
 
 class SpectrumReport(NamedTuple):
@@ -51,6 +56,6 @@ def verify_spectrum(cutoffs: Cutoffs, units: PhysicalUnits = NATURAL) -> Spectru
 
     hl_commutes = not any(np.any(v) for v in commutator(ham, ang).diagonals.values())
 
-    ok = (max_abs_error <= TOLERANCE * max(1.0, gap) and all(count == multiplicity for count in table.values())
-          and hl_commutes)
+    tolerance = 3 * cutoffs.num_levels * gap * 2.0**-52 + 2.0**-1073  # the module docstring's bound
+    ok = max_abs_error <= tolerance and all(count == multiplicity for count in table.values()) and hl_commutes
     return SpectrumReport(eig.tolist(), expected.tolist(), max_abs_error, table, hl_commutes, ok)

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from dense import grid_mean
 
 
 def run_cli(*args, env_extra=None):
@@ -226,19 +229,48 @@ def test_empty_grid_list_is_usage_error():
     assert "--grid-M: expected at least one grid size" in cp.stderr
 
 
-@pytest.mark.parametrize("args,flag", [
-    ("landau-gauge --grid-M 20000", "--grid-M"),
-    ("landau-gauge --keep 3 --grid-M 5000", "--grid-M"),
-    ("crosscheck --keep 3 --grid-M 5000", "--grid-M"),
-    ("crosscheck --keep 3 --J 5000", "--J"),
-    ("crosscheck --keep 3 --J 4096 --grid-M 64", "--J"),
-])
-def test_oversized_grid_is_usage_error(args, flag):
-    cp = run_cli(*args.split())
+def test_oversized_grid_is_usage_error():
+    cp = run_cli("landau-gauge", "--grid-M", "20000")
     assert cp.returncode == 2
-    assert cp.stderr.splitlines()[-1].startswith("nclandau: error: ")
-    assert flag in cp.stderr and "16384" in cp.stderr
+    assert cp.stderr.splitlines()[-1] == (
+        "nclandau: error: --grid-M: grid size 20000 exceeds the supported maximum 16384")
     assert "Traceback" not in cp.stderr
+
+
+# The grid route holds keep+1 levels and max(M) points, crosscheck's ladder half keep+1 levels and J+1 orbits: each
+# count is capped on its own, each edge beside its nearest passing input, and no product of them counts.
+GRID_SIZE_EDGES = [
+    ("landau-gauge --grid-M 16384", None),
+    ("landau-gauge --grid-M 32,16385", "--grid-M: grid size 16385"),
+    ("landau-gauge --keep 16383", None),
+    ("landau-gauge --keep 16384", "--keep: kept-level count 16385"),
+    ("crosscheck --keep 3 --J 16383 --grid-M 64", None),
+    ("crosscheck --keep 3 --J 16384 --grid-M 64", "--J: orbit count 16385"),
+    ("crosscheck --keep 16383 --J 1", None),
+    ("crosscheck --keep 16384 --J 1", "--keep: kept-level count 16385"),
+    ("crosscheck --keep 16382", "--J: orbit count 16386"),  # J defaults to keep+3
+    ("crosscheck --keep 3 --grid-M 16384", None),
+    ("crosscheck --keep 3 --grid-M 16385", "--grid-M: grid size 16385"),
+    # over the products the size table replaced: (keep+1)·max(M) and (keep+1)(J+1)
+    ("landau-gauge --keep 63 --grid-M 512", None),
+    ("landau-gauge --keep 3 --grid-M 5000", None),
+    ("crosscheck --keep 3 --grid-M 5000", None),
+    ("crosscheck --keep 3 --J 5000", None),
+    ("crosscheck --keep 3 --J 4096 --grid-M 64", None),
+]
+
+
+@pytest.mark.parametrize("args,message", GRID_SIZE_EDGES, ids=[case[0] for case in GRID_SIZE_EDGES])
+def test_grid_size_edge_beside_its_nearest_passing_input(args, message):
+    argv = [*args.split(), "--output", "json"]
+    status, out, err = run_main(argv, with_stderr=True)
+    if message is None:
+        assert status == 0 and err == ""
+        assert_grid_tops_within_their_bound(argv, out)
+    else:
+        assert status == 2 and out == ""
+        assert err.splitlines()[-1] == f"nclandau: error: {message} exceeds the supported maximum 16384"
+        assert err.count("nclandau: error:") == 1
 
 
 @pytest.mark.parametrize("args", ["spectrum --N 200 --J 200", "dump-matrix --op x --N 200 --J 200",
@@ -254,7 +286,7 @@ def test_oversized_spectrum_or_dump_is_usage_error(args):
 
 @pytest.mark.parametrize("args,status", [
     ("sweep --N 127 --J 127", 0), ("sweep --N 128 --J 127", 2), ("spectrum --N 127 --J 127", 0),
-    ("spectrum --N 127 --J 128", 2),
+    ("spectrum --N 127 --J 128", 2), ("spectrum --N 16383 --J 0", 0), ("spectrum --N 16384 --J 0", 2),
 ])
 def test_size_cap_beside_its_nearest_passing_input(args, status):
     cp = run_cli(*args.split(), "--output", "csv")
@@ -286,8 +318,9 @@ def test_commutator_past_its_own_cap_is_usage_error(args, message):
 
 
 def test_crosscheck_at_the_largest_ladder_basis_runs():
-    cp = run_cli("crosscheck", "--keep", "3", "--J", "4095", "--grid-M", "64", "--output", "csv")
+    cp = run_cli("crosscheck", "--keep", "3", "--J", "16383", "--grid-M", "64", "--output", "json")
     assert cp.returncode == 0, cp.stderr
+    assert json.loads(cp.stdout)["symmetric_gauge"] == [0, pytest.approx(-4, rel=1e-12)]
 
 
 def test_bad_units_rejected():
@@ -399,17 +432,17 @@ def test_overflowing_route_is_usage_error(args, status):
         assert "entries" in report if args.startswith("dump-matrix") else report["ok"] is (status == 0)
 
 
-def run_main(argv):
-    """``cli.main(argv)`` in this process: its status (a usage error's too) and its stdout."""
+def run_main(argv, with_stderr=False):
+    """``cli.main(argv)`` in this process: its status (a usage error's too), its stdout, and its stderr if asked."""
     from nclandau import cli
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = cli.main(argv)
         except SystemExit as exc:
             status = exc.code
-    return status, out.getvalue()
+    return (status, out.getvalue(), err.getvalue()) if with_stderr else (status, out.getvalue())
 
 
 UNIT_FLAGS = ("--e", "--B", "--c", "--hbar", "--m")
@@ -454,6 +487,67 @@ def test_grid_commands_keep_the_exit_contract_in_any_units(argv):
     assert status in (0, 1, 2)
     if status != 2:
         assert status == run_main(natural_twin(argv))[0]
+
+
+def printed_grid_tops(argv, text):
+    """The grid route's top coefficients a landau-gauge or crosscheck report prints, one per grid size."""
+    crosscheck, output = argv[0] == "crosscheck", argv[argv.index("--output") + 1]
+    if output == "json":
+        report = json.loads(text)
+        return [complex(*report["landau_gauge"])] if crosscheck else [
+            complex(row["re_coeff"], row["im_coeff"]) for row in report["rows"]]
+    if output == "csv":
+        keys = ("lan_re", "lan_im") if crosscheck else ("re_coeff", "im_coeff")
+        return [complex(float(row[keys[0]]), float(row[keys[1]])) for row in csv.DictReader(io.StringIO(text))]
+    lines = text.splitlines()
+    if crosscheck:  # "  momentum route  : re imi"
+        re, im = next(line for line in lines if "momentum route" in line).split(":")[1].split()
+        return [complex(float(re), float(im.removesuffix("i")))]
+    return [complex(float(line.split()[3]), float(line.split()[4])) for line in lines[3:-1]]
+
+
+def assert_grid_tops_within_their_bound(argv, text):
+    # landau_gauge docstring: each pure top within 7 eps (M + keep + 13) of -i(keep + c(M)), c(M) from grid_mean
+    # within 5 eps. cli scales by ell^2 and rounds once, this test once more, and 15 printed digits add 5e-15.
+    from nclandau import cli
+    from nclandau.units import PhysicalUnits, magnetic_length_squared
+
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    keep, ell2 = int(flags.get("--keep", 0)), magnetic_length_squared(PhysicalUnits(**units_of(argv)))
+    default = cli.DEFAULT_GRID_M if argv[0] == "landau-gauge" else str(cli.DEFAULT_CROSSCHECK_M)
+    sizes = [int(size) for size in flags.get("--grid-M", default).split(",")]
+    for M, top in zip(sizes, printed_grid_tops(argv, text), strict=True):
+        expected = -1j * (keep + grid_mean(M)) * ell2
+        assert abs(top - expected) <= ell2 * 2.0**-52 * (7 * (M + keep + 13) + 5) + 6e-15 * abs(expected) + 1e-323
+
+
+@st.composite
+def admission_argv(draw):
+    """landau-gauge or crosscheck argv with keep, J and each grid size small or on either side of the size cap."""
+    command = draw(st.sampled_from(["landau-gauge", "crosscheck"]))
+    size = st.integers(5, 300) | st.sampled_from([16384, 16385])
+    sizes = draw(st.lists(size, min_size=1, max_size=1 if command == "crosscheck" else 3))
+    argv = [command, "--keep", str(draw(st.integers(0, 8) | st.sampled_from([16383, 16384]))),
+            "--grid-M", ",".join(map(str, sizes))]
+    if command == "crosscheck" and draw(st.booleans()):
+        argv += ["--J", str(draw(st.integers(1, 8) | st.sampled_from([16383, 16384])))]
+    for flag in UNIT_FLAGS:
+        value = draw(st.none() | log_uniform(1e-320, 1e308))
+        argv += [] if value is None else [flag, repr(value)]
+    return argv + ["--output", draw(st.sampled_from(["json", "csv", "table"]))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(admission_argv())
+def test_grid_commands_keep_the_exit_contract_at_the_size_cap(argv):
+    # a traceback would leave cli.main here as an exception other than SystemExit
+    status, out, err = run_main(argv, with_stderr=True)
+    assert status in (0, 1, 2) and "Traceback" not in err
+    if status == 2:
+        assert out == "" and err.count("nclandau: error:") == 1
+    else:
+        assert err == ""
+        assert_grid_tops_within_their_bound(argv, out)
 
 
 # Units in which c/eB or hbar lies far outside the float range that ell^2 = hbar c/eB keeps to.

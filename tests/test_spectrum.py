@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from nclandau.fock import Cutoffs
+from nclandau import spectrum
+from nclandau.fock import Cutoffs, OperatorMatrix
 from nclandau.ladder import build_H, build_xy
 from nclandau.spectrum import verify_spectrum
-from nclandau.units import PhysicalUnits, level_spacing
+from nclandau.units import NATURAL, PhysicalUnits, level_spacing
 
 from dense import composite_spectrum
 
@@ -67,6 +68,24 @@ class TestVerifySpectrum:
     def test_level_mode_spectrum_is_the_composite_sort_bit_for_bit(self, N, J, units):
         eigenvalues = np.array(verify_spectrum(Cutoffs(N, J), units).eigenvalues)
         assert eigenvalues.tobytes() == composite_spectrum(Cutoffs(N, J), units).tobytes()
+
+    @pytest.mark.parametrize("N,J", SPECTRUM_CUTOFFS)
+    @pytest.mark.parametrize("units", [NATURAL, *RANDOM_UNITS, PhysicalUnits(B=1e-310)],
+                             ids=["natural", *(f"units{i}" for i in range(len(RANDOM_UNITS))), "subnormal"])
+    def test_correct_spectrum_passes_at_every_size(self, N, J, units):
+        # the energy tolerance grows as 3 eps hbar omega (N+1) (module docstring), so no size fails a correct spectrum
+        assert verify_spectrum(Cutoffs(N, J), units).ok
+
+    @pytest.mark.parametrize("N", [0, 3, 8192, 16383])
+    def test_top_level_off_by_more_than_the_tolerance_fails(self, N, monkeypatch):
+        def raised_top(cutoffs):  # 6 eps (N+1) high: less its own rounding, 2 eps (N+1), over the 3 eps (N+1) tolerance
+            diagonal = build_H(cutoffs).diagonals[0].copy()
+            diagonal[-1] += 6 * np.finfo(float).eps * (N + 1)
+            return OperatorMatrix({0: diagonal}, cutoffs.dim)
+
+        monkeypatch.setattr(spectrum, "build_H", raised_top)
+        report = verify_spectrum(Cutoffs(N, 0))
+        assert report.hl_commutes and not report.ok
 
     def test_report_leaves_the_cutoffs_to_the_caller(self):
         assert "cutoffs" not in verify_spectrum(Cutoffs(1, 1))._fields
