@@ -24,8 +24,9 @@ diagonals. Identical invocations produce byte-identical output.
 
 Units live here. The engine returns pure numbers, both commutator routes
 at ell = 1 and every operator at unit scale, and judges its verdicts on them.
-Each printed value is a pure number times its scale (ell^2 = hbar c / eB, or
-an ``_OPERATORS`` row), rounded once: within (eps/2)|value| + 2^-1075.
+Each printed value is a pure number times its scale (ell^2 = hbar c / eB,
+e B ell / c for a grid's dk, or an ``_OPERATORS`` row), rounded once: within
+(eps/2)|value| + 2^-1075.
 
 A process executes only the engine modules its command runs: ``projection``,
 ``landau_gauge`` and ``spectrum`` load on first attribute access. The parser
@@ -45,8 +46,9 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from . import fock, ladder
-from .serialize import dumps, format_float, render_csv, render_table
-from .units import PhysicalUnits, coordinate_scale, level_spacing, magnetic_length_squared, momentum_scale
+from .serialize import Verbatim, dumps, format_float, render_csv, render_table
+from .units import (PhysicalUnits, coordinate_scale, level_spacing, magnetic_length_squared, momentum_grid_scale,
+                    momentum_scale)
 
 
 def _lazy(name: str):
@@ -226,8 +228,7 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
     if args.command == "crosscheck":
         if len(args.grid_sizes) != 1:
             parser.error("--grid-M: crosscheck takes exactly one grid size")
-        if args.J is None:
-            args.J = args.keep + 3
+        args.J = min(args.keep + 3, MAX_DIMENSION - 1) if args.J is None else args.J  # --keep meets its own cap
     if args.command in ("commutator", "sweep", "crosscheck") and args.J < 1:
         parser.error(f"--J must be >= 1 for an interior in j, got {args.J}")
 
@@ -244,13 +245,14 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
             parser.error(f"{what} {count} exceeds the supported maximum {MAX_DIMENSION}")
 
     if args.command in ("landau-gauge", "crosscheck"):
-        if args.k_range is None:
-            args.k_range = landau_gauge.DEFAULT_HALF_WIDTH
+        args.k_range = landau_gauge.DEFAULT_HALF_WIDTH if args.k_range is None else args.k_range
+        scale = momentum_grid_scale(args.units)
         for size in args.grid_sizes:  # KGrid rejects too few points and a range outside the normal floats
             try:
-                landau_gauge.KGrid.centered(size, args.units, args.k_range)
+                if not 0 < (dk := scale * landau_gauge.KGrid.centered(size, args.k_range).dk) < math.inf:
+                    raise ValueError(f"dk times {scale!r} {'overflows' if dk else 'underflows to 0'} in these units")
             except ValueError as exc:
-                parser.error(f"--grid-M {size} with --k-range {args.k_range!r} in these units: {exc}")
+                parser.error(f"--grid-M {size} with --k-range {args.k_range!r}: {exc}")
         if 2 * (args.keep + 2) * magnetic_length_squared(args.units) == math.inf:  # landau_gauge, "Overflow"
             parser.error("--keep: 2 * (keep+2) * hbar*c/(e*B) overflows in these units")
 
@@ -297,7 +299,7 @@ def render(report: Report, output: str) -> str:
     return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
 
 
-def _pair(z: complex, scale: float = 1.0) -> list[float]:
+def _pair(z: complex, scale: float) -> list[float]:
     """[re, im] of ``scale * z``, part by part: the complex product can flip a zero's sign."""
     return [scale * z.real, scale * z.imag]
 
@@ -305,10 +307,17 @@ def _pair(z: complex, scale: float = 1.0) -> list[float]:
 COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
 
 
-def _commutator_payload(r: projection.CommutatorReport, ell2: float) -> dict:
-    """The JSON object of one ladder-route ``CommutatorReport`` in units of ``ell2``; each artifact sits at (n, J)."""
+def _commutator_payload(r: projection.CommutatorReport, ell2: float, texts: Optional[dict] = None) -> dict:
+    """The JSON object of one ladder-route ``CommutatorReport`` in units of ``ell2``; each artifact sits at (n, J).
+    Given ``texts``, an artifact is its JSON text, made once per (n, value) tuple, which sweep's keeps share;
+    ``texts`` keys it by the tuple's identity, as equal values can differ in the sign of a zero."""
     J = r.cutoffs.degeneracy_cutoff
-    artifacts = [{"row": [n, J], "col": [n, J], "value": _pair(value, ell2)} for n, value in r.boundary_artifacts]
+
+    def artifact(n: int, value: complex) -> dict:
+        return {"row": [n, J], "col": [n, J], "value": _pair(value, ell2)}
+    artifacts = [artifact(*a) if texts is None
+                 else texts.get(id(a)) or texts.setdefault(id(a), Verbatim([dumps(artifact(*a))]))
+                 for a in r.boundary_artifacts]
     return {"N": r.cutoffs.landau_cutoff, "J": J, "keep": r.keep_levels,
             "top_coefficient": _pair(r.top_coefficient, ell2), "max_offtop_residual": ell2 * r.max_offtop_residual,
             "boundary_artifacts": artifacts, "ok": r.ok}
@@ -327,8 +336,9 @@ def _cmd_commutator(args: argparse.Namespace) -> Report:
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
     reports, ell2 = projection.sweep(fock.Cutoffs(args.N, args.J)), magnetic_length_squared(args.units)
-    ok = all(r.ok for r in reports)  # only JSON prints the artifacts, N²/2 of them at the largest N
-    payload = {"reports": [_commutator_payload(r, ell2) for r in reports], "ok": ok} if args.output == "json" else {}
+    ok, texts = all(r.ok for r in reports), {}  # only JSON prints the artifacts: N²/2, at most 2N+1 distinct
+    payload = ({"reports": [_commutator_payload(r, ell2, texts) for r in reports], "ok": ok}
+               if args.output == "json" else {})
     return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r, ell2) for r in reports],
                   f"projected commutator sweep  N={args.N} J={args.J}")
 
@@ -348,10 +358,11 @@ GRID_HEADER = ["M", "dk", "keep", "re_coeff", "im_coeff", "abs_error", "observed
 
 
 def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
-    study = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.units, args.k_range)
-    ell2 = magnetic_length_squared(args.units)
+    study = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.k_range)
+    ell2, dk_scale = magnetic_length_squared(args.units), momentum_grid_scale(args.units)
     ok = bool(study) and study[-1].abs_error <= landau_gauge.TOLERANCE * (args.keep + 1)
-    rows = [[r.size, r.dk, r.keep, *_pair(r.coefficient, ell2), ell2 * r.abs_error, r.observed_order] for r in study]
+    rows = [[r.size, dk_scale * r.dk, r.keep, *_pair(r.coefficient, ell2), ell2 * r.abs_error, r.observed_order]
+            for r in study]
     payload = {"keep": args.keep, "expected": _pair(-1j * (args.keep + 1), ell2),
                "rows": [dict(zip(GRID_HEADER, row)) for row in rows], "ok": ok}
     return Report(ok, payload, GRID_HEADER, rows, f"momentum-grid convergence  keep={args.keep}")
@@ -360,22 +371,21 @@ def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
 def _cmd_crosscheck(args: argparse.Namespace) -> Report:
     keep, M, ell2 = args.keep, args.grid_sizes[0], magnetic_length_squared(args.units)
     ladder_report = projection.projected_commutator_xy(fock.Cutoffs(keep, args.J), keep)
-    grid = landau_gauge.KGrid.centered(M, args.units, args.k_range)
-    pure = ladder_report.top_coefficient, landau_gauge.projected_commutator_landau(grid, keep).top_coefficient
-    sym, lan = (complex(*_pair(z, ell2)) for z in pure)
-    rel = abs(lan - sym) / abs(sym)
+    lan = landau_gauge.projected_commutator_landau(landau_gauge.KGrid.centered(M, args.k_range), keep).top_coefficient
+    rel = abs(lan - ladder_report.top_coefficient) / abs(ladder_report.top_coefficient)  # pure, as the verdict
     ok = ladder_report.ok and rel <= landau_gauge.TOLERANCE
-    payload = {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": _pair(sym),
-               "landau_gauge": _pair(lan), "relative_difference": rel, "ok": ok}
+    sym, lan = _pair(ladder_report.top_coefficient, ell2), _pair(lan, ell2)
+    payload = {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": sym,
+               "landau_gauge": lan, "relative_difference": rel, "ok": ok}
     # The table is key : value lines, not columns; perfbench/checker.py parses it.
     body = (
         f"gauge crosscheck  keep={keep}\n"
-        f"  ladder route    : {format_float(sym.real)} {format_float(sym.imag)}i\n"
-        f"  momentum route  : {format_float(lan.real)} {format_float(lan.imag)}i\n"
+        f"  ladder route    : {format_float(sym[0])} {format_float(sym[1])}i\n"
+        f"  momentum route  : {format_float(lan[0])} {format_float(lan[1])}i\n"
         f"  relative diff   : {format_float(rel)}\n"
     )
     header = ["keep", "J", "grid_M", "sym_re", "sym_im", "lan_re", "lan_im", "rel_diff"]
-    return Report(ok, payload, header, [[keep, args.J, M, *_pair(sym), *_pair(lan), rel]], body=body)
+    return Report(ok, payload, header, [[keep, args.J, M, *sym, *lan, rel]], body=body)
 
 
 # Operators dump-matrix can serialize, in the order --help lists them, each a scale in these units times an operator

@@ -3,8 +3,8 @@
 This module recomputes the projected coordinate commutator in a different
 gauge with none of the ladder-operator machinery: states are labeled by
 the level n and the conserved momentum k along the translation-invariant
-direction, with the guiding center at x_c = c k / eB. The coordinate
-operators become, on the (level ⊗ grid) basis,
+direction, with the guiding center at x_c = c k / eB, which is k at ell = 1,
+where the module works. The operators become, on the (level ⊗ grid) basis,
 
     x = (c/eB) K ⊗-wise on the grid  +  <n|x̃|m> on the levels
     y = i hbar d/dk on the grid      +  (c/eB) <n|p̃|m> on the levels
@@ -30,7 +30,7 @@ over the interior, the points two or more steps from either end. For the
 Gaussian (f_{i-1} + f_{i+1})/2f_i = e^{-r²/2} cosh(u_i r), with r = dk/σ =
 5/(M-1) and u_i = (k_i - mid)/σ, so i[K, d/dk]·f/f averages to -i c(M), c(M)
 the interior mean of e^{-r²/2} cosh(u_i r). As σ is a fixed fraction of the
-span, c(M) depends on M alone: the k-range and the units move only dk. Its
+span, c(M) depends on M alone: the k-range moves only dk. Its
 error |1 - c(M)| ≈ 13.5/(M-1)² at large M is second order in dk, and the
 curved profile keeps it visible, where summing rows would be exact for every
 dk and leave nothing to converge.
@@ -61,8 +61,8 @@ within 4·keep. Adding the two rounds a value below keep + 2 once. So the top
 coefficient is within 7(M + keep + 13) of -i(keep + c(M)).
 
 Overflow: the top coefficient is below keep + 2 in magnitude, as c(M) < 1.15
-for every M, so a row's error or a relative difference's numerator stays
-below 2(keep+2), and times ℓ² overflows only where 2(keep+2)ℓ² does.
+for every M, so it and a row's error stay below 2(keep+2), and times ℓ²
+overflow only where 2(keep+2)ℓ² does.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import OperatorMatrix, annihilation_matrix, commutator, dagger
-from .units import NATURAL, PhysicalUnits, magnetic_length_squared
 
 __all__ = [
     "KGrid",
@@ -133,19 +132,9 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
         return slice(2, self.size - 2)
 
     @classmethod
-    def centered(
-        cls, size: int, units: PhysicalUnits = NATURAL, half_width: float = DEFAULT_HALF_WIDTH
-    ) -> "KGrid":
-        """Symmetric grid spanning ±half_width guiding-center lengths.
-
-        k is scaled by eB ell / c so the guiding centers x_c = c k / eB
-        cover ±half_width magnetic lengths.
-        """
-        if half_width <= 0:
-            raise ValueError("half_width must be positive")
-        scale = units.e * units.B * math.sqrt(magnetic_length_squared(units)) / units.c
-        k_max = half_width * scale
-        return cls(size=size, k_min=-k_max, dk=2.0 * k_max / max(size - 1, 1))  # __new__ rejects size 1
+    def centered(cls, size: int, half_width: float = DEFAULT_HALF_WIDTH) -> "KGrid":
+        """Symmetric grid of guiding centers k at ell = 1, spanning ±half_width magnetic lengths."""
+        return cls(size=size, k_min=-half_width, dk=2.0 * half_width / max(size - 1, 1))  # __new__ rejects size 1
 
 
 def oscillator_x_elements(nmax: int) -> OperatorMatrix:
@@ -202,7 +191,7 @@ def projected_commutator_landau(grid: KGrid, levels: int) -> GridCommutatorRepor
 
 
 class ConvergenceRow(NamedTuple):
-    """One grid refinement step of a convergence study: ``dk`` in these units, the rest at ell = 1."""
+    """One grid refinement step of a convergence study, at ell = 1."""
 
     size: int
     dk: float
@@ -212,12 +201,7 @@ class ConvergenceRow(NamedTuple):
     observed_order: float | None
 
 
-def convergence_study(
-    keep: int,
-    sizes: list[int],
-    units: PhysicalUnits = NATURAL,
-    half_width: float = DEFAULT_HALF_WIDTH,
-) -> list[ConvergenceRow]:
+def convergence_study(keep: int, sizes: list[int], half_width: float = DEFAULT_HALF_WIDTH) -> list[ConvergenceRow]:
     """Top-coefficient error against -i (keep+1) versus grid resolution at fixed k-range.
 
     ``observed_order`` compares consecutive rows: error ratio over dk
@@ -226,7 +210,7 @@ def convergence_study(
     """
     rows: list[ConvergenceRow] = []
     for size in sizes:
-        grid = KGrid.centered(size, units, half_width)
+        grid = KGrid.centered(size, half_width)
         report = projected_commutator_landau(grid, keep)
         err = abs(report.top_coefficient + 1j * (keep + 1))
         order = None

@@ -3,8 +3,8 @@
 The engine never converts between unit systems: it computes in the
 dimensionless choice e = B = c = hbar = m = 1, in which both the magnetic
 length and the cyclotron frequency equal one and all commutator results are
-pure numbers. In any units each printed value is one scale from here
-(ell^2, sqrt(ell^2 / 2), hbar omega, hbar, sqrt(hbar e B / 8c)) times its
+pure numbers. In any units each printed value is one scale from here (ell^2,
+sqrt(ell^2 / 2), hbar omega, hbar, sqrt(hbar e B / 8c), e B ell / c) times its
 pure number. The CLI applies each scale, but for the spectrum's hbar omega,
 which ``spectrum.verify_spectrum`` applies.
 """
@@ -21,6 +21,7 @@ __all__ = [
     "magnetic_length_squared",
     "coordinate_scale",
     "momentum_scale",
+    "momentum_grid_scale",
     "cyclotron_frequency",
     "level_spacing",
 ]
@@ -76,6 +77,11 @@ def momentum_scale(units: PhysicalUnits) -> float:
     (me, xe), (mb, xb), (mh, xh), (mc, xc) = map(math.frexp, (units.e, units.B, units.hbar, units.c))
     x = xe + xb + xh - xc - 3
     return math.ldexp(math.sqrt(math.ldexp(me * mb * mh / mc, x % 2)), x // 2)
+
+
+def momentum_grid_scale(units: PhysicalUnits) -> float:
+    """e B ell / c, the momentum whose guiding center c k / eB is one magnetic length: the grid's k and dk scale."""
+    return units.e * units.B * math.sqrt(magnetic_length_squared(units)) / units.c
 
 
 def cyclotron_frequency(units: PhysicalUnits) -> float:

@@ -10,7 +10,8 @@ builds x and y on the whole grid basis, as the oracle of the grid route.
 The ladder route commutes single-mode pieces; :func:`dense_route_report`
 commutes the composite x and y as numpy arrays and scores the kept block
 entry by entry, as its oracle. Both routes return pure numbers at ell = 1;
-their oracles build x and y in physical units, each with its own scale.
+their oracles build x and y in physical units, each with its own scale, and
+:func:`physical_grid` lays the grid route's ell = 1 grid out in units.
 ``verify_spectrum`` builds H on the N+1 levels alone; :func:`composite_spectrum`
 sorts the diagonal of H on the whole composite basis, as its oracle.
 """
@@ -68,10 +69,18 @@ def oscillator_elements(levels: int, units: PhysicalUnits = NATURAL) -> tuple[Op
     return x0 * (a + dagger(a)), (1j * p0) * (dagger(a) - a)
 
 
+def physical_grid(grid: KGrid, units: PhysicalUnits) -> KGrid:
+    """The ell = 1 ``grid`` of guiding centers laid out as momenta in ``units``: every k times e B ell / c,
+    formed here as sqrt(hbar e B / c)."""
+    scale = math.sqrt(units.hbar * units.e * units.B / units.c)
+    return KGrid(grid.size, scale * grid.k_min, scale * grid.dk)
+
+
 def build_landau_xy(
     grid: KGrid, levels: int, units: PhysicalUnits = NATURAL
 ) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Coordinate matrices (x, y) on the (level ⊗ grid) basis, levels 0..``levels``.
+    """Coordinate matrices (x, y) in ``units`` on the (level ⊗ grid) basis, levels 0..``levels``, with the
+    momenta of the ell = 1 ``grid`` laid out in ``units`` (:func:`physical_grid`).
 
     x and y are exactly Hermitian: d/dk is the corner-cut central stencil,
     antisymmetric on every row. The level truncation happens by
@@ -80,7 +89,7 @@ def build_landau_xy(
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
-    M = grid.size
+    M, grid = grid.size, physical_grid(grid, units)
     ratio = units.c / (units.e * units.B)
     levels_eye, grid_eye = identity(levels + 1), identity(M)
     K = OperatorMatrix(diagonals={0: grid.points}, dim=M)

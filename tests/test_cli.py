@@ -248,7 +248,8 @@ GRID_SIZE_EDGES = [
     ("crosscheck --keep 3 --J 16384 --grid-M 64", "--J: orbit count 16385"),
     ("crosscheck --keep 16383 --J 1", None),
     ("crosscheck --keep 16384 --J 1", "--keep: kept-level count 16385"),
-    ("crosscheck --keep 16382", "--J: orbit count 16386"),  # J defaults to keep+3
+    ("crosscheck --keep 16383", None),  # J defaults to keep+3, capped at 16383
+    ("crosscheck --keep 16384", "--keep: kept-level count 16385"),
     ("crosscheck --keep 3 --grid-M 16384", None),
     ("crosscheck --keep 3 --grid-M 16385", "--grid-M: grid size 16385"),
     # over the products the size table replaced: (keep+1)·max(M) and (keep+1)(J+1)
@@ -377,7 +378,6 @@ def test_subnormal_level_spacing_passes():
 # Where a printed value would overflow, the input is a usage error (cli.config_from_args); each bound is
 # paired with the nearest case that passes. spectrum and dump-matrix print one unit scale times a pure
 # operator, so their bound is that scale times the largest pure entry; no intermediate product counts.
-# A --k-range of 1 keeps the grid span inside the floats up to the route's own bound.
 OVERFLOW_BOUNDS = [
     ("spectrum --hbar 1e308", 2),
     ("spectrum --hbar 4e307", 2),  # hbar*omega*(N+1/2) = 4.5 hbar
@@ -448,9 +448,9 @@ def run_main(argv, with_stderr=False):
 UNIT_FLAGS = ("--e", "--B", "--c", "--hbar", "--m")
 
 
-def natural_twin(argv):
-    """``argv`` without its unit flags and --k-range: the same run in natural units on the default grid."""
-    dropped = (*UNIT_FLAGS, "--k-range")
+def natural_twin(argv, drop_k_range=True):
+    """``argv`` without its unit flags (and its --k-range, unless told not to): the same run in natural units."""
+    dropped = (*UNIT_FLAGS, "--k-range") if drop_k_range else UNIT_FLAGS
     pairs = [(flag, value) for flag, value in zip(argv[1::2], argv[2::2]) if flag not in dropped]
     return argv[:1] + [item for pair in pairs for item in pair]
 
@@ -550,33 +550,95 @@ def test_grid_commands_keep_the_exit_contract_at_the_size_cap(argv):
         assert_grid_tops_within_their_bound(argv, out)
 
 
-# Units in which c/eB or hbar lies far outside the float range that ell^2 = hbar c/eB keeps to.
-UNIT_EXTREMES = [
+def assert_scaled_twin(got, natural, scales, key=None):
+    """Each number of the JSON value ``got`` is its twin in ``natural`` times the scale ``scales`` names for its
+    key, within 1.1e-14 relative or 1e-323 (as in assert_ladder_digits_are_the_natural_ones_times below); every
+    other value, and every number of a key with no scale, equals its twin exactly."""
+    if isinstance(got, dict):
+        assert list(got) == list(natural)
+        for name in got:
+            assert_scaled_twin(got[name], natural[name], scales, name)
+    elif isinstance(got, list):
+        for value, natural_value in zip(got, natural, strict=True):
+            assert_scaled_twin(value, natural_value, scales, key)
+    elif key in scales:
+        want = scales[key] * natural
+        assert abs(got - want) <= 1.1e-14 * abs(want) + 1e-323, (key, got, want)
+    else:
+        assert got == natural, (key, got, natural)
+
+
+@st.composite
+def grid_units_argv(draw):
+    """landau-gauge or crosscheck JSON argv, with or without a --k-range, then its unit flags, each log-uniform."""
+    command = draw(st.sampled_from(["landau-gauge", "crosscheck"]))
+    sizes = draw(st.lists(st.integers(5, 600), min_size=1, max_size=1 if command == "crosscheck" else 4))
+    argv = [command, "--keep", str(draw(st.integers(0, 6))), "--grid-M", ",".join(map(str, sizes))]
+    if command == "crosscheck" and draw(st.booleans()):
+        argv += ["--J", str(draw(st.integers(1, 200)))]
+    k_range = draw(st.none() | log_uniform(1e-160, 1e160))
+    argv += ([] if k_range is None else ["--k-range", repr(k_range)]) + ["--output", "json"]
+    for flag in UNIT_FLAGS:
+        value = draw(st.none() | log_uniform(1e-320, 1e308))
+        argv += [] if value is None else [flag, repr(value)]
+    return argv
+
+
+def json_argv(args):
+    return [*args.split(), "--output", "json"]
+
+
+def assert_grid_numbers_are_the_natural_ones_times_their_scales(argv):
+    # both routes compute at ell = 1 and cli scales each printed value once: ell^2 for the coefficients and errors,
+    # e B ell / c for dk; the verdicts, orders and relative differences are the natural-units ones
+    from nclandau.landau_gauge import DEFAULT_HALF_WIDTH, KGrid
+    from nclandau.units import PhysicalUnits, magnetic_length_squared, momentum_grid_scale
+
+    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv, drop_k_range=False))
+    try:
+        units = PhysicalUnits(**units_of(argv))
+    except ValueError:
+        assert (status, text) == (2, "")
+        return
+    ell2, dk_scale = magnetic_length_squared(units), momentum_grid_scale(units)
+    if status == 2 and natural_status != 2:  # only the rules that read the units reject it
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        k_range = float(flags.get("--k-range", DEFAULT_HALF_WIDTH))
+        dks = [dk_scale * KGrid.centered(int(M), k_range).dk for M in flags["--grid-M"].split(",")]
+        assert 2 * (int(flags["--keep"]) + 2) * ell2 == math.inf or not all(0 < dk < math.inf for dk in dks)
+        return
+    assert status == natural_status
+    if status != 2:
+        scales = {"dk": dk_scale, **dict.fromkeys(
+            ("expected", "re_coeff", "im_coeff", "abs_error", "symmetric_gauge", "landau_gauge"), ell2)}
+        assert_scaled_twin(json.loads(text), json.loads(natural_text), scales)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_units_argv())
+def test_grid_numbers_are_the_natural_ones_times_their_scales_in_any_units(argv):
+    assert_grid_numbers_are_the_natural_ones_times_their_scales(argv)
+
+
+# Units in which c/eB, hbar or m lies far outside the float range that ell^2 = hbar c/eB keeps to.
+GRID_UNIT_EXTREMES = [
     "landau-gauge --B 1e215",
     "landau-gauge --c 1e-220",
     "landau-gauge --e 1e-150 --c 1e150",
-    "landau-gauge --hbar 1e300 --k-range 1e-200",
-    "crosscheck --hbar 1e300 --k-range 1e-200",
+    "landau-gauge --keep 3 --hbar 1e306",
+    "landau-gauge --keep 3 --m 1e300",
+    "crosscheck --keep 3 --hbar 1e-150 --m 1e-150",
     "crosscheck --keep 2 --grid-M 128 --B 1.14e+238",
+    "crosscheck --keep 3 --e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2",
+    "landau-gauge --grid-M 32,64 --hbar 1e300 --B 1e10 --m 1e20",  # e B ell / c = 1e155
 ]
 
 
-@pytest.mark.parametrize("args", UNIT_EXTREMES)
-def test_extreme_units_give_the_natural_digits_times_ell_squared(args):
-    from nclandau.units import PhysicalUnits, magnetic_length_squared
-
-    argv = [*args.split(), "--output", "json"]
-    (status, text), (natural_status, natural_text) = run_main(argv), run_main(natural_twin(argv))
-    assert status == natural_status == 0
-    got, natural = json.loads(text), json.loads(natural_text)
-    ell2 = magnetic_length_squared(PhysicalUnits(**units_of(argv)))
-    if argv[0] == "landau-gauge":
-        for row, natural_row in zip(got["rows"], natural["rows"], strict=True):
-            assert row["im_coeff"] == pytest.approx(natural_row["im_coeff"] * ell2, rel=1e-13)
-            assert row["abs_error"] == pytest.approx(natural_row["abs_error"] * ell2, rel=1e-9)
-    else:
-        assert got["landau_gauge"][1] == pytest.approx(natural["landau_gauge"][1] * ell2, rel=1e-13)
-        assert got["relative_difference"] == pytest.approx(natural["relative_difference"], rel=1e-9)
+@pytest.mark.parametrize("args", GRID_UNIT_EXTREMES)
+def test_extreme_units_print_the_natural_grid_numbers_times_their_scales(args):
+    argv = json_argv(args)
+    assert run_main(argv)[0] == 0
+    assert_grid_numbers_are_the_natural_ones_times_their_scales(argv)
 
 
 def ladder_values(report):
@@ -795,6 +857,37 @@ def test_extreme_k_range_is_usage_error(command, value):
     assert cp.stdout == ""
 
 
+# The grid is laid out at ell = 1, so it is valid by --grid-M and --k-range alone in any units, and of the units
+# only the printed dk, e B ell / c times the pure one, must be a positive float. Each exit status the ell = 1 grid
+# changed is pinned beside its nearest input on the other side.
+GRID_UNIT_EDGES = [
+    ("landau-gauge --hbar 1e300 --k-range 1e-200", 2),  # exited 0, on a span laid out in units
+    ("landau-gauge --hbar 1e300 --k-range 3.72e-154", 2),  # the test profile's squared width underflows
+    ("landau-gauge --hbar 1e300 --k-range 3.73e-154", 0),
+    ("crosscheck --hbar 1e300 --k-range 1e-200", 2),  # exited 0
+    ("crosscheck --hbar 1e300 --k-range 3.73e-154", 0),
+    ("landau-gauge --hbar 1e300 --B 1e10 --m 1e20", 0),  # exited 2: its span in units squared to inf
+    ("crosscheck --hbar 1e300 --B 1e10 --m 1e20", 0),  # exited 2
+    ("landau-gauge --grid-M 64 --k-range 56 --e 1e308 --hbar 1e308 --m 1e308", 0),  # dk = 1.78e308
+    ("landau-gauge --grid-M 64 --k-range 57 --e 1e308 --hbar 1e308 --m 1e308", 2),  # dk overflows
+    ("landau-gauge --grid-M 64 --k-range 4e-11 --hbar 5e-324 --c 1e300 --m 1e-300", 0),  # dk = 5e-324
+    ("landau-gauge --grid-M 64 --k-range 3e-11 --hbar 5e-324 --c 1e300 --m 1e-300", 2),  # dk underflows to 0
+]
+
+
+@pytest.mark.parametrize("args,status", GRID_UNIT_EDGES, ids=[case[0] for case in GRID_UNIT_EDGES])
+def test_grid_is_admitted_by_its_k_range_and_printed_dk(args, status):
+    argv = json_argv(args)
+    got, out, err = run_main(argv, with_stderr=True)
+    assert got == status
+    if status == 2:
+        assert out == "" and err.count("nclandau: error:") == 1
+        assert err.splitlines()[-1].startswith("nclandau: error: --grid-M ") and "--k-range" in err
+    else:
+        assert err == ""
+        assert_grid_tops_within_their_bound(argv, out)
+
+
 def test_units_config_file(tmp_path):
     cfg = tmp_path / "units.json"
     cfg.write_text(json.dumps({"B": 2.0}))
@@ -1008,12 +1101,14 @@ def test_output_bytes_are_pinned(args, status, stdout):
 _CONSTANTS = "--e 1.5 --B 0.7 --c 1.3 --hbar 0.6 --m 2"
 _UNITS = f"--N 3 --J 4 {_CONSTANTS}"
 # The ladder-route and crosscheck reports in non-natural units, captured while each engine still scaled
-# its own report by ell^2, before cli took that scale over.
+# its own report by ell^2, before cli took that scale over. The crosscheck digest was recaptured when the grid
+# came to be laid out at ell = 1, with the relative difference taken on the pure tops: only the last digits of
+# relative_difference moved.
 UNITS_REPORTS = [
     (f"commutator --keep 2 {_UNITS} --output json", "9eeb4bd277d8e90b1078fa6db82a35f0a43f20c2d692cc91630569caa74dee52"),
     (f"sweep {_UNITS} --output json", "f986aa93c5a905f4592735ad1d0294ca81374effc8de1d6a442dd9d75c091c76"),
     (f"crosscheck --keep 1 --J 4 --grid-M 64 {_CONSTANTS} --output json",
-     "8743c3d9a51ed9b62435e15c0a8ac7281cdb9d4c6925de2d1f650fc23319a322"),
+     "91e923892efe9cb5d09f63347a97f0f6996febb9e473d888f1d86e5ac0190156"),
 ]
 DUMP_DIGESTS = [
     ("dump-matrix --op x --N 16 --J 16", "dab1727f31e30d90e908c884a53a48d040970adce7b9aa05aacad8af556b305c"),

@@ -299,9 +299,9 @@ def test_every_export_is_read_or_gated():
 
 
 ENGINE = ("fock", "ladder", "projection", "landau_gauge", "spectrum")
-# The engine returns pure numbers and cli scales them; units reach the engine only as physical inputs: the
-# grid's spacing, which the reports print in these units, and the spectrum the acceptance gate reads in them.
-TAKES_UNITS = {"landau_gauge.KGrid.centered", "landau_gauge.convergence_study", "spectrum.verify_spectrum"}
+# The engine returns pure numbers and cli scales them; units reach the engine only as a physical input of the
+# spectrum, which the acceptance gate reads in them. Both commutator routes and the momentum grid are at ell = 1.
+TAKES_UNITS = {"spectrum.verify_spectrum"}
 
 
 def imports_from_units(source: str) -> bool:
@@ -310,7 +310,8 @@ def imports_from_units(source: str) -> bool:
 
 
 def test_units_reach_the_engine_only_as_physical_inputs():
-    assert [name for name in ("projection", "ladder") if imports_from_units((PACKAGE / f"{name}.py").read_text())] == []
+    pure = ("projection", "ladder", "landau_gauge")
+    assert [name for name in pure if imports_from_units((PACKAGE / f"{name}.py").read_text())] == []
     found = set()
     for name in ENGINE:
         module = importlib.import_module(f"nclandau.{name}")

@@ -522,6 +522,20 @@ class TestSweep:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_json_sweep_encodes_each_shared_artifact_once(self, tmp_path):
+        # the N^2/2 printed artifacts are 2N+1 shared tuples: each is encoded once, and its text spliced in
+        # wherever it recurs (at N = 600 one JSON object and text per artifact took 198 MiB)
+        cli.main(["sweep", "--N", "3", "--J", "1", "--out", "/dev/null"])  # the lazy engine modules load here
+        out = tmp_path / "sweep.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep", "--N", "600", "--J", "1", "--output", "json", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 10 * 10**6
+        assert peak < 48 * 2**20
+
     @pytest.mark.parametrize("keep", [0, 2])
     def test_degeneracy_cutoff_independence(self, keep):
         base = projected_commutator_xy(Cutoffs(keep, keep + 3), keep)

@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared
+from nclandau.units import (NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared,
+                            momentum_grid_scale)
 
 
 def test_natural_units_scales():
+    # exactly 1, so natural units print the pure numbers bit for bit
     assert magnetic_length_squared(NATURAL) == 1.0
     assert cyclotron_frequency(NATURAL) == 1.0
+    assert momentum_grid_scale(NATURAL) == 1.0
+
+
+def test_momentum_grid_scale_values():
+    # e B ell / c: a guiding center c k / eB one magnetic length out
+    assert momentum_grid_scale(PhysicalUnits(B=4.0)) == 2.0  # ell = 1/2
+    assert momentum_grid_scale(PhysicalUnits(e=2, B=3, c=5, hbar=7, m=1)) == pytest.approx(math.sqrt(42 / 5), rel=1e-15)
 
 
 def test_magnetic_length_quarter_field():
