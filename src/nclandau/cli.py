@@ -307,17 +307,15 @@ def _pair(z: complex, scale: float) -> list[float]:
 COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
 
 
-def _commutator_payload(r: projection.CommutatorReport, ell2: float, texts: Optional[dict] = None) -> dict:
+def _commutator_payload(r: projection.CommutatorReport, ell2: float, texts: dict) -> dict:
     """The JSON object of one ladder-route ``CommutatorReport`` in units of ``ell2``; each artifact sits at (n, J).
-    Given ``texts``, an artifact is its JSON text, made once per (n, value) tuple, which sweep's keeps share;
-    ``texts`` keys it by the tuple's identity, as equal values can differ in the sign of a zero."""
+    Every artifact is its JSON text, made once per (n, value) tuple, which sweep's keeps share; ``texts``, one dict
+    per command, keys it by the tuple's identity, as equal values can differ in the sign of a zero."""
     J = r.cutoffs.degeneracy_cutoff
 
-    def artifact(n: int, value: complex) -> dict:
-        return {"row": [n, J], "col": [n, J], "value": _pair(value, ell2)}
-    artifacts = [artifact(*a) if texts is None
-                 else texts.get(id(a)) or texts.setdefault(id(a), Verbatim([dumps(artifact(*a))]))
-                 for a in r.boundary_artifacts]
+    def artifact(n: int, value: complex) -> Verbatim:
+        return Verbatim([dumps({"row": [n, J], "col": [n, J], "value": _pair(value, ell2)})])
+    artifacts = [texts.get(id(a)) or texts.setdefault(id(a), artifact(*a)) for a in r.boundary_artifacts]
     return {"N": r.cutoffs.landau_cutoff, "J": J, "keep": r.keep_levels,
             "top_coefficient": _pair(r.top_coefficient, ell2), "max_offtop_residual": ell2 * r.max_offtop_residual,
             "boundary_artifacts": artifacts, "ok": r.ok}
@@ -331,7 +329,7 @@ def _cmd_commutator(args: argparse.Namespace) -> Report:
     keep, ell2 = args.keep, magnetic_length_squared(args.units)
     r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep)
     title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
-    return Report(r.ok, _commutator_payload(r, ell2), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
+    return Report(r.ok, _commutator_payload(r, ell2, {}), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
@@ -425,13 +423,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     config_from_args(parser, args)
     report = _COMMANDS[args.command](args)
     text = render(report, args.output)
-    if args.out_path:
-        try:
+    try:
+        if args.out_path:
             Path(args.out_path).write_text(text)
-        except OSError as exc:
-            parser.error(f"--out: cannot write {args.out_path}: {exc}")
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # its descriptor was closed at start
+            raise OSError("stdout is closed")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"--out: cannot write {args.out_path}: {exc}" if args.out_path else f"cannot write stdout: {exc}")
     return 0 if report.ok else 1
 
 
@@ -443,9 +443,9 @@ def entry() -> int:
     the process, skipping the interpreter's module teardown and final
     garbage collection. A ``SystemExit`` with an int code, as argparse raises
     for a usage error or ``--help``, ends the same way with that status. Any
-    other exception from ``main()``, or a failed flush, takes the
-    interpreter's normal exit instead, which retries the flush and reports
-    it, with the same status as before.
+    other exception from ``main()``, or a failed flush (a stream closed at
+    start is None, which fails too), takes the interpreter's normal exit,
+    with the same status: it retries the flush and reports a failure.
     """
     try:
         status = main()
@@ -459,7 +459,7 @@ def entry() -> int:
         atexit._run_exitfuncs()  # from Python 3.11 on, reports a handler's exception without raising
         sys.stdout.flush()
         sys.stderr.flush()
-    except (OSError, ValueError):
+    except (AttributeError, OSError, ValueError):  # AttributeError: None has no flush
         return status
     os._exit(status)
 

@@ -50,7 +50,7 @@ class Cutoffs(namedtuple("Cutoffs", "landau_cutoff degeneracy_cutoff")):
     def __new__(cls, landau_cutoff: int, degeneracy_cutoff: int) -> "Cutoffs":
         self = super().__new__(cls, landau_cutoff, degeneracy_cutoff)
         for name, value in zip(cls._fields, self):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         return self
 
@@ -102,7 +102,7 @@ class OperatorMatrix:
     __slots__ = ("diagonals", "dim")
 
     def __init__(self, diagonals: dict, dim: int):
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ValueError(f"dimension must be a positive integer, got {dim!r}")
         stored = {}
         for k, v in diagonals.items():
@@ -115,7 +115,7 @@ class OperatorMatrix:
             v.setflags(write=False)
             stored[k] = v
         object.__setattr__(self, "diagonals", stored)
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
@@ -165,10 +165,10 @@ class OperatorMatrix:
         return max((float(np.abs(v.view(float)).max()) for v in self.diagonals.values()), default=0.0)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        """The product op·vector; a 2-D array is multiplied column by column."""
-        out = np.zeros(np.shape(vector), dtype=complex)
+        """The product op·vector of a 1-D ``vector``."""
+        out = np.zeros(len(vector), dtype=complex)
         for k, v in self.diagonals.items():
-            out += (v * _shift(vector, k).T).T
+            out += v * _shift(vector, k)
         return out
 
 

@@ -108,7 +108,7 @@ class KGrid(namedtuple("KGrid", "size k_min dk")):
 
     def __new__(cls, size: int, k_min: float, dk: float) -> "KGrid":
         self = super().__new__(cls, size, k_min, dk)
-        if not isinstance(self.size, (int, np.integer)) or self.size < MIN_GRID_SIZE:
+        if not isinstance(self.size, int) or self.size < MIN_GRID_SIZE:
             raise ValueError(f"a nonempty interior needs {MIN_GRID_SIZE} grid points, got {self.size!r}")
         if not (self.dk > 0 and math.isfinite(self.dk)):
             raise ValueError(f"grid spacing must be positive, got {self.dk!r}")

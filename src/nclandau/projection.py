@@ -13,7 +13,7 @@ factors diagonal, and x and y are corner cuts, so the kept block's entry at
 (n, j) is [x_a, y_a] at j plus [x_b, y_b], built on levels 0..keep, at n:
 the top coefficient is their mean over j < J at n = keep, the residual the
 largest |sum| over n < keep, j < J (and any off-diagonal entry), artifact n
-their sum at (n, J). :func:`project` (P.op.P) serves the tests.
+their sum at (n, J), all from one factor build. :func:`project` serves tests.
 
 Rounding. [x, y] is ell^2 = hbar c / eB times its value at ell = 1, so the
 route works at ell = 1: it scores the pieces against -i (keep+1) and reports
@@ -106,8 +106,20 @@ def projected_commutator_xy(cutoffs: Cutoffs, keep: int) -> CommutatorReport:
     """
     if not 0 <= keep <= cutoffs.landau_cutoff:
         raise ValueError(f"keep={keep} outside retained level range 0..{cutoffs.landau_cutoff}")
-    on_a, on_b = (commutator(*pieces) for pieces in build_mode_xy(Cutoffs(keep, cutoffs.degeneracy_cutoff)))
-    return analyze_factors(on_a, on_b, on_b, cutoffs, [keep])[0]
+    return analyze_factors(*_factors(Cutoffs(keep, cutoffs.degeneracy_cutoff)), cutoffs, [keep])[0]
+
+
+def _factors(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
+    """[x_a, y_a] on the J+1 orbits, [x_b, y_b] on the N+1 levels, and level k's top entry for each keep k.
+
+    Below level k, keep k's [x_b, y_b] is that of all N+1 levels bit for
+    bit: those rows' products stay inside levels 0..k. On level k it is the
+    same products without the terms through level k+1, which are the terms
+    of the left factor's +1 diagonal.
+    """
+    (x_a, y_a), (x_b, y_b) = build_mode_xy(cutoffs)
+    x_down, y_down = (OperatorMatrix({k: w for k, w in op.diagonals.items() if k < 0}, op.dim) for op in (x_b, y_b))
+    return commutator(x_a, y_a), commutator(x_b, y_b), matmul(x_down, y_b) - matmul(y_down, x_b)
 
 
 def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMatrix, cutoffs: Cutoffs,
@@ -115,9 +127,9 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     """Score the kept block of every keep in ``keeps`` from [x_a, y_a] and [x_b, y_b].
 
     ``on_a`` and ``on_b`` hold them at ell = 1 on the J+1 orbits and on
-    levels 0..K >= every keep; level k of ``top`` is keep k's top entry of
-    [x_b, y_b], which one kept block reads from ``on_b``. An off-diagonal
-    entry counts once both its orbits are below J and both its levels kept.
+    levels 0..K >= every keep; level k of ``top`` is keep k's top entry,
+    the last one of [x_b, y_b] built on levels 0..k. An off-diagonal entry
+    counts once both its orbits are below J and both its levels kept.
     Split out so that tests can score doctored factors; the CLI never does.
     """
     if cutoffs.degeneracy_cutoff < 1:
@@ -157,19 +169,10 @@ def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, complex]]:
     N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
     if N == 0 or J == 0:
         return []
-    u, v = (commutator(*pieces).diagonals[0] for pieces in build_mode_xy(cutoffs))
+    u, v = (op.diagonals[0] for op in _factors(cutoffs)[:2])
     return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(v[:N, None] + u[:J])]
 
 
 def sweep(cutoffs: Cutoffs) -> list[CommutatorReport]:
-    """One projected-commutator report per keep = 0..N, in order, from one pass.
-
-    Below level k, keep k's [x_b, y_b] is that of all N+1 levels bit for
-    bit: those rows' products stay inside levels 0..k. On level k it is the
-    same products without the terms through level k+1, which are the terms
-    of the left factor's +1 diagonal.
-    """
-    (x_a, y_a), (x_b, y_b) = build_mode_xy(cutoffs)
-    x_down, y_down = (OperatorMatrix({k: w for k, w in op.diagonals.items() if k < 0}, op.dim) for op in (x_b, y_b))
-    top = matmul(x_down, y_b) - matmul(y_down, x_b)
-    return analyze_factors(commutator(x_a, y_a), commutator(x_b, y_b), top, cutoffs, range(cutoffs.num_levels))
+    """One projected-commutator report per keep = 0..N, in order, from one pass."""
+    return analyze_factors(*_factors(cutoffs), cutoffs, range(cutoffs.num_levels))

@@ -4,7 +4,8 @@ All numeric output goes through one float formatter fixed at 15
 significant digits, so identical runs serialize to identical bytes and
 golden-file comparisons are meaningful. Dict key order is preserved
 (insertion order), never sorted, so each report controls its own field
-order.
+order. It writes int, float, bool, None, list, dict and :class:`Verbatim`
+values, raises ``TypeError`` on any other, and imports no numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import json
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = ["Verbatim", "format_float", "format_cell", "dumps", "render_csv", "render_table"]
 
@@ -36,15 +35,13 @@ def _encode(obj, out: list) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
         out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, Verbatim):  # before tuple: a Verbatim is one
+    elif isinstance(obj, Verbatim):
         out += obj.parts
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -72,10 +69,8 @@ def dumps(obj) -> str:
 
 
 def format_cell(value) -> str:
-    """A CSV or table cell: empty for None, a string as is, anything else as its JSON text."""
-    if value is None:
-        return ""
-    return value if isinstance(value, str) else dumps(value)
+    """A CSV or table cell: empty for None, anything else as its JSON text."""
+    return "" if value is None else dumps(value)
 
 
 def render_csv(header: list[str], rows: list[list]) -> str:

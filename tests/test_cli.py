@@ -105,6 +105,16 @@ def test_landau_gauge_coarse_grid_fails():
     assert json.loads(cp.stdout)["ok"] is False
 
 
+@pytest.mark.parametrize("sizes, status", [("16384,5", 1), ("5,16384", 0)])
+def test_landau_gauge_verdict_is_the_last_grid_size_listed(sizes, status):
+    # abs_error <= 0.01 (keep+1) on the last size alone, whatever the order of the list
+    cp = run_cli("landau-gauge", "--grid-M", sizes, "--output", "json")
+    assert cp.returncode == status, cp.stderr
+    data = json.loads(cp.stdout)
+    assert data["ok"] is (status == 0)
+    assert [row["M"] for row in data["rows"]] == [int(size) for size in sizes.split(",")]
+
+
 def test_landau_gauge_fine_grid_passes():
     cp = run_cli("landau-gauge", "--keep", "0", "--grid-M", "64,128,256", "--output", "json")
     assert cp.returncode == 0, cp.stderr
@@ -761,18 +771,24 @@ def test_reports_are_the_natural_ones_times_ell_squared(units):
     from nclandau.projection import sweep
     from nclandau.units import PhysicalUnits, magnetic_length_squared
 
+    from nclandau.serialize import dumps, format_float
+
     ell2, half_eps = magnetic_length_squared(PhysicalUnits(**units)), Fraction(sys.float_info.epsilon) / 2
     for report in sweep(Cutoffs(3, 50)):
         assert (report.ok, report.top_uniform) == (True, True)
-        got, natural = cli._commutator_payload(report, ell2), cli._commutator_payload(report, 1.0)
+        got = cli._commutator_payload(report, ell2, {})
         values = [*got["top_coefficient"], got["max_offtop_residual"]]
-        values += [part for artifact in got["boundary_artifacts"] for part in artifact["value"]]
-        natural_values = [*natural["top_coefficient"], natural["max_offtop_residual"]]
-        natural_values += [part for artifact in natural["boundary_artifacts"] for part in artifact["value"]]
+        natural_values = [*cli._pair(report.top_coefficient, 1.0), report.max_offtop_residual]
         for value, natural_value in zip(values, natural_values, strict=True):
             exact = Fraction(ell2) * Fraction(natural_value)
             assert abs(Fraction(value) - exact) <= half_eps * abs(exact) + Fraction(2) ** -1075
             assert math.copysign(1.0, value) == math.copysign(1.0, natural_value)
+        # The artifacts are JSON text: each part prints ell^2 times its natural value rounded once, sign and all.
+        printed = json.loads(dumps(got), parse_int=float)["boundary_artifacts"]
+        parts = [format_float(part) for artifact in printed for part in artifact["value"]]
+        natural_parts = [part for _, value in report.boundary_artifacts for part in cli._pair(value, 1.0)]
+        assert parts == [format_float(math.copysign(float(Fraction(ell2) * Fraction(part)), part))
+                         for part in natural_parts]
 
 
 def natural_factor(op, units):
@@ -1355,6 +1371,36 @@ def test_entry_keeps_the_known_traceback():
     assert cp.returncode == 1
     assert cp.stdout == b""
     assert b"Traceback (most recent call last)" in cp.stderr
+
+
+# A report that cannot reach stdout takes the --out path: one error line and exit 2. With fd 1 closed at start,
+# sys.stdout is None; argparse then prints --help on stderr and exits 0.
+@pytest.mark.parametrize("args, status", [
+    ("commutator", 2), ("sweep --N 2 --J 3 --output json", 2), ("commutator --N 3 --keep 5", 2), ("--help", 0),
+])
+def test_entry_with_stdout_closed_ends_without_a_traceback(args, status):
+    env = dict(os.environ)
+    env.pop("NCG_DEFAULT_OUTPUT", None)
+    cp = subprocess.run([sys.executable, "-m", "nclandau", *args.split()], stderr=subprocess.PIPE, env=env,
+                        preexec_fn=lambda: os.close(1))
+    assert cp.returncode == status
+    assert b"Traceback" not in cp.stderr
+    assert cp.stderr.count(b"nclandau: error:") == (status == 2)
+
+
+# Unbuffered, the write itself fails on /dev/full: exit 2. Buffered, the write succeeds and the flush fails, which
+# takes the interpreter's normal exit: status 120 and its "Exception ignored" line.
+@pytest.mark.parametrize("unbuffered, status, stderr", [
+    ("1", 2, b"nclandau: error: cannot write stdout: [Errno 28]"), ("", 120, b"Exception ignored"),
+])
+def test_entry_on_a_full_stdout(unbuffered, status, stderr):
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env.pop("NCG_DEFAULT_OUTPUT", None)
+    with open("/dev/full", "w") as full:
+        cp = subprocess.run([sys.executable, "-m", "nclandau", "commutator"], stdout=full, stderr=subprocess.PIPE,
+                            env=env)
+    assert cp.returncode == status
+    assert stderr in cp.stderr and b"Traceback" not in cp.stderr
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -224,17 +224,6 @@ class TestOffsetOperator:
         assert np.array_equal(dagger(a).entries, da.conj().T)
         assert np.allclose(a.apply(vector), da @ vector, atol=1e-13)
 
-    @pytest.mark.parametrize("dim,offsets", [(1, [0]), (7, [-3, -1, 0, 1, 3]), (12, [-4, 2, 5])])
-    def test_apply_multiplies_a_2d_array_column_by_column(self, dim, offsets):
-        rng = np.random.default_rng(dim + 100)
-        a = random_offsets(rng, dim, offsets)
-        V = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-        out = a.apply(V)
-        assert out.shape == V.shape
-        for col in range(V.shape[1]):
-            assert np.array_equal(out[:, col], a.apply(V[:, col]))
-        assert np.allclose(out, a.entries @ V, rtol=0, atol=1e-13)
-
     def test_product_drops_offsets_outside_the_basis(self):
         a = random_offsets(np.random.default_rng(1), 3, [2])
         assert set((a @ a).diagonals) == set()

@@ -552,4 +552,4 @@ class TestUnitFreeRoute:
         assert not names & {"units", "ell2", "magnetic_length_squared"}
         calls = [node for node in ast.walk(module) if isinstance(node, ast.Call)]
         builders = [call for call in calls if ast.unparse(call.func) == "build_mode_xy"]
-        assert len(builders) == 3 and all(len(call.args) == 1 and not call.keywords for call in builders)
+        assert len(builders) == 1 and all(len(call.args) == 1 and not call.keywords for call in builders)

@@ -46,7 +46,7 @@ def test_non_finite_raises(bad):
 
 
 @pytest.mark.parametrize("value, cell", [
-    (None, ""), ("keep", "keep"), (True, "true"), (False, "false"), (3, "3"), (np.int64(-2), "-2"),
+    (None, ""), (True, "true"), (False, "false"), (3, "3"),
     (0.1, "0.1"), (-0.0, "-0"), (np.float64(1e300), "1e+300"), (2.5e-7, "2.5e-07"),
 ])
 def test_cells_use_the_json_scalar_encoding(value, cell):
