@@ -167,8 +167,8 @@ def delta_test_profile(grid: KGrid) -> np.ndarray:
     """Smooth, strictly positive profile the delta coefficients are read with."""
     mid = grid.k_min + 0.5 * grid.span
     sigma = PROFILE_WIDTH_FRACTION * grid.span
-    pts = grid.points
-    return np.exp(-((pts - mid) ** 2) / (2.0 * sigma**2))
+    exponents = -((grid.points - mid) ** 2) / (2.0 * sigma**2)
+    return np.array([math.exp(t) for t in exponents.tolist()])  # libm, point by point: np.exp's bits vary with the CPU
 
 
 class GridCommutatorReport(NamedTuple):

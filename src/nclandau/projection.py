@@ -9,11 +9,13 @@ elements: the noncommutativity lives entirely on the truncation boundary.
 
 The route builds no operator on the composite basis. [x, y] =
 1 ⊗ [x_a, y_a] + [x_b, y_b] ⊗ 1 at every truncation (``ladder``), both
-factors diagonal, and x and y are corner cuts, so the kept block's entry at
-(n, j) is [x_a, y_a] at j plus [x_b, y_b], built on levels 0..keep, at n:
-the top coefficient is their mean over j < J at n = keep, the residual the
-largest |sum| over n < keep, j < J (and any off-diagonal entry), artifact n
-their sum at (n, J), all from one factor build. :func:`project` serves tests.
+factors diagonal, u and v (v on levels 0..keep), and x and y are corner
+cuts: the kept block's entry at (n, j) is u_j + v_n. The top coefficient is
+their mean over j < J at n = keep, artifact n their sum at (n, J), the
+residual the largest |real or imaginary part| of a sum at n < keep, j < J or
+of an off-diagonal entry. numpy adds part by part and rounding is monotone,
+so at each n a part peaks at u's largest or smallest part over j < J: one
+factor build, O(keep + J). Real parts are ±0, so it is the largest |sum| too.
 
 Rounding. [x, y] is ell^2 = hbar c / eB times its value at ell = 1, so the
 route works at ell = 1: it scores the pieces against -i (keep+1) and reports
@@ -69,7 +71,7 @@ class CommutatorReport(NamedTuple):
 
     Every value is a pure number at ell = 1. ``top_coefficient`` is the top
     level's diagonal over interior j, -i (keep+1); ``max_offtop_residual``
-    the largest other interior magnitude, which should vanish;
+    the largest |real or imaginary part| of another interior entry, near 0;
     ``boundary_artifacts`` each (n, J) diagonal element as ``(n, value)``.
     ``top_uniform`` is cleared, so sweeps complete, when the top diagonal
     varies over j: an indexing bug.
@@ -94,7 +96,7 @@ def projector(cutoffs: Cutoffs, keep: int) -> OperatorMatrix:
 
 
 def project(op: OperatorMatrix, proj: OperatorMatrix) -> OperatorMatrix:
-    """Compress an operator: P.op.P."""
+    """Compress an operator: P.op.P. The tests use it."""
     return matmul(proj, matmul(op, proj))
 
 
@@ -135,17 +137,15 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     if cutoffs.degeneracy_cutoff < 1:
         raise ValueError("degeneracy cutoff must be >= 1 to have an interior in j")
     J = cutoffs.degeneracy_cutoff
-    u, v, tops = (op.diagonals.get(0, np.zeros(op.dim)) for op in (on_a, on_b, top))
-    # start[k]: the largest entry that keep k's residual is the first to count
-    start = np.zeros(on_b.dim)
-    start[0] = max([0] + [np.abs(w[: J - max(k, 0)]).max(initial=0) for k, w in on_a.diagonals.items() if k])
-    below, rows = v[:-1, None], max(1, 2**20 // J)  # level n's diagonal, from keep n+1 on, 2^20 entries at a time
-    for n in range(0, len(below), rows):
-        start[n + 1 : n + 1 + rows] = np.abs(below[n : n + rows] + u[:J]).max(axis=1)
+    u, v, tops = (op.diagonals.get(0, np.zeros(op.dim, complex)) for op in (on_a, on_b, top))
+    start = np.zeros(on_b.dim)  # start[k]: the largest |part| that keep k's residual is the first to count
+    start[0] = max([0] + [abs(w[: J - max(k, 0)].view(float)).max(initial=0) for k, w in on_a.diagonals.items() if k])
+    orbits = u[:J].view(float).reshape(J, 2)  # level n's diagonal, from keep n+1 on, at each part's extremes over j < J
+    start[1:] = np.abs(v[:-1].view(float).reshape(-1, 1, 2) + [orbits.max(0), orbits.min(0)]).max(axis=(1, 2))
     for k, w in on_b.diagonals.items():
         if k:  # the entry at (n, n+k), from keep max(n, n+k) on
             counted = start[max(k, 0) :]
-            np.maximum(counted, np.abs(w[: len(counted)]), out=counted)
+            np.maximum(counted, np.abs(w[: len(counted)].view(float)).reshape(-1, 2).max(axis=1), out=counted)
     residuals = np.maximum.accumulate(start)[keeps].tolist()
 
     flagged = [(n, z) for n, z in enumerate((u[J] + v).tolist()) if abs(z) > DEFAULT_TOLERANCE]  # (n, J) artifacts

@@ -56,7 +56,7 @@ def sweep_factors(monkeypatch, cutoffs):
 
 def bumped(op, k, row, size=1e-6):
     """``op`` plus ``size`` at (row, row+k)."""
-    bump = np.zeros(op.dim)
+    bump = np.zeros(op.dim, complex)
     bump[row] = size
     return op + OperatorMatrix(diagonals={k: bump}, dim=op.dim)
 
@@ -125,15 +125,16 @@ class TestProjectedCommutator:
         assert report.top_coefficient == pytest.approx(-2j, abs=1e-12)
 
     def test_memory_grows_with_the_levels_and_orbits_not_their_product(self):
-        # keep = J = 4095: the (keep, J) sums of the level and orbit diagonals would take 268 MB at once
+        # keep = J = 16383, the cap: the (keep, J) sums of the level and orbit diagonals would take 4 GiB;
+        # the scorer holds O(keep + J)
         tracemalloc.start()
         try:
-            report = projected_commutator_xy(Cutoffs(4095, 4095), 4095)
+            report = projected_commutator_xy(Cutoffs(16383, 16383), 16383)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.ok and report.top_coefficient == pytest.approx(-4096j, abs=1e-9)
-        assert peak < 64 * 2**20
+        assert report.ok and report.top_coefficient == pytest.approx(-16384j, abs=1e-9)
+        assert peak < 16 * 2**20
 
     def test_six_levels(self):
         report = projected_commutator_xy(Cutoffs(5, 8), keep=5)
@@ -271,13 +272,31 @@ class TestDoctoredFactors:
         assert [r.max_offtop_residual for r in reports] == [r.max_offtop_residual for r in clean]
         assert reports[:2] + reports[3:] == clean[:2] + clean[3:]
 
-    def test_level_diagonals_are_scored_block_by_block(self):
-        # at J = 2^17 the scorer sums 8 levels with the J orbits at a time; a bump at level n counts from keep n+1 on
+    def test_a_bump_on_any_level_counts_from_the_keep_above_it(self):
+        # at J = 2^17, with 20 levels, a bump at level n counts from keep n+1 on, whichever level n is
         c = Cutoffs(19, 2**17)
         on_a, on_b = mode_commutators(c)
         for row in (0, 7, 8, 15, 16, 18):
             reports = analyze_factors(on_a, bumped(on_b, 0, row), on_b, c, range(20))
             assert [r.max_offtop_residual >= 1e-6 for r in reports] == [keep > row for keep in range(20)], row
+
+    def test_residual_is_the_largest_part_of_an_entry(self, monkeypatch):
+        # an interior orbit entry moved off the extremes of Im u by 3e-6 + 4e-6j: the largest |part| of its
+        # sum with each kept level below the top is 4e-6, where the modulus would be 5e-6
+        c = Cutoffs(3, 8)
+        on_a, on_b, top = sweep_factors(monkeypatch, c)
+        clean = analyze_factors(on_a, on_b, top, c, range(4))
+        interior = on_a.diagonals[0][:8].imag
+        row = next(j for j in range(8) if j not in (np.argmax(interior), np.argmin(interior)))
+        reports = analyze_factors(bumped(on_a, 0, row, 3e-6 + 4e-6j), on_b, top, c, range(4))
+        assert reports[0].max_offtop_residual == clean[0].max_offtop_residual
+        assert [r.max_offtop_residual for r in reports[1:]] == pytest.approx([4e-6] * 3, abs=1e-12)
+        # the same on an off-diagonal level entry, counted from keep 1 on
+        reports = analyze_factors(on_a, bumped(on_b, 1, 0, 3e-6 + 4e-6j), top, c, range(4))
+        assert [r.max_offtop_residual for r in reports] == pytest.approx([0, 4e-6, 4e-6, 4e-6], abs=1e-12)
+        # at j = J the bump is an artifact, not a residual
+        reports = analyze_factors(bumped(on_a, 0, 8, 3e-6 + 4e-6j), on_b, top, c, range(4))
+        assert [r.max_offtop_residual for r in reports] == [r.max_offtop_residual for r in clean]
 
     def test_bump_below_the_top_level_counts_as_residual(self, monkeypatch):
         c = Cutoffs(3, 3)
@@ -286,6 +305,43 @@ class TestDoctoredFactors:
         reports = analyze_factors(on_a, bumped(on_b, 0, 1), top, c, range(4))
         assert [r.max_offtop_residual >= 1e-6 for r in reports] == [False, False, True, True]
         assert reports[1] == analyze_factors(on_a, on_b, top, c, [1])[0]
+
+
+def modulus_residuals(on_a, on_b, J):
+    """Each keep's residual by the modulus |v_n + u_j| of every counted entry, with u and v the diagonals of
+    [x_a, y_a] and [x_b, y_b]: all keep x J sums at once, unchunked, then each off-diagonal entry."""
+    u, v = (op.diagonals.get(0, np.zeros(op.dim, complex)) for op in (on_a, on_b))
+    start = np.zeros(on_b.dim)
+    start[0] = max([0] + [np.abs(w[: J - max(k, 0)]).max(initial=0) for k, w in on_a.diagonals.items() if k])
+    start[1:] = np.abs(v[:-1, None] + u[:J]).max(axis=1)
+    for k, w in on_b.diagonals.items():
+        if k:
+            counted = start[max(k, 0) :]
+            np.maximum(counted, np.abs(w[: len(counted)]), out=counted)
+    return np.maximum.accumulate(start).tolist()
+
+
+class TestModulusOracle:
+    """The residual is the largest |part| of a counted entry; on the route's factors, whose real parts are all
+    ±0, that is the modulus, so it equals the modulus of every keep x J sum bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 300), st.integers(1, 1500))
+    def test_residual_is_the_modulus_of_every_sum(self, N, J):
+        factors = projection._factors(Cutoffs(N, J))
+        self.assert_real_parts_are_zero(factors)
+        reports = analyze_factors(*factors, Cutoffs(N, J), range(N + 1))
+        assert [r.max_offtop_residual for r in reports] == modulus_residuals(*factors[:2], J)
+
+    def test_real_parts_are_zero_at_the_cap(self):
+        self.assert_real_parts_are_zero(projection._factors(Cutoffs(16383, 16383)))
+
+    @staticmethod
+    def assert_real_parts_are_zero(factors):
+        # x is real and y imaginary, so every entry of [x_a, y_a], [x_b, y_b] and the top is imaginary
+        for op in factors:
+            for k, w in op.diagonals.items():
+                assert not np.any(w.real), k
 
 
 def rounding_bounds(J, keep):
