@@ -358,7 +358,7 @@ GRID_HEADER = ["M", "dk", "keep", "re_coeff", "im_coeff", "abs_error", "observed
 def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
     study = landau_gauge.convergence_study(args.keep, args.grid_sizes, args.k_range)
     ell2, dk_scale = magnetic_length_squared(args.units), momentum_grid_scale(args.units)
-    ok = bool(study) and study[-1].abs_error <= landau_gauge.TOLERANCE * (args.keep + 1)
+    ok = study[-1].abs_error <= landau_gauge.TOLERANCE * (args.keep + 1)
     rows = [[r.size, dk_scale * r.dk, r.keep, *_pair(r.coefficient, ell2), ell2 * r.abs_error, r.observed_order]
             for r in study]
     payload = {"keep": args.keep, "expected": _pair(-1j * (args.keep + 1), ell2),
@@ -392,10 +392,10 @@ _OPERATORS = {
     "a": (lambda c, args: ladder.build_a(c), lambda units: 1.0),
     "b": (lambda c, args: ladder.build_b(c), lambda units: 1.0),
     "alpha": (lambda c, args: ladder.build_alpha(c), lambda units: 1.0),
-    "x": (lambda c, args: ladder.build_unit_xy(c)[0], coordinate_scale),
-    "y": (lambda c, args: ladder.build_unit_xy(c)[1], coordinate_scale),
-    "px": (lambda c, args: ladder.build_unit_momenta(c)[0], momentum_scale),
-    "py": (lambda c, args: ladder.build_unit_momenta(c)[1], momentum_scale),
+    "x": (lambda c, args: ladder.build_xy(c, 1.0)[0], coordinate_scale),
+    "y": (lambda c, args: ladder.build_xy(c, 1.0)[1], coordinate_scale),
+    "px": (lambda c, args: ladder.build_momenta(c, 1.0)[0], momentum_scale),
+    "py": (lambda c, args: ladder.build_momenta(c, 1.0)[1], momentum_scale),
     "H": (lambda c, args: ladder.build_H(c, args.form), level_spacing),
     "L": (lambda c, args: ladder.build_L(c), lambda units: units.hbar),
     "xy-commutator": (lambda c, args: fock.commutator(*ladder.build_xy(c)), magnetic_length_squared),

@@ -25,6 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .serialize import Verbatim, format_float
+
 __all__ = [
     "Cutoffs",
     "BasisIndex",
@@ -230,8 +232,6 @@ def to_json_dict(op: OperatorMatrix) -> dict:
     slot is formatted from its own bits (so -0.0 prints -0), and each run of absent
     entries is one repeated "[0, 0], " string, so formatting costs O(nnz).
     """
-    from .serialize import Verbatim, format_float  # kept off the package root's imports
-
     d = op.dim
     slots = sorted(
         (i * (d + 1) + k, z)

@@ -24,7 +24,9 @@ which gives
     px = -i sqrt(hbar e B / 8c) ((a - a†) + (b - b†))
     py =   sqrt(hbar e B / 8c) ((a + a†) - (b + b†))
 
-The tests pin the inversion down by [x, px] = [y, py] = i hbar and
+One builder makes each pair, its scale a parameter: the square roots
+above, sqrt(1/2) and sqrt(1/8) at hbar = e = B = c = 1 by default. The
+tests pin the inversion down by [x, px] = [y, py] = i hbar and
 [x, py] = [y, px] = 0 on interior matrix elements, away from the truncation
 boundary, where those hold to rounding error.
 """
@@ -43,9 +45,7 @@ __all__ = [
     "build_b",
     "build_alpha",
     "build_mode_xy",
-    "build_unit_xy",
     "build_xy",
-    "build_unit_momenta",
     "build_momenta",
     "build_H",
     "build_L",
@@ -86,27 +86,19 @@ def build_mode_xy(cutoffs: Cutoffs, scale: float = math.sqrt(0.5)) -> list[tuple
     return [((alpha + dagger(alpha)).scaled(scale), (1j * (alpha - dagger(alpha))).scaled(scale)) for alpha in modes]
 
 
-def build_unit_xy(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """alpha + alpha† and i (alpha - alpha†): x and y at unit scale, the pieces of :func:`build_mode_xy` lifted."""
-    return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, 1.0)))
+def build_xy(cutoffs: Cutoffs, scale: float = math.sqrt(0.5)) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Planar coordinate matrices (x, y), both exactly Hermitian: the pieces of :func:`build_mode_xy` lifted,
+    s (alpha + alpha†) and i s (alpha - alpha†) for s = ``scale``, sqrt(1/2) at ell = 1."""
+    return tuple(lift(cutoffs, on_a, on_b) for on_a, on_b in zip(*build_mode_xy(cutoffs, scale)))
 
 
-def build_xy(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Planar coordinate matrices (x, y) at ell = 1, both exactly Hermitian: sqrt(1/2) times :func:`build_unit_xy`."""
-    return tuple(op.scaled(math.sqrt(0.5)) for op in build_unit_xy(cutoffs))
-
-
-def build_unit_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """-i ((a - a†) + (b - b†)) and (a + a†) - (b + b†): px and py at unit scale."""
+def build_momenta(cutoffs: Cutoffs, scale: float = math.sqrt(0.125)) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Canonical momenta (px, py), both exactly Hermitian: s times -i ((a - a†) + (b - b†)) and
+    (a + a†) - (b + b†), part by part, for s = ``scale``, sqrt(1/8) at hbar = e = B = c = 1."""
     a, b = build_a(cutoffs), build_b(cutoffs)
     a_dag, b_dag = dagger(a), dagger(b)
     # Written with a - a† and 0 - 1j (-1j is -0 - 1j) so that every zero of px is +0, as in a dense product.
-    return (0 - 1j) * ((a - a_dag) + (b - b_dag)), (a + a_dag) - (b + b_dag)
-
-
-def build_momenta(cutoffs: Cutoffs) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Canonical momenta (px, py) at hbar = e = B = c = 1, both exactly Hermitian: sqrt(1/8) times the unit ones."""
-    return tuple(op.scaled(math.sqrt(0.125)) for op in build_unit_momenta(cutoffs))
+    return tuple(op.scaled(scale) for op in ((0 - 1j) * ((a - a_dag) + (b - b_dag)), (a + a_dag) - (b + b_dag)))
 
 
 def build_L(cutoffs: Cutoffs) -> OperatorMatrix:

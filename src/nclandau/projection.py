@@ -16,6 +16,7 @@ residual the largest |real or imaginary part| of a sum at n < keep, j < J or
 of an off-diagonal entry. numpy adds part by part and rounding is monotone,
 so at each n a part peaks at u's largest or smallest part over j < J: one
 factor build, O(keep + J). Real parts are ±0, so it is the largest |sum| too.
+``full_space_scan`` reads each level n < N of the full space the same way.
 
 Rounding. [x, y] is ell^2 = hbar c / eB times its value at ell = 1, so the
 route works at ell = 1: it scores the pieces against -i (keep+1) and reports
@@ -140,8 +141,7 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     u, v, tops = (op.diagonals.get(0, np.zeros(op.dim, complex)) for op in (on_a, on_b, top))
     start = np.zeros(on_b.dim)  # start[k]: the largest |part| that keep k's residual is the first to count
     start[0] = max([0] + [abs(w[: J - max(k, 0)].view(float)).max(initial=0) for k, w in on_a.diagonals.items() if k])
-    orbits = u[:J].view(float).reshape(J, 2)  # level n's diagonal, from keep n+1 on, at each part's extremes over j < J
-    start[1:] = np.abs(v[:-1].view(float).reshape(-1, 1, 2) + [orbits.max(0), orbits.min(0)]).max(axis=(1, 2))
+    start[1:] = _level_peaks(u[:J], v[:-1])  # level n's diagonal, counted from keep n+1 on
     for k, w in on_b.diagonals.items():
         if k:  # the entry at (n, n+k), from keep max(n, n+k) on
             counted = start[max(k, 0) :]
@@ -163,14 +163,20 @@ def analyze_factors(on_a: OperatorMatrix, on_b: OperatorMatrix, top: OperatorMat
     return reports
 
 
-def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, complex]]:
-    """Unprojected [x, y] diagonal on the doubly-interior region, at ell = 1: for each level n < N the
-    largest-magnitude [x_b, y_b][n] + [x_a, y_a][j] over j < J, all near 0. Empty when N = 0 or J = 0."""
+def _level_peaks(orbits: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """For each v_n of ``levels``, the largest |real or imaginary part| of v_n + u_j over the u_j of ``orbits``."""
+    parts = orbits.view(float).reshape(-1, 2)
+    return np.abs(levels.view(float).reshape(-1, 1, 2) + [parts.max(0), parts.min(0)]).max(axis=(1, 2))
+
+
+def full_space_scan(cutoffs: Cutoffs) -> list[tuple[int, float]]:
+    """Unprojected [x, y] diagonal on the doubly-interior region, at ell = 1: for each level n < N the largest
+    |real or imaginary part| of [x_b, y_b][n] + [x_a, y_a][j] over j < J, all near 0. Empty when N = 0 or J = 0."""
     N, J = cutoffs.landau_cutoff, cutoffs.degeneracy_cutoff
     if N == 0 or J == 0:
         return []
     u, v = (op.diagonals[0] for op in _factors(cutoffs)[:2])
-    return [(n, complex(row[np.argmax(np.abs(row))])) for n, row in enumerate(v[:N, None] + u[:J])]
+    return list(enumerate(_level_peaks(u[:J], v[:N]).tolist()))
 
 
 def sweep(cutoffs: Cutoffs) -> list[CommutatorReport]:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from nclandau.fock import Cutoffs, OperatorMatrix, annihilation_matrix, commutator, dagger
-from nclandau.ladder import build_H, build_unit_xy
+from nclandau.ladder import build_H, build_xy
 from nclandau.landau_gauge import KGrid, delta_test_profile, derivative_matrix
 from nclandau.projection import DEFAULT_TOLERANCE, CommutatorReport
 from nclandau.units import NATURAL, PhysicalUnits, cyclotron_frequency, level_spacing, magnetic_length_squared
@@ -138,13 +138,13 @@ def closed_form_level_coefficients(M: int, levels: int) -> list:
 
 
 def dense_route_report(cutoffs: Cutoffs, keep: int, units: PhysicalUnits) -> CommutatorReport:
-    """The dense oracle of the ladder route: x and y built in ``units``,
-    sqrt(ell^2 / 2) times the unit-scale builds, on the kept levels (a corner
+    """The dense oracle of the ladder route: x and y built in ``units``, at
+    scale sqrt(ell^2 / 2), on the kept levels (a corner
     cut is the projection), commuted as numpy arrays, and the kept block over
     ell^2 scored by :func:`score_dense_block`."""
     ell2 = magnetic_length_squared(units)
     kept = Cutoffs(keep, cutoffs.degeneracy_cutoff)
-    x, y = (op.scaled(math.sqrt(ell2 / 2.0)).entries for op in build_unit_xy(kept))
+    x, y = (op.entries for op in build_xy(kept, math.sqrt(ell2 / 2.0)))
     return score_dense_block((x @ y - y @ x) / ell2, cutoffs, keep)
 
 

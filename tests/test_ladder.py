@@ -13,8 +13,6 @@ from nclandau.ladder import (
     build_alpha,
     build_b,
     build_momenta,
-    build_unit_momenta,
-    build_unit_xy,
     build_xy,
     interior_slice,
 )
@@ -102,8 +100,8 @@ class TestDirectBuilds:
         c, units = Cutoffs(N, J), PhysicalUnits(e=1.5, B=0.7, c=1.3, hbar=0.6, m=2.0)
         a, b = build_a(c), build_b(c)
         alpha, s, p = build_alpha(c), math.sqrt(magnetic_length_squared(units) / 2.0), momentum_scale(units)
-        x, y = (op.scaled(s) for op in build_unit_xy(c))
-        px, py = (op.scaled(p) for op in build_unit_momenta(c))
+        x, y = (op.scaled(s) for op in build_xy(c, 1.0))
+        px, py = (op.scaled(p) for op in build_momenta(c, 1.0))
         assert same_bits(build_xy(c)[0], math.sqrt(0.5) * (alpha + dagger(alpha)))
         assert same_bits(build_momenta(c)[1], math.sqrt(0.125) * ((a + dagger(a)) - (b + dagger(b))))
         assert same_bits(x, s * (alpha + dagger(alpha)))
@@ -111,6 +109,14 @@ class TestDirectBuilds:
         assert same_bits(px, (-1j * p) * ((a - dagger(a)) + (b - dagger(b))))
         assert same_bits(py, p * ((a + dagger(a)) - (b + dagger(b))))
         assert same_bits(build_L(c).scaled(units.hbar), units.hbar * (matmul(dagger(a), a) - matmul(dagger(b), b)))
+
+    @pytest.mark.parametrize("N,J", [(0, 0), (0, 4), (4, 0), (1, 1), (9, 9)])
+    def test_default_scales_are_the_unit_builds_scaled_once(self, N, J):
+        # x and y at ell = 1 are sqrt(1/2), and px and py at hbar = e = B = c = 1 sqrt(1/8), times their builds at
+        # scale 1, part by part: a scale applied before the lift gives the bits of one applied after it
+        c = Cutoffs(N, J)
+        for build, scale in ((build_xy, math.sqrt(0.5)), (build_momenta, math.sqrt(0.125))):
+            assert all(same_bits(got, op.scaled(scale)) for got, op in zip(build(c), build(c, 1.0), strict=True))
 
 
 class TestAlpha:
@@ -214,8 +220,8 @@ class TestMomenta:
         # x and px in units, each its unit-scale build times its scale: [x, px] = i hbar
         u = PhysicalUnits(e=2, B=3, c=4, hbar=1.5, m=2.5)
         c = Cutoffs(4, 4)
-        x = build_unit_xy(c)[0].scaled(coordinate_scale(u))
-        px = build_unit_momenta(c)[0].scaled(momentum_scale(u))
+        x = build_xy(c, 1.0)[0].scaled(coordinate_scale(u))
+        px = build_momenta(c, 1.0)[0].scaled(momentum_scale(u))
         assert commutator(x, px).entries[0, 0] == pytest.approx(1.5j, abs=1e-12)
 
     @pytest.mark.parametrize("span", [3, 300])
@@ -300,8 +306,8 @@ class TestHamiltonian:
         c = Cutoffs(4, 5)
         s, p = (math.sqrt(units.hbar * units.c / (2 * units.e * units.B)),
                 math.sqrt(units.hbar * units.e * units.B / (8 * units.c)))
-        x, y = (s * op.entries for op in build_unit_xy(c))
-        px, py = (p * op.entries for op in build_unit_momenta(c))
+        x, y = (s * op.entries for op in build_xy(c, 1.0))
+        px, py = (p * op.entries for op in build_momenta(c, 1.0))
         half_omega = units.e * units.B / (2 * units.m * units.c)
         ang = units.hbar * build_L(c).entries
         physical = (px @ px + py @ py) / (2 * units.m) + units.m * half_omega**2 * (x @ x + y @ y) / 2 - half_omega * ang

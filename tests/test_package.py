@@ -407,7 +407,7 @@ def test_names_in_finds_bare_and_attribute_names(source, found):
 
 # The most lines src/nclandau/*.py may hold. The count should go down, not up:
 # lower this when a change shrinks src/, and never raise it.
-SRC_LINE_CEILING = 1566
+SRC_LINE_CEILING = 1564
 
 
 def test_src_keeps_to_its_line_ceiling():

@@ -535,6 +535,29 @@ class TestFullSpaceScan:
             assert diag[flatten(BasisIndex(n, J), c)] == pytest.approx(1j * (J + 1), abs=1e-12)
         assert diag[flatten(BasisIndex(N, J), c)] == pytest.approx(-1j * (N - J), abs=1e-12)
 
+    @pytest.mark.parametrize("N,J", [(1, 1), (2, 1), (1, 2), (10, 10), (16383, 1), (1, 16383)] + [
+        (int(n), int(j)) for n, j in np.random.default_rng(32).integers(1, (301, 1501), size=(40, 2))])
+    def test_matches_the_first_argmax_scan_bit_for_bit(self, N, J):
+        # the oracle scans the N x J array: |first-argmax entry| of level n's row [x_b, y_b][n] + [x_a, y_a][j]
+        (x_a, y_a), (x_b, y_b) = build_mode_xy(Cutoffs(N, J))
+        u, v = commutator(x_a, y_a).diagonals[0], commutator(x_b, y_b).diagonals[0]
+        rows = v[:N, None] + u[:J]
+        want = [(n, abs(complex(row[np.argmax(np.abs(row))]))) for n, row in enumerate(rows)]
+        got = full_space_scan(Cutoffs(N, J))
+        assert [type(value) for _, value in got] == [float] * N
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    def test_holds_no_array_over_levels_and_orbits(self):
+        # the N x J array of sums alone is 64 MiB here
+        full_space_scan(Cutoffs(3, 3))
+        tracemalloc.start()
+        try:
+            scan = full_space_scan(Cutoffs(2047, 2047))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scan) == 2047 and peak < 4 * 2**20
+
     def test_level_above_kept_set_goes_quiet(self):
         # the top level n=2 of a 3-level projection carries -3i, but the
         # same level inside a larger unprojected space carries nothing
