@@ -43,7 +43,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import fock, ladder
 from .serialize import Verbatim, dumps, format_float, render_csv, render_table
@@ -273,14 +273,14 @@ def config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) 
 class Report(NamedTuple):
     """What one subcommand emits, in a form every output format can use.
 
-    ``payload`` is the JSON document; ``header`` and ``rows`` feed the CSV
-    and the table, which ``title`` heads. A report whose table is not
-    column-shaped carries its own table text in ``body``. The ``_cmd_*``
-    functions build all of them from the engine's report tuples.
+    ``payload()`` builds the JSON document, and only :func:`render` calls it,
+    for JSON alone; ``header`` and ``rows`` feed the CSV and the table, which
+    ``title`` heads. A report whose table is not column-shaped carries its own
+    table text in ``body``. The ``_cmd_*`` functions build them from the engine's report tuples.
     """
 
     ok: bool
-    payload: dict
+    payload: Callable[[], dict]
     header: Sequence = ()
     rows: Sequence = ()
     title: str = ""
@@ -290,12 +290,10 @@ class Report(NamedTuple):
 def render(report: Report, output: str) -> str:
     """The report as ``output`` text; tables end with the status line."""
     if output == "json":
-        return dumps(report.payload) + "\n"
+        return dumps(report.payload()) + "\n"
     if output == "csv":
         return render_csv(report.header, report.rows)
-    body = report.body
-    if body is None:
-        body = render_table(report.title, report.header, report.rows)
+    body = render_table(report.title, report.header, report.rows) if report.body is None else report.body
     return body + f"status: {'ok' if report.ok else 'FAILED'}\n"
 
 
@@ -307,15 +305,18 @@ def _pair(z: complex, scale: float) -> list[float]:
 COMMUTATOR_HEADER = ["keep", "re", "im", "residual"]
 
 
+def _artifact(n: int, value: complex, J: int, ell2: float) -> Verbatim:
+    """``dumps({"row": [n, J], "col": [n, J], "value": _pair(value, ell2)})``, written from one template."""
+    re, im = map(format_float, _pair(value, ell2))
+    return Verbatim([f'{{"row": [{n}, {J}], "col": [{n}, {J}], "value": [{re}, {im}]}}'])
+
+
 def _commutator_payload(r: projection.CommutatorReport, ell2: float, texts: dict) -> dict:
     """The JSON object of one ladder-route ``CommutatorReport`` in units of ``ell2``; each artifact sits at (n, J).
     Every artifact is its JSON text, made once per (n, value) tuple, which sweep's keeps share; ``texts``, one dict
     per command, keys it by the tuple's identity, as equal values can differ in the sign of a zero."""
     J = r.cutoffs.degeneracy_cutoff
-
-    def artifact(n: int, value: complex) -> Verbatim:
-        return Verbatim([dumps({"row": [n, J], "col": [n, J], "value": _pair(value, ell2)})])
-    artifacts = [texts.get(id(a)) or texts.setdefault(id(a), artifact(*a)) for a in r.boundary_artifacts]
+    artifacts = [texts.get(id(a)) or texts.setdefault(id(a), _artifact(*a, J, ell2)) for a in r.boundary_artifacts]
     return {"N": r.cutoffs.landau_cutoff, "J": J, "keep": r.keep_levels,
             "top_coefficient": _pair(r.top_coefficient, ell2), "max_offtop_residual": ell2 * r.max_offtop_residual,
             "boundary_artifacts": artifacts, "ok": r.ok}
@@ -329,14 +330,13 @@ def _cmd_commutator(args: argparse.Namespace) -> Report:
     keep, ell2 = args.keep, magnetic_length_squared(args.units)
     r = projection.projected_commutator_xy(fock.Cutoffs(args.N, args.J), keep)
     title = f"projected coordinate commutator  N={args.N} J={args.J} keep={keep}"
-    return Report(r.ok, _commutator_payload(r, ell2, {}), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
+    return Report(r.ok, lambda: _commutator_payload(r, ell2, {}), COMMUTATOR_HEADER, [_commutator_row(r, ell2)], title)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> Report:
     reports, ell2 = projection.sweep(fock.Cutoffs(args.N, args.J)), magnetic_length_squared(args.units)
-    ok, texts = all(r.ok for r in reports), {}  # only JSON prints the artifacts: N²/2, at most 2N+1 distinct
-    payload = ({"reports": [_commutator_payload(r, ell2, texts) for r in reports], "ok": ok}
-               if args.output == "json" else {})
+    ok, texts = all(r.ok for r in reports), {}  # the printed artifacts: N²/2, at most 2N+1 distinct
+    payload = lambda: {"reports": [_commutator_payload(r, ell2, texts) for r in reports], "ok": ok}
     return Report(ok, payload, COMMUTATOR_HEADER, [_commutator_row(r, ell2) for r in reports],
                   f"projected commutator sweep  N={args.N} J={args.J}")
 
@@ -344,9 +344,9 @@ def _cmd_sweep(args: argparse.Namespace) -> Report:
 def _cmd_spectrum(args: argparse.Namespace) -> Report:
     r = spectrum.verify_spectrum(fock.Cutoffs(args.N, args.J), args.units)
     levels = sorted(r.degeneracy_table.items())
-    payload = {"N": args.N, "J": args.J, "eigenvalues": r.eigenvalues, "expected": r.expected,
-               "max_abs_error": r.max_abs_error, "degeneracy_table": {str(n): m for n, m in levels},
-               "hl_commutes": r.hl_commutes, "ok": r.ok}
+    payload = lambda: {"N": args.N, "J": args.J, "eigenvalues": r.eigenvalues, "expected": r.expected,
+                       "max_abs_error": r.max_abs_error, "degeneracy_table": {str(n): m for n, m in levels},
+                       "hl_commutes": r.hl_commutes, "ok": r.ok}
     rows = [[n, r.expected[n * (args.J + 1)], m] for n, m in levels]
     title = f"level spectrum  N={args.N} J={args.J}  max error {format_float(r.max_abs_error)}"
     return Report(r.ok, payload, ["level", "energy", "multiplicity"], rows, title)
@@ -361,8 +361,8 @@ def _cmd_landau_gauge(args: argparse.Namespace) -> Report:
     ok = study[-1].abs_error <= landau_gauge.TOLERANCE * (args.keep + 1)
     rows = [[r.size, dk_scale * r.dk, r.keep, *_pair(r.coefficient, ell2), ell2 * r.abs_error, r.observed_order]
             for r in study]
-    payload = {"keep": args.keep, "expected": _pair(-1j * (args.keep + 1), ell2),
-               "rows": [dict(zip(GRID_HEADER, row)) for row in rows], "ok": ok}
+    payload = lambda: {"keep": args.keep, "expected": _pair(-1j * (args.keep + 1), ell2),
+                       "rows": [dict(zip(GRID_HEADER, row)) for row in rows], "ok": ok}
     return Report(ok, payload, GRID_HEADER, rows, f"momentum-grid convergence  keep={args.keep}")
 
 
@@ -373,8 +373,8 @@ def _cmd_crosscheck(args: argparse.Namespace) -> Report:
     rel = abs(lan - ladder_report.top_coefficient) / abs(ladder_report.top_coefficient)  # pure, as the verdict
     ok = ladder_report.ok and rel <= landau_gauge.TOLERANCE
     sym, lan = _pair(ladder_report.top_coefficient, ell2), _pair(lan, ell2)
-    payload = {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": sym,
-               "landau_gauge": lan, "relative_difference": rel, "ok": ok}
+    payload = lambda: {"keep": keep, "J": args.J, "grid_M": M, "symmetric_gauge": sym,
+                       "landau_gauge": lan, "relative_difference": rel, "ok": ok}
     # The table is key : value lines, not columns; perfbench/checker.py parses it.
     body = (
         f"gauge crosscheck  keep={keep}\n"
@@ -404,7 +404,7 @@ _OPERATORS = {
 
 
 def _cmd_dump_matrix(args: argparse.Namespace) -> Report:
-    return Report(True, fock.to_json_dict(args.pure.scaled(args.scale)))
+    return Report(True, lambda: fock.to_json_dict(args.pure.scaled(args.scale)))
 
 
 _COMMANDS = {

@@ -12,7 +12,7 @@ import tomllib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense import grid_mean
@@ -1264,6 +1264,72 @@ def test_sweep_reports_are_the_commutator_reports(capsys, monkeypatch):
         assert report == sweep_json["reports"][keep]
         csv = stdout("commutator", "--keep", str(keep), "--output", "csv").splitlines()
         assert csv == [sweep_csv[0], sweep_csv[keep + 1]]
+
+
+@pytest.mark.parametrize("output", ["csv", "table"])
+@pytest.mark.parametrize("command", ["commutator", "sweep"])
+def test_csv_and_table_build_no_json(command, output, monkeypatch):
+    # cli.render alone calls a report's payload, and only for --output json
+    from nclandau import cli
+
+    argv = [command, "--N", "3", "--J", "5", "--output", output]
+    status, text = run_main(argv)
+    assert status == 0
+
+    def refuse(*args):
+        raise AssertionError("built a JSON document that is never printed")
+
+    monkeypatch.setattr(cli, "_commutator_payload", refuse)
+    assert run_main(argv) == (status, text)
+    with pytest.raises(AssertionError, match="never printed"):
+        run_main([*argv[:-1], "json"])
+
+
+@pytest.mark.parametrize("output", ["csv", "table"])
+def test_commutator_prints_its_row_when_only_its_artifacts_overflow(output):
+    # at hbar 1e307 the keep-1 row holds -2e307i, but the artifact at (1, 40), of order J ell^2, overflows: csv and
+    # table print no artifact, so commutator prints its row and exits 0, as sweep does
+    args = ["--hbar", "1e307", "--N", "1", "--J", "40", "--output", output]
+    (status, text), (sweep_status, sweep_text) = run_main(["commutator", *args]), run_main(["sweep", *args])
+    assert status == sweep_status == 0
+    lines, sweep_lines = text.splitlines(), sweep_text.splitlines()
+    keep0 = 1 if output == "csv" else 3  # sweep's keep-0 row follows the csv header, or the table's title, header, rule
+    assert lines[1:] == sweep_lines[1:keep0] + sweep_lines[keep0 + 1:]  # line 0: the same header, or its own title
+    assert "-2e+307" in lines[keep0]
+
+
+ARTIFACT_EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -1e-310, sys.float_info.max,
+                  -sys.float_info.max, 1e308, math.inf, -math.inf]
+
+
+def artifact_parts():
+    """One part of a ladder artifact: ±0, subnormal, near the float maximum, infinite, or any finite float."""
+    return st.sampled_from(ARTIFACT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.integers(0, 16383), st.integers(0, 16383), artifact_parts(), artifact_parts(), log_uniform(1e-300, 1e300))
+@example(0, 1, -0.0, -1.0, 1e-300)
+@example(16383, 16383, 0.0, -0.0, 1e300)
+@example(1, 40, 5e-324, -5e-324, 1.0)
+@example(2, 3, -0.0, -sys.float_info.max, 1.0)
+@example(1, 40, -0.0, -1e9, 1e300)  # the imaginary part overflows
+@example(1, 40, -1e9, 0.0, 1e300)  # the real part overflows
+@example(0, 1, math.inf, 1.0, 1.0)
+def test_artifact_template_is_the_encoded_dict(n, J, real, imag, ell2):
+    # the oracle is the encoder the template replaced: a three-key dict walked by serialize.dumps
+    from nclandau import cli
+    from nclandau.serialize import dumps
+
+    value = complex(real, imag)
+    try:
+        expected = dumps({"row": [n, J], "col": [n, J], "value": cli._pair(value, ell2)})
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            cli._artifact(n, value, J, ell2)
+        assert str(raised.value) == str(exc)
+    else:
+        assert dumps(cli._artifact(n, value, J, ell2)) == expected
 
 
 # ``python -m nclandau`` ends through ``cli.entry``, which skips interpreter

@@ -9,8 +9,9 @@ which the benchmark's start-up probe times, and which modules each CLI
 command executes; check that the names in every module's ``__all__``
 exist and are read by the package or imported by the acceptance gate, and
 that every name a module imports is used; check that ``src/`` keeps to
-its line ceiling, that only ``cli`` reads the size cap, and that
-``serialize`` and the value types take only what reports hold; and check
+its line ceiling, that only ``cli`` reads the size cap, that no command
+reads the output format and only ``render`` builds a report's JSON, and
+that ``serialize`` and the value types take only what reports hold; and check
 that the benchmark's span tracer still installs on the package, which
 breaks when a name it wraps is deleted, and that each name it binds
 still exists.
@@ -403,6 +404,38 @@ def test_only_cli_reads_the_size_cap():
 ])
 def test_names_in_finds_bare_and_attribute_names(source, found):
     assert ("MAX_DIMENSION" in names_in(source)) is found
+
+
+def payload_reads(source: str) -> list[tuple[str, bool]]:
+    """Each read of a ``.payload`` attribute in ``source``: the top-level function that holds it (``""`` outside
+    one), and whether the read is the callee of a call."""
+    reads = []
+    for top in ast.parse(source).body:
+        called = {id(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+        reads += [(getattr(top, "name", ""), id(node) in called) for node in ast.walk(top)
+                  if isinstance(node, ast.Attribute) and node.attr == "payload" and isinstance(node.ctx, ast.Load)]
+    return reads
+
+
+def test_only_render_decides_what_gets_encoded():
+    # no command reads the output format, and render alone calls a report's payload: JSON is built only when printed
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_")]
+    assert len(commands) == 6
+    assert [node.name for node in commands if "output" in names_in(ast.unparse(node))] == []
+    reads = [(path.stem, *read) for path in sorted(PACKAGE.glob("*.py")) for read in payload_reads(path.read_text())]
+    assert reads == [("cli", "render", True)]
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def render(report):\n    return dumps(report.payload())", [("render", True)]),
+    ("def render(report):\n    return dumps(report.payload)", [("render", False)]),
+    ("class R:\n    payload: dict\n\ndef f(r):\n    g = r.payload\n    return g()", [("f", False)]),
+    ("print(report.payload())", [("", True)]),
+    ("payload = {}\nreport.payload = payload", []),
+])
+def test_payload_reads_finds_every_read(source, reads):
+    assert payload_reads(source) == reads
 
 
 # The most lines src/nclandau/*.py may hold. The count should go down, not up:
